@@ -37,7 +37,7 @@ BENCHTIME ?= 1s
 bench-json:
 	mkdir -p bench
 	$(GO) test -run xxx -bench 'CycleSweep|Heartbeat|MonitorBeat|ConcurrentCycle|WatchdogCycle' \
-		-benchmem -benchtime $(BENCHTIME) . | tee bench/cycle.txt
+		-benchmem -benchtime $(BENCHTIME) . ./internal/core | tee bench/cycle.txt
 	$(GO) run ./cmd/benchjson -o bench/BENCH_cycle.json bench/cycle.txt
 	$(GO) test -run xxx -bench 'Snapshot|BeatWithStats|Journal' \
 		-benchmem -benchtime $(BENCHTIME) . | tee bench/stats.txt
@@ -67,7 +67,7 @@ SUITE ?= wal
 bench-suite:
 	mkdir -p bench
 	@case "$(SUITE)" in \
-	cycle)     pat='CycleSweep|Heartbeat|MonitorBeat|ConcurrentCycle|WatchdogCycle'; pkgs='.' ;; \
+	cycle)     pat='CycleSweep|Heartbeat|MonitorBeat|ConcurrentCycle|WatchdogCycle'; pkgs='. ./internal/core' ;; \
 	stats)     pat='Snapshot|BeatWithStats|Journal'; pkgs='.' ;; \
 	wire)      pat='WireDecode|WireEncode|CommandEncode|CommandDecode|IngestFrame'; pkgs='./internal/wire ./internal/ingest' ;; \
 	treat)     pat='TreatDecide'; pkgs='./internal/treat' ;; \

@@ -59,7 +59,6 @@ func BenchmarkSnapshot(b *testing.B) {
 				_ = w.Snapshot()
 			}
 		})
-		w.Close()
 	}
 }
 

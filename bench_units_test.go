@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"swwd"
 	"swwd/internal/deadline"
 	"swwd/internal/hwwd"
 	"swwd/internal/osek"
@@ -24,32 +23,6 @@ func newHW(b *testing.B, k *sim.Kernel) *hwwd.Watchdog {
 		b.Fatalf("Start: %v", err)
 	}
 	return w
-}
-
-// BenchmarkCalibratorHeartbeat measures the observation hot path.
-func BenchmarkCalibratorHeartbeat(b *testing.B) {
-	m := swwd.NewModel()
-	app, _ := m.AddApp("bench", swwd.QM)
-	task, _ := m.AddTask(app, "t", 1)
-	rid, err := m.AddRunnable(task, "r", time.Millisecond, swwd.QM)
-	if err != nil {
-		b.Fatalf("AddRunnable: %v", err)
-	}
-	if err := m.Freeze(); err != nil {
-		b.Fatalf("Freeze: %v", err)
-	}
-	cal, err := swwd.NewCalibrator(m, 10)
-	if err != nil {
-		b.Fatalf("NewCalibrator: %v", err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cal.Heartbeat(rid)
-		if i%8 == 7 {
-			cal.Cycle()
-		}
-	}
 }
 
 // BenchmarkDeadlineMonitorTransition measures the task-level baseline's

@@ -74,9 +74,6 @@ type WatchdogSpec struct {
 	EagerArrivalCheck    bool `json:"eager_arrival_check,omitempty"`
 	DisableCorrelation   bool `json:"disable_correlation,omitempty"`
 	ECUFaultyAppCount    int  `json:"ecu_faulty_app_count,omitempty"`
-	// SweepShards enables the sharded parallel Cycle sweep (0 or 1 =
-	// serial; see WithSweepShards).
-	SweepShards int `json:"sweep_shards,omitempty"`
 	// JournalSize is the fault-event journal capacity in entries,
 	// rounded up to a power of two (0 = default 256, negative =
 	// disabled; see WithJournalSize).
@@ -383,7 +380,6 @@ func (s *Spec) Build(clock Clock, sink Sink) (*System, error) {
 		EagerArrivalCheck:  s.Watchdog.EagerArrivalCheck,
 		DisableCorrelation: s.Watchdog.DisableCorrelation,
 		ECUFaultyAppCount:  s.Watchdog.ECUFaultyAppCount,
-		SweepShards:        s.Watchdog.SweepShards,
 		JournalSize:        s.Watchdog.JournalSize,
 	})
 	if err != nil {

@@ -97,15 +97,21 @@ func TestLoadSpecAndBuild(t *testing.T) {
 }
 
 func TestLoadSpecErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty apps":    `{"apps": []}`,
-		"unknown field": `{"apps": [{"name":"a"}], "bogus": 1}`,
-		"not json":      `{`,
+	cases := map[string]struct{ body, want string }{
+		"empty apps":    {`{"apps": []}`, ""},
+		"unknown field": {`{"apps": [{"name":"a"}], "bogus": 1}`, "unknown field"},
+		// sweep_shards selected the removed sharded sweep.
+		"removed sweep_shards": {`{"apps": [{"name":"a"}], "watchdog": {"sweep_shards": 4}}`, "unknown field"},
+		"not json":             {`{`, ""},
 	}
-	for name, body := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := LoadSpec(strings.NewReader(body)); err == nil {
+			_, err := LoadSpec(strings.NewReader(tc.body))
+			if err == nil {
 				t.Fatal("accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
 	}

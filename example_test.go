@@ -89,25 +89,31 @@ func ExampleLoadSpec() {
 	// Output: flow errors: 1
 }
 
-// ExampleCalibrator derives a fault hypothesis from observation instead of
-// hand-estimating arrival rates: observe a healthy phase, then Suggest.
-func ExampleCalibrator() {
+// ExampleSuggestHypotheses derives a fault hypothesis from observation
+// instead of hand-estimating arrival rates: supervise with a loose guess
+// and the online estimator on, observe a healthy phase, then Suggest.
+func ExampleSuggestHypotheses() {
 	model := swwd.NewModel()
 	app, _ := model.AddApp("app", swwd.SafetyCritical)
 	task, _ := model.AddTask(app, "task", 1)
 	worker, _ := model.AddRunnable(task, "worker", time.Millisecond, swwd.SafetyCritical)
 	_ = model.Freeze()
 
-	cal, _ := swwd.NewCalibrator(model, 10)
+	w, _ := swwd.New(model, swwd.WithEstimatorWindow(10))
+	_ = w.SetHypothesis(worker, swwd.Hypothesis{AlivenessCycles: 10, MinHeartbeats: 1, ArrivalCycles: 10, MaxArrivals: 100})
+	_ = w.Activate(worker)
+	// The estimator discards its first window, so observe one more than
+	// the three Suggest needs by default.
 	for window := 0; window < 4; window++ {
 		for beat := 0; beat < 5; beat++ {
-			cal.Heartbeat(worker)
+			w.Heartbeat(worker)
 		}
 		for cycle := 0; cycle < 10; cycle++ {
-			cal.Cycle()
+			w.Cycle()
 		}
 	}
-	h, _ := cal.Suggest(worker, 0.3)
+	props := swwd.SuggestHypotheses(w.Estimator().Baseline(), swwd.CalibrationPolicy{Margin: 0.3})
+	h := props[0].Hyp
 	fmt.Printf("min %d, max %d per %d cycles\n", h.MinHeartbeats, h.MaxArrivals, h.AlivenessCycles)
 	// Output: min 3, max 7 per 10 cycles
 }

@@ -10,8 +10,6 @@
 // faulted?), and only then swaps them in — without ever deactivating a
 // runnable, so there is no supervision gap. The tightened watchdog
 // stays quiet on the healthy workload but detects a stall immediately.
-// The offline one-shot path (NewCalibrator) remains as a compat wrapper
-// and must agree with the online suggestion on the same workload.
 //
 // Run with:
 //
@@ -170,27 +168,6 @@ func run() error {
 		return fmt.Errorf("stall not detected")
 	}
 
-	// Compat: the offline one-shot Calibrator (a wrapper over the same
-	// estimator) must agree with the online suggestion when it watches
-	// the same workload.
-	cal, err := swwd.NewCalibrator(model, 10)
-	if err != nil {
-		return err
-	}
-	for window := 0; window < 6; window++ {
-		healthyWindow(cal.Heartbeat, cal.Cycle, stages, window)
-	}
-	for _, rid := range stages {
-		h, err := cal.Suggest(rid, 0.3)
-		if err != nil {
-			return err
-		}
-		if h != swwd.Hypothesis(byRunnable[int(rid)].Hyp) {
-			return fmt.Errorf("offline calibrator disagrees with online suggestion: %+v vs %+v",
-				h, byRunnable[int(rid)].Hyp)
-		}
-	}
-	fmt.Println("offline calibrator agrees with the online suggestion")
 	fmt.Println("calibration example complete")
 	return nil
 }

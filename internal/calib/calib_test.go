@@ -13,7 +13,7 @@ func TestEstimatorExtremes(t *testing.T) {
 	e := NewEstimator(2, EstimatorConfig{WindowCycles: 5})
 	sample(e, 5, 2)
 	sample(e, 3, 0)
-	sample(e, 7, 4)
+	sample(e, 7, 4, 9) // a count past the last runnable is ignored
 	if e.Windows() != 3 {
 		t.Fatalf("Windows = %d, want 3", e.Windows())
 	}
@@ -89,11 +89,13 @@ func TestSuggestRules(t *testing.T) {
 			{Runnable: 1, Windows: 2, Min: 5, Max: 5},  // too few windows
 			{Runnable: 2, Windows: 4, Min: 0, Max: 3},  // silent windows
 			{Runnable: 3, Windows: 4, Min: 1, Max: 20}, // floor clamps to 1
+			{Runnable: 4, Windows: 3, Min: 4, Max: 6},  // exactly 3 windows: floor(4*0.7)=2, ceil(6*1.3)=8
+			{Runnable: 5}, // never observed
 		},
 	}
 	props := Suggest(b, Policy{Margin: 0.3})
-	if len(props) != 2 {
-		t.Fatalf("got %d proposals, want 2: %+v", len(props), props)
+	if len(props) != 3 {
+		t.Fatalf("got %d proposals, want 3: %+v", len(props), props)
 	}
 	p := props[0]
 	if p.Runnable != 0 || p.Hyp.MinHeartbeats != 3 || p.Hyp.MaxArrivals != 7 {
@@ -105,11 +107,13 @@ func TestSuggestRules(t *testing.T) {
 	if props[1].Runnable != 3 || props[1].Hyp.MinHeartbeats != 1 || props[1].Hyp.MaxArrivals != 26 {
 		t.Fatalf("proposal 1 = %+v, want min 1 max 26", props[1])
 	}
-	if got := Suggest(b, Policy{Margin: -0.1}); got != nil {
-		t.Error("negative margin produced proposals")
+	if props[2].Runnable != 4 || props[2].Hyp.MinHeartbeats != 2 || props[2].Hyp.MaxArrivals != 8 {
+		t.Fatalf("proposal 2 = %+v, want min 2 max 8", props[2])
 	}
-	if got := Suggest(b, Policy{Margin: 1}); got != nil {
-		t.Error("margin 1 produced proposals")
+	for _, m := range []float64{-0.1, 1, 1.5, math.NaN()} {
+		if got := Suggest(b, Policy{Margin: m}); got != nil {
+			t.Errorf("margin %v produced proposals", m)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ type Hypothesis struct {
 
 // DefaultMinWindows is how many observation windows a runnable needs
 // before Suggest will propose for it when Policy.MinWindows is zero —
-// the offline Calibrator's long-standing "at least three windows" rule.
+// the long-standing "at least three windows" rule.
 const DefaultMinWindows = 3
 
 // Policy is the suggestion policy.

@@ -12,7 +12,8 @@ package chaos
 // oracles reason about what the campaign itself did, not warm-up
 // noise. The watchdog service stops before the reporters close — the
 // same ordering the soak tests use — so the shutdown itself never
-// fabricates aliveness faults.
+// fabricates aliveness faults. A calibration loop stops before both, so
+// it never sends a command no reporter is left to ack.
 
 import (
 	"fmt"
@@ -30,6 +31,12 @@ import (
 // warmupBound caps how long Run waits for every reporter's first
 // frame before declaring the environment broken.
 const warmupBound = 10 * time.Second
+
+// ackDrainFrames bounds, in reporter flush intervals, how long the wind
+// down waits for command acks still in flight when the calibration loop
+// stops. An ack rides the node's next frame, so a few intervals cover a
+// clean round trip with room for scheduling delay.
+const ackDrainFrames = 10
 
 // Runtime is the live state of one campaign run, handed to Fault
 // implementations.
@@ -268,7 +275,18 @@ func Run(sc *Scenario) (*Result, error) {
 		time.Sleep(d)
 	}
 
-	// Wind down in the soak order: sweeps stop first, then reporters.
+	// Wind down in the soak order: the calibration loop first, since the
+	// commands it sends need live reporters to ack them; then sweeps,
+	// then reporters. A batch sent on the loop's last tick is still in
+	// flight, so the reporters keep running until its ack lands (bounded:
+	// a lost ack stays pending and the oracle reports it).
+	if fleet.Calib != nil {
+		fleet.Calib.Close()
+		drain := time.Now().Add(ackDrainFrames * tp.Interval)
+		for fleet.Calib.Status().PendingAcks > 0 && time.Now().Before(drain) {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
 	_ = svc.Stop()
 	svcStopped = true
 	stopAll()
@@ -296,8 +314,7 @@ func Run(sc *Scenario) (*Result, error) {
 	}
 
 	if fleet.Calib != nil {
-		// Stop the calibration loop before snapshotting its final state.
-		fleet.Calib.Close()
+		// The loop was stopped at the start of the wind down.
 		st := fleet.Calib.Status()
 		res.Calib = &st
 	}

@@ -129,18 +129,6 @@ type Config struct {
 	// mark the global ECU state faulty. Zero means 2; set to 1 to make
 	// any faulty application an ECU-level fault.
 	ECUFaultyAppCount int
-	// SweepShards enables the sharded parallel Cycle sweep: the due
-	// runnables of a cycle are split across a persistent pool of
-	// SweepShards workers. 0 or 1 keeps the sweep serial. Only large due
-	// populations engage the pool (small sweeps stay serial regardless);
-	// watchdogs with a pool should be retired with Close. Ignored with
-	// LegacySweep.
-	SweepShards int
-	// LegacySweep selects the retired O(N) full-table sweep instead of
-	// the due-cycle timer wheel. It exists as the bit-identical reference
-	// the equivalence tests replay against and as the benchmark baseline;
-	// production deployments should leave it off.
-	LegacySweep bool
 	// JournalSize is the fault-event journal capacity in entries, rounded
 	// up to a power of two. Zero selects the default (256); negative
 	// disables the journal entirely. Journal writes happen only on the
@@ -172,10 +160,11 @@ type Config struct {
 	// wheelSize overrides the timer-wheel bucket count (power of two;
 	// zero means defaultWheelSize). In-package test hook.
 	wheelSize uint64
-	// sweepParallelMin overrides the due-population threshold above which
-	// SweepShards engages the pool (zero means the default). In-package
-	// test hook.
-	sweepParallelMin int
+	// legacySweep selects the retired O(N) full-table walk instead of the
+	// due-cycle timer wheel: the bit-identical reference the equivalence
+	// tests replay against and the "walk" side of BenchmarkCycleSweep.
+	// In-package test hook.
+	legacySweep bool
 }
 
 // tstate is the TSI state of one task. All fields are cold-path state
@@ -226,8 +215,7 @@ type Results struct {
 // Configuration methods (SetHypothesis, Activate, AddFlowPair, Clear*,
 // Suspend/Resume) serialize on internal mutexes and may run concurrently
 // with heartbeats; a heartbeat racing a configuration change lands on
-// either side of it. Watchdogs configured with SweepShards > 1 own a
-// worker pool and should be retired with Close.
+// either side of it.
 type Watchdog struct {
 	cfg   Config
 	model *runnable.Model
@@ -243,7 +231,7 @@ type Watchdog struct {
 	cycle  atomic.Uint64
 
 	// sched is the due-cycle timer wheel driving the Cycle sweep; nil
-	// when Config.LegacySweep selects the reference full-table walk. Its
+	// when Config.legacySweep selects the reference full-table walk. Its
 	// mutex is ordered before mu (see wheel.go).
 	sched *scheduler
 
@@ -314,17 +302,8 @@ func New(cfg Config) (*Watchdog, error) {
 	if cfg.ECUFaultyAppCount <= 0 {
 		cfg.ECUFaultyAppCount = 2
 	}
-	if cfg.SweepShards < 0 {
-		return nil, errors.New("core: SweepShards must be non-negative")
-	}
-	if cfg.SweepShards > 256 {
-		cfg.SweepShards = 256
-	}
 	if cfg.wheelSize != 0 && cfg.wheelSize&(cfg.wheelSize-1) != 0 {
 		return nil, errors.New("core: wheel size must be a power of two")
-	}
-	if cfg.sweepParallelMin <= 0 {
-		cfg.sweepParallelMin = sweepParallelDefaultMin
 	}
 	if cfg.MetricsEveryCycles <= 0 {
 		cfg.MetricsEveryCycles = 100
@@ -364,16 +343,8 @@ func New(cfg Config) (*Watchdog, error) {
 		w.taskOf[i] = cfg.Model.TaskOf(runnable.ID(i))
 		w.hot[i].tid = w.taskOf[i]
 	}
-	if !cfg.LegacySweep {
-		size := cfg.wheelSize
-		if size == 0 {
-			size = defaultWheelSize
-		}
-		shards := cfg.SweepShards
-		if shards == 1 {
-			shards = 0
-		}
-		w.sched = newScheduler(n, size, shards, cfg.sweepParallelMin)
+	if !cfg.legacySweep {
+		w.sched = newScheduler(n, cfg.wheelSize)
 	}
 	w.flow.Store(newFlowTable(n))
 	for i := range w.preds {
@@ -648,7 +619,7 @@ func (w *Watchdog) checkFlow(ft *flowTable, rid runnable.ID, tid runnable.TaskID
 }
 
 // Cycle is implemented in sweep.go: the wheel-based due-cycle sweep by
-// default, or the legacy full-table walk with Config.LegacySweep.
+// default, or the legacy full-table walk with Config.legacySweep.
 
 // detectLocked routes one detected error through the collaboration logic
 // and the TSI unit, and reports it to the sink. Callers hold w.mu.

@@ -290,10 +290,10 @@ func applySweepOp(w *Watchdog, clock *sim.ManualClock, rids []runnable.ID, tids 
 }
 
 // TestSweepEquivalence replays deterministic mixed-op traces through the
-// legacy O(N) full-table sweep (kept in-tree as Config.LegacySweep) and
-// through the timer-wheel sweep — serial on a deliberately tiny 8-slot
-// wheel to force overflow migration and same-slot reinsertion, serial on
-// the default wheel, and sharded-parallel — and requires the detection
+// legacy O(N) full-table sweep (kept in-tree as Config.legacySweep) and
+// through the timer-wheel sweep — on a deliberately tiny 8-slot wheel to
+// force overflow migration and same-slot reinsertion, and on the default
+// wheel — and requires the detection
 // Results, the full fault Report stream (kind, runnable, observed,
 // expected, cycle, correlation), the state-event stream and every
 // per-runnable counter snapshot to be bit-identical.
@@ -304,11 +304,6 @@ func TestSweepEquivalence(t *testing.T) {
 	}{
 		{"wheel-8slot", func(c *Config) { c.wheelSize = 8 }},
 		{"wheel-default", nil},
-		{"wheel-sharded", func(c *Config) {
-			c.wheelSize = 8
-			c.SweepShards = 3
-			c.sweepParallelMin = 1 // engage the pool on every non-empty sweep
-		}},
 	}
 	for _, eager := range []bool{false, true} {
 		name := "period-end"
@@ -319,7 +314,7 @@ func TestSweepEquivalence(t *testing.T) {
 			for _, v := range variants {
 				t.Run(v.name, func(t *testing.T) {
 					for seed := int64(1); seed <= 6; seed++ {
-						ref, clockA, sinkA, ridsA, tidsA := sweepFixture(t, eager, func(c *Config) { c.LegacySweep = true })
+						ref, clockA, sinkA, ridsA, tidsA := sweepFixture(t, eager, func(c *Config) { c.legacySweep = true })
 						cand, clockB, sinkB, sinkBRids, tidsB := sweepFixture(t, eager, v.mod)
 						trace := makeSweepTrace(seed, len(ridsA), len(tidsA), 5000)
 						for oi, op := range trace {
@@ -360,7 +355,6 @@ func TestSweepEquivalence(t *testing.T) {
 								t.Fatalf("seed %d: final counters diverge for runnable %d: legacy=%+v wheel=%+v", seed, i, ca, cb)
 							}
 						}
-						cand.Close()
 					}
 				})
 			}

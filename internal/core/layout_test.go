@@ -8,7 +8,7 @@ import (
 // Compile-time layout assertions: the hot-path structs are sized to exact
 // cache-line multiples so adjacent array elements never share a line
 // (hotState spans two lines to also defeat adjacent-line prefetching;
-// predReg and shardOut span one). A zero-length array with a negative
+// predReg spans one). A zero-length array with a negative
 // length is a compile error, so each pair of declarations pins the size
 // from both sides — growing or shrinking any struct breaks the build
 // here, next to the explanation, instead of silently reintroducing false
@@ -19,9 +19,6 @@ var (
 
 	_ [unsafe.Sizeof(predReg{}) - cacheLineSize]byte
 	_ [cacheLineSize - unsafe.Sizeof(predReg{})]byte
-
-	_ [unsafe.Sizeof(shardOut{}) - cacheLineSize]byte
-	_ [cacheLineSize - unsafe.Sizeof(shardOut{})]byte
 )
 
 // TestHotLayout reports the sizes so a failing compile-time assertion is
@@ -32,8 +29,5 @@ func TestHotLayout(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(predReg{}); got != cacheLineSize {
 		t.Errorf("sizeof(predReg) = %d, want %d", got, cacheLineSize)
-	}
-	if got := unsafe.Sizeof(shardOut{}); got != cacheLineSize {
-		t.Errorf("sizeof(shardOut) = %d, want %d", got, cacheLineSize)
 	}
 }

@@ -95,7 +95,7 @@ func (w *Watchdog) SetShadow(rid runnable.ID, h Hypothesis) error {
 	}
 	s := w.sched
 	if s == nil {
-		return errors.New("core: shadow evaluation requires the wheel sweep (LegacySweep is on)")
+		return errors.New("core: shadow evaluation requires the wheel sweep, not the reference walk")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

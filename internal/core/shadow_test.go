@@ -143,10 +143,10 @@ func TestShadowValidation(t *testing.T) {
 		t.Error("verdict without a shadow installed")
 	}
 
-	legacy := newFixture(t, func(c *Config) { c.LegacySweep = true })
+	legacy := newFixture(t, func(c *Config) { c.legacySweep = true })
 	legacy.monitorAll()
 	if err := legacy.w.SetShadow(legacy.a, Hypothesis{AlivenessCycles: 5, MinHeartbeats: 1}); err == nil {
-		t.Error("LegacySweep accepted a shadow hypothesis")
+		t.Error("the reference walk accepted a shadow hypothesis")
 	}
 }
 

@@ -322,7 +322,7 @@ func TestMetricsSinkSeesDetections(t *testing.T) {
 func TestSnapshotLegacySweepParity(t *testing.T) {
 	// The telemetry layer must work identically under the reference
 	// full-table sweep (no wheel anchors to derive CCA/CCAR from).
-	f := newFixture(t, func(cfg *Config) { cfg.LegacySweep = true })
+	f := newFixture(t, func(cfg *Config) { cfg.legacySweep = true })
 	f.monitorAll()
 	f.w.Heartbeat(f.a)
 	cycleN(f.w, 3)

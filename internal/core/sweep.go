@@ -1,22 +1,16 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"swwd/internal/runnable"
 )
 
 // This file holds the Cycle sweep implementations: the default
-// wheel-based sweep (serial and sharded-parallel) and the retired O(N)
-// full-table walk, kept in-tree both as the bit-identical reference for
-// the equivalence replay tests and as a benchmark/ablation baseline
-// (Config.LegacySweep).
-
-// sweepParallelDefaultMin is the minimum number of due runnables in one
-// cycle before the sharded pool is engaged; below it the fan-out/join
-// overhead dwarfs the sweep itself and the serial path wins.
-const sweepParallelDefaultMin = 256
+// wheel-based sweep and the retired O(N) full-table walk, kept in-tree
+// only as the bit-identical reference for the equivalence replay tests
+// and as the "walk" side of BenchmarkCycleSweep (Config.legacySweep, an
+// in-package test hook).
 
 // detection is one deferred fault found by the sweep; detections are
 // batched so w.mu is taken once per cycle, not once per fault.
@@ -24,67 +18,6 @@ type detection struct {
 	kind               ErrorKind
 	rid                runnable.ID
 	observed, expected int
-}
-
-// resched is one deadline re-index computed by a sweep worker and
-// applied serially after the join (workers never mutate the wheel).
-type resched struct {
-	rid  uint32
-	kind uint8
-	due  uint64
-}
-
-// shardOut is the result buffer of one sweep worker, padded so adjacent
-// workers do not publish into the same cache line.
-type shardOut struct {
-	dets []detection
-	res  []resched
-	_    [cacheLineSize - 2*24]byte // two slice headers per worker
-}
-
-// sweepPool is the persistent worker pool of the sharded sweep. Workers
-// park on the job channel between cycles; Watchdog.Close retires them.
-type sweepPool struct {
-	jobs chan func()
-	done sync.WaitGroup
-}
-
-func newSweepPool(n int) *sweepPool {
-	p := &sweepPool{jobs: make(chan func(), n)}
-	p.done.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer p.done.Done()
-			for f := range p.jobs {
-				f()
-			}
-		}()
-	}
-	return p
-}
-
-func (p *sweepPool) submit(f func()) { p.jobs <- f }
-
-func (p *sweepPool) close() {
-	close(p.jobs)
-	p.done.Wait()
-}
-
-// Close retires the sharded-sweep worker pool, if one was configured
-// (Config.SweepShards > 1). It is idempotent and safe to call
-// concurrently with Cycle; after Close the sweep continues serially.
-// Watchdogs without a worker pool need no Close.
-func (w *Watchdog) Close() {
-	s := w.sched
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pool != nil {
-		s.pool.close()
-		s.pool = nil
-	}
 }
 
 // Cycle advances the time-triggered part of the watchdog by one
@@ -168,11 +101,7 @@ func (w *Watchdog) cycleWheel() uint64 {
 	}
 	s.items = mergeDue(s.items[:0], s.dueAlive, s.dueArr)
 	s.batch = s.batch[:0]
-	if s.pool != nil && len(s.items) >= s.parallelMin {
-		w.sweepParallel(c)
-	} else {
-		w.sweepSerial(c)
-	}
+	w.sweepDue(c)
 	if len(s.dueShadow) > 0 {
 		// Shadow windows are judged after the active ones closed, still
 		// under s.mu: due-cycle work inside the same sweep, never a fault.
@@ -189,9 +118,9 @@ func (w *Watchdog) cycleWheel() uint64 {
 	return c
 }
 
-// sweepSerial processes the due items inline: close expiring windows,
+// sweepDue processes the due items inline: close expiring windows,
 // collect detections, restart and re-index the windows. Holds s.mu.
-func (w *Watchdog) sweepSerial(c uint64) {
+func (w *Watchdog) sweepDue(c uint64) {
 	s := w.sched
 	for _, it := range s.items {
 		rid := int(it.rid)
@@ -219,79 +148,7 @@ func (w *Watchdog) sweepSerial(c uint64) {
 	}
 }
 
-// sweepParallel fans the due items out over the persistent worker pool
-// in contiguous (hence runnable-ascending) chunks. Workers only perform
-// atomic window closes and record their detections and deadline
-// re-indexes locally; the wheel mutation and the detection batch are
-// applied serially after the join, in shard order, so the observable
-// sequence is identical to the serial sweep. Holds s.mu.
-func (w *Watchdog) sweepParallel(c uint64) {
-	s := w.sched
-	n := s.shards
-	chunk := (len(s.items) + n - 1) / n
-	var wg sync.WaitGroup
-	used := 0
-	for i := 0; i < n; i++ {
-		lo := i * chunk
-		if lo >= len(s.items) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(s.items) {
-			hi = len(s.items)
-		}
-		o := &s.outs[i]
-		o.dets = o.dets[:0]
-		o.res = o.res[:0]
-		sub := s.items[lo:hi]
-		used++
-		wg.Add(1)
-		s.pool.submit(func() {
-			defer wg.Done()
-			w.sweepShard(c, sub, o)
-		})
-	}
-	wg.Wait()
-	for i := 0; i < used; i++ {
-		o := &s.outs[i]
-		for _, r := range o.res {
-			s.schedule(int(r.rid), int(r.kind), r.due, c)
-		}
-		s.batch = append(s.batch, o.dets...)
-	}
-}
-
-// sweepShard is the worker half of the parallel sweep: pure hot-state
-// atomics plus private result buffers, no wheel access.
-func (w *Watchdog) sweepShard(c uint64, items []dueItem, o *shardOut) {
-	s := w.sched
-	for _, it := range items {
-		rid := int(it.rid)
-		hs := &w.hot[rid]
-		if hs.active.Load() == 0 {
-			continue
-		}
-		hyp := hs.hyp.Load()
-		if it.alive && hyp.AlivenessCycles > 0 {
-			ac := hs.closeAliveness()
-			if int(ac) < hyp.MinHeartbeats {
-				o.dets = append(o.dets, detection{AlivenessError, runnable.ID(rid), int(ac), hyp.MinHeartbeats})
-			}
-			s.rs[rid].aliveAnchor.Store(c)
-			o.res = append(o.res, resched{rid: it.rid, kind: kindAlive, due: c + uint64(hyp.AlivenessCycles)})
-		}
-		if it.arr && hyp.ArrivalCycles > 0 {
-			arc := hs.closeArrival()
-			if int(arc) > hyp.MaxArrivals {
-				o.dets = append(o.dets, detection{ArrivalRateError, runnable.ID(rid), int(arc), hyp.MaxArrivals})
-			}
-			s.rs[rid].arrAnchor.Store(c)
-			o.res = append(o.res, resched{rid: it.rid, kind: kindArr, due: c + uint64(hyp.ArrivalCycles)})
-		}
-	}
-}
-
-// cycleLegacy is the retired full-table sweep (Config.LegacySweep): one
+// cycleLegacy is the retired full-table sweep (Config.legacySweep): one
 // pass over every runnable's padded counter line per cycle, per-cycle
 // CCA/CCAR increments, one w.mu acquisition per fault. Kept as the
 // reference implementation the equivalence tests replay against and as

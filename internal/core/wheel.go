@@ -160,12 +160,6 @@ type scheduler struct {
 	rs         []runnableSched
 	n          int // number of runnables
 
-	// Parallel sweep.
-	shards      int
-	parallelMin int // minimum due items before the pool is engaged
-	pool        *sweepPool
-	outs        []shardOut
-
 	// Reusable sweep buffers.
 	dueAlive  []uint32
 	dueArr    []uint32
@@ -176,32 +170,25 @@ type scheduler struct {
 }
 
 // newScheduler builds the wheel for n runnables. size must be a power of
-// two; shards > 1 enables the parallel sweep (workers are started by the
-// caller via startPool).
-func newScheduler(n int, size uint64, shards, parallelMin int) *scheduler {
+// two.
+func newScheduler(n int, size uint64) *scheduler {
 	if size == 0 {
 		size = defaultWheelSize
 	}
 	s := &scheduler{
-		size:        size,
-		mask:        size - 1,
-		buckets:     make([]wheelBucket, size),
-		overAlive:   newBitset(n),
-		overArr:     newBitset(n),
-		overShadow:  newBitset(n),
-		rs:          make([]runnableSched, n),
-		n:           n,
-		shards:      shards,
-		parallelMin: parallelMin,
+		size:       size,
+		mask:       size - 1,
+		buckets:    make([]wheelBucket, size),
+		overAlive:  newBitset(n),
+		overArr:    newBitset(n),
+		overShadow: newBitset(n),
+		rs:         make([]runnableSched, n),
+		n:          n,
 	}
 	for i := range s.rs {
 		// Everything starts inactive: counters frozen at zero.
 		s.rs[i].aliveAnchor.Store(frozenFlag)
 		s.rs[i].arrAnchor.Store(frozenFlag)
-	}
-	if shards > 1 {
-		s.pool = newSweepPool(shards)
-		s.outs = make([]shardOut, shards)
 	}
 	return s
 }

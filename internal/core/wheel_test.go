@@ -247,25 +247,3 @@ func TestWheelCounterSnapshotAnchors(t *testing.T) {
 		t.Fatalf("CCA while suspended = %d, want 0 (frozen at reset)", c.CCA)
 	}
 }
-
-// TestCloseIdempotent retires a sharded watchdog's worker pool twice.
-func TestCloseIdempotent(t *testing.T) {
-	m := runnable.NewModel()
-	app, _ := m.AddApp("close", runnable.QM)
-	task, _ := m.AddTask(app, "T", 1)
-	if _, err := m.AddRunnable(task, "r", time.Millisecond, runnable.QM); err != nil {
-		t.Fatalf("AddRunnable: %v", err)
-	}
-	if err := m.Freeze(); err != nil {
-		t.Fatalf("Freeze: %v", err)
-	}
-	w, err := New(Config{Model: m, Clock: sim.NewManualClock(), SweepShards: 4})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	w.Cycle()
-	w.Close()
-	w.Close()
-	// The serial sweep must keep working after the pool is gone.
-	w.Cycle()
-}

@@ -46,8 +46,6 @@ type FleetConfig struct {
 	BatchSize   int
 	// JournalSize forwards to core.Config.JournalSize.
 	JournalSize int
-	// SweepShards forwards to core.Config.SweepShards.
-	SweepShards int
 	// Sink receives watchdog output; nil discards.
 	Sink core.Sink
 	// Clock defaults to a wall clock.
@@ -173,7 +171,6 @@ func BuildFleet(cfg FleetConfig) (*Fleet, error) {
 		Sink:                  sink,
 		CyclePeriod:           cfg.CyclePeriod,
 		JournalSize:           cfg.JournalSize,
-		SweepShards:           cfg.SweepShards,
 		EstimatorWindowCycles: estWindow,
 	})
 	if err != nil {

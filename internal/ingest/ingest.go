@@ -393,16 +393,8 @@ type Server struct {
 	cmdStale     atomic.Uint64
 }
 
-// NewServer validates the configuration and builds an idle server;
-// register nodes with RegisterNode, then bind it with Listen.
-//
-// Deprecated: use New with functional options; NewServer remains as a
-// thin wrapper over the same construction path.
-func NewServer(cfg Config) (*Server, error) {
-	return newServer(cfg)
-}
-
-// newServer is the shared construction path of New and NewServer.
+// newServer validates the configuration and builds an idle server: the
+// shared construction path of New and BuildFleet.
 func newServer(cfg Config) (*Server, error) {
 	if cfg.Watchdog == nil {
 		return nil, errors.New("ingest: Config.Watchdog is required")

@@ -367,7 +367,7 @@ func TestIngestFlowReplay(t *testing.T) {
 	if err := w.AddFlowSequence(r0, r1); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(Config{Watchdog: w})
+	srv, err := New(w)
 	if err != nil {
 		t.Fatal(err)
 	}

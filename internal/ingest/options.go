@@ -1,15 +1,12 @@
 package ingest
 
 // Functional options: the constructor idiom of the root swwd package
-// (swwd.New, validator.New), extended to the ingestion server. New is
-// the preferred constructor; the Config-struct NewServer remains as a
-// deprecated thin wrapper for existing callers.
+// (swwd.New, validator.New), extended to the ingestion server.
 
 import "swwd/internal/core"
 
 // Option configures a Server built with New. Options are applied in
-// order over the zero Config, so later options win; anything expressible
-// with an Option can equally be set on a Config passed to NewServer.
+// order over the zero Config, so later options win.
 type Option func(*Config)
 
 // WithShards sets the worker count frames are decoded on; a node is
@@ -79,8 +76,7 @@ func WithFrameHook(hook func(node uint32, restarted bool)) Option {
 }
 
 // New validates the options and builds an idle server ingesting into w;
-// register nodes with RegisterNode, then bind it with Listen. It is the
-// options-form equivalent of NewServer.
+// register nodes with RegisterNode, then bind it with Listen.
 func New(w *core.Watchdog, opts ...Option) (*Server, error) {
 	cfg := Config{Watchdog: w}
 	for _, opt := range opts {

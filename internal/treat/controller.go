@@ -41,8 +41,12 @@ type Stats struct {
 	ScaleUps         uint64
 	NotifyQuarantine uint64
 	RestartRunnables uint64
-	// ActiveQuarantines and ActiveScaledDown are the current gauge
-	// values.
+	// ActiveQuarantines is the number of nodes currently quarantined.
+	// ActiveScaledDown is the number of nodes currently held down by at
+	// least one quarantined dependency and not themselves quarantined
+	// (a quarantined node counts only as a quarantine). Both are counted
+	// from the engine state after every Quarantine or Resume, the only
+	// actions that change either set; they never drift from it.
 	ActiveQuarantines int
 	ActiveScaledDown  int
 	// ExecErrors counts actions whose Executor returned an error (the
@@ -100,8 +104,8 @@ type Controller struct {
 	notifies     atomic.Uint64
 	restarts     atomic.Uint64
 	execErrs     atomic.Uint64
-	activeQuar   atomic.Int64
-	activeScaled atomic.Int64
+	activeQuar   atomic.Int64 // stored by recount
+	activeScaled atomic.Int64 // stored by recount
 }
 
 // NewController builds and starts a controller over the graph. exec
@@ -175,24 +179,27 @@ func (c *Controller) run() {
 			c.trace = append(c.trace, ev)
 			c.actions = append(c.actions, scratch...)
 			c.mu.Unlock()
-			refresh := false
+			// Quarantine and Resume are the only actions that change the
+			// quarantined or scaled-down sets. The gauges are recounted
+			// before the action counters move, so a reader that sees an
+			// action counted also sees its gauges. The interested set is
+			// published after the actions ran.
+			var next map[uint32]struct{}
+			for _, a := range scratch {
+				if a.Kind == ActQuarantine || a.Kind == ActResume {
+					next = c.recount()
+					break
+				}
+			}
 			for _, a := range scratch {
 				switch a.Kind {
 				case ActQuarantine:
 					c.quarantines.Add(1)
-					c.activeQuar.Add(1)
-					refresh = true
 				case ActResume:
 					c.resumes.Add(1)
-					c.activeQuar.Add(-1)
-					refresh = true
 				case ActScaleDown:
 					c.scaleDowns.Add(1)
-					c.activeScaled.Add(1)
 				case ActScaleUp:
-					if a.Node != a.Cause { // self scale-up pairs with Resume, not ScaleDown
-						c.activeScaled.Add(-1)
-					}
 					c.scaleUps.Add(1)
 				case ActNotifyQuarantine:
 					c.notifies.Add(1)
@@ -210,22 +217,29 @@ func (c *Controller) run() {
 					c.sink(a, execErr)
 				}
 			}
-			if refresh {
-				c.refreshInterested()
+			if next != nil {
+				c.interested.Store(&next)
 			}
 		}
 	}
 }
 
-// refreshInterested republishes the quarantined-node set for OnFrame.
-func (c *Controller) refreshInterested() {
-	next := make(map[uint32]struct{})
+// recount walks every node once: it stores the active gauges (see Stats
+// for their definition) and returns the quarantined-node set, the nodes
+// whose frames OnFrame must forward.
+func (c *Controller) recount() map[uint32]struct{} {
+	quarantined := make(map[uint32]struct{})
+	scaled := 0
 	for _, n := range c.eng.g.Nodes() {
 		if c.eng.Quarantined(n) {
-			next[n] = struct{}{}
+			quarantined[n] = struct{}{}
+		} else if c.eng.ScaledDown(n) {
+			scaled++
 		}
 	}
-	c.interested.Store(&next)
+	c.activeQuar.Store(int64(len(quarantined)))
+	c.activeScaled.Store(int64(scaled))
+	return quarantined
 }
 
 // Close stops the policy goroutine. Events still queued are discarded;

@@ -115,6 +115,44 @@ func TestControllerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestControllerGaugesFollowEngineState: a dependent that is itself
+// quarantined when its root faults, and resumes while the root still
+// holds it down, must read as scaled down in between and as healthy
+// once the root resumes. A count of actions cannot track this: the
+// engine emits no ScaleDown when the root faults (the dependent is
+// quarantined), yet emits the dependent's ScaleUp when the root resumes.
+func TestControllerGaugesFollowEngineState(t *testing.T) {
+	g, err := NewGraph([]uint32{1, 2}, []Edge{{Node: 2, DependsOn: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewController(g, Policy{RecoveryFrames: 2}, nil, sim.NewManualClock(), Options{})
+	defer c.Close()
+	gauges := func(wantQ, wantS int) {
+		t.Helper()
+		if s := c.Stats(); s.ActiveQuarantines != wantQ || s.ActiveScaledDown != wantS {
+			t.Fatalf("active gauges = %d/%d, want %d/%d", s.ActiveQuarantines, s.ActiveScaledDown, wantQ, wantS)
+		}
+	}
+
+	c.OnLinkFault(2)
+	waitFor(t, "node 2 quarantined", func() bool { return c.Stats().Quarantines == 1 })
+	gauges(1, 0)
+	c.OnLinkFault(1)
+	waitFor(t, "node 1 quarantined", func() bool { return c.Stats().Quarantines == 2 })
+	gauges(2, 0) // node 2 is held down by node 1 but counts as quarantined
+
+	c.OnFrame(2, false)
+	c.OnFrame(2, false)
+	waitFor(t, "node 2 resumed", func() bool { return c.Stats().Resumes == 1 })
+	gauges(1, 1) // node 1 still holds node 2 down
+
+	c.OnFrame(1, false)
+	c.OnFrame(1, false)
+	waitFor(t, "node 1 resumed", func() bool { return c.Stats().Resumes == 2 })
+	gauges(0, 0)
+}
+
 func TestControllerExecErrorsCounted(t *testing.T) {
 	g, err := NewGraph([]uint32{1}, nil)
 	if err != nil {

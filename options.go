@@ -62,16 +62,6 @@ func WithECUFaultyAppCount(n int) Option {
 	return func(cfg *Config) { cfg.ECUFaultyAppCount = n }
 }
 
-// WithSweepShards enables the sharded parallel Cycle sweep: the
-// runnables whose monitoring window expires in a cycle are split across
-// a persistent pool of n workers. Useful for very large monitored
-// populations; small due populations are swept serially regardless.
-// 0 or 1 keeps the sweep serial. A watchdog with a worker pool should
-// be retired with Close when no longer needed.
-func WithSweepShards(n int) Option {
-	return func(cfg *Config) { cfg.SweepShards = n }
-}
-
 // WithJournalSize sets the fault-event journal capacity in entries
 // (rounded up to a power of two). Zero keeps the default of 256. The
 // journal records every detection with a freeze-frame of the runnable's
@@ -111,14 +101,6 @@ func WithMetricsSink(sink func(*Snapshot), everyCycles int) Option {
 		cfg.MetricsSink = sink
 		cfg.MetricsEveryCycles = everyCycles
 	}
-}
-
-// WithLegacySweep selects the retired O(N) full-table Cycle sweep
-// instead of the due-cycle timer wheel. It exists as the bit-identical
-// reference for equivalence testing and benchmarking; production
-// deployments should not use it.
-func WithLegacySweep() Option {
-	return func(cfg *Config) { cfg.LegacySweep = true }
 }
 
 // WithEstimatorWindow enables the online calibration estimator: every

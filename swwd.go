@@ -99,9 +99,6 @@ type (
 	HistogramSnapshot = core.HistogramSnapshot
 	// Clock abstracts the time source.
 	Clock = sim.Clock
-	// Calibrator derives fault hypotheses from a healthy observation run
-	// (offline one-shot wrapper over the online estimator).
-	Calibrator = core.Calibrator
 	// Estimator is the online calibration estimator: per-runnable
 	// arrival-rate EWMA, window extremes and a fixed-size quantile
 	// sketch, fed from the banked beat counts when the watchdog is
@@ -181,14 +178,6 @@ func DefaultThresholds() Thresholds { return core.DefaultThresholds() }
 
 // NewWallClock returns a Clock backed by real time, anchored at now.
 func NewWallClock() Clock { return sim.NewWallClock() }
-
-// NewCalibrator creates a hypothesis calibrator over the frozen model,
-// observing windows of the given length in watchdog cycles. Feed it
-// Heartbeat/Cycle during a known-healthy run, then Suggest hypotheses
-// with a safety margin.
-func NewCalibrator(model *Model, windowCycles int) (*Calibrator, error) {
-	return core.NewCalibrator(model, windowCycles)
-}
 
 // SuggestHypotheses derives tightened hypothesis proposals from a
 // recorded estimator baseline. Pure and deterministic: the same

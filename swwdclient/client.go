@@ -183,14 +183,6 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		opt(&cfg)
 	}
 	cfg.Addr = addr // the address is Dial's contract, not an option
-	return DialConfig(cfg)
-}
-
-// DialConfig is the Config-struct constructor kept for existing callers;
-// it behaves exactly like Dial with the equivalent options.
-//
-// Deprecated: use Dial(addr, ...Option).
-func DialConfig(cfg Config) (*Client, error) {
 	if cfg.Addr == "" {
 		return nil, errors.New("swwdclient: Config.Addr is required")
 	}

@@ -301,10 +301,6 @@ func TestDialValidation(t *testing.T) {
 	if _, err := Dial("localhost:1", WithRunnables(MaxRunnables+1)); err == nil {
 		t.Fatal("Dial accepted oversized Runnables")
 	}
-	// The deprecated Config path keeps working.
-	if _, err := DialConfig(Config{Runnables: 1}); err == nil {
-		t.Fatal("DialConfig accepted empty Addr")
-	}
 }
 
 // countingConn wraps a net.Conn and counts datagrams written through it,

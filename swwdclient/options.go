@@ -1,9 +1,7 @@
 package swwdclient
 
 // Functional options: the constructor idiom shared with the root swwd
-// package and ingest.New, applied here to the reporter client. Dial is
-// the preferred constructor; the Config-struct DialConfig remains as a
-// deprecated thin wrapper for existing callers.
+// package and ingest.New, applied here to the reporter client.
 
 import (
 	"net"
@@ -11,8 +9,7 @@ import (
 )
 
 // Option configures a Client built with Dial. Options are applied in
-// order over the zero Config, so later options win; anything expressible
-// with an Option can equally be set on a Config passed to DialConfig.
+// order over the zero Config, so later options win.
 type Option func(*Config)
 
 // WithNode sets this node's wire ID, as registered on the server.
