@@ -225,8 +225,9 @@ func TestConcurrentBeatCycle_Race(t *testing.T) {
 }
 
 // TestConcurrentRegisterAndConfig races Register/SetHypothesis/flow-table
-// growth against live heartbeats: configuration is copy-on-write, so
-// beats in flight must always see either the old or the new table.
+// growth against live heartbeats and frames of flow records:
+// configuration is copy-on-write, so beats and frames in flight must
+// always see either the old or the new table.
 func TestConcurrentRegisterAndConfig(t *testing.T) {
 	w, rids, _ := buildConcurrencyFixture(t, 4, 4)
 	var wg sync.WaitGroup
@@ -236,9 +237,17 @@ func TestConcurrentRegisterAndConfig(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			idx := make([]uint32, 8)
 			<-start
 			for i := 0; i < 1000; i++ {
-				w.Heartbeat(rids[rng.Intn(len(rids))])
+				if seed%2 == 0 {
+					w.Heartbeat(rids[rng.Intn(len(rids))])
+					continue
+				}
+				for j := range idx {
+					idx[j] = uint32(rng.Intn(len(rids)))
+				}
+				w.FlowEventN(rids, idx)
 			}
 		}(int64(g))
 	}
@@ -259,6 +268,7 @@ func TestConcurrentRegisterAndConfig(t *testing.T) {
 				ArrivalCycles: 3, MaxArrivals: 32,
 			})
 			_ = w.MonitorFlow(rids[i%len(rids)])
+			_ = w.AddFlowPair(rids[i%len(rids)], rids[(i+1)%len(rids)]) // cross-task pairs are rejected
 		}
 	}()
 	close(start)

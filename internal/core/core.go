@@ -452,44 +452,54 @@ func (w *Watchdog) MonitorFlow(rid runnable.ID) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	ft := w.flow.Load().clone()
-	ft.setMonitored(rid)
-	w.flow.Store(ft)
+	e := w.flow.Load().edit()
+	e.setMonitored(rid)
+	w.flow.Store(e.t)
 	return nil
 }
 
 // AddFlowPair allows succ to execute immediately after pred within their
 // common task. Both runnables are implicitly enrolled in flow monitoring.
 func (w *Watchdog) AddFlowPair(pred, succ runnable.ID) error {
-	if err := w.checkRunnable(pred); err != nil {
-		return err
-	}
-	if err := w.checkRunnable(succ); err != nil {
-		return err
-	}
-	if w.taskOf[pred] != w.taskOf[succ] {
-		return fmt.Errorf("core: AddFlowPair(%d,%d): runnables belong to different tasks", pred, succ)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	ft := w.flow.Load().clone()
-	ft.addPair(pred, succ)
-	w.flow.Store(ft)
-	return nil
+	return w.addFlowPairs([][2]runnable.ID{{pred, succ}})
 }
 
 // AddFlowSequence allows the straight-line order r0→r1→…→rn and the
 // wrap-around rn→r0 (the task re-executes its sequence every activation).
+// It is all-or-nothing: when any pair is invalid, none is installed.
 func (w *Watchdog) AddFlowSequence(rids ...runnable.ID) error {
 	if len(rids) < 2 {
 		return errors.New("core: AddFlowSequence needs at least two runnables")
 	}
-	for i := 0; i < len(rids)-1; i++ {
-		if err := w.AddFlowPair(rids[i], rids[i+1]); err != nil {
+	pairs := make([][2]runnable.ID, len(rids))
+	for i, rid := range rids {
+		pairs[i] = [2]runnable.ID{rid, rids[(i+1)%len(rids)]}
+	}
+	return w.addFlowPairs(pairs)
+}
+
+// addFlowPairs validates every pair, then installs them all with one
+// copy-on-write edit of the flow table.
+func (w *Watchdog) addFlowPairs(pairs [][2]runnable.ID) error {
+	for _, p := range pairs {
+		if err := w.checkRunnable(p[0]); err != nil {
 			return err
 		}
+		if err := w.checkRunnable(p[1]); err != nil {
+			return err
+		}
+		if w.taskOf[p[0]] != w.taskOf[p[1]] {
+			return fmt.Errorf("core: AddFlowPair(%d,%d): runnables belong to different tasks", p[0], p[1])
+		}
 	}
-	return w.AddFlowPair(rids[len(rids)-1], rids[0])
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	e := w.flow.Load().edit()
+	for _, p := range pairs {
+		e.addPair(p[0], p[1])
+	}
+	w.flow.Store(e.t)
+	return nil
 }
 
 // Heartbeat is the aliveness indication routine runnables call (directly,
@@ -555,10 +565,11 @@ func (w *Watchdog) beatN(rid runnable.ID, hs *hotState, n int) {
 // without recording a heartbeat: the program-flow half of Heartbeat. The
 // batched wire protocol splits the two concerns — beat *counts* travel
 // compactly and land via Monitor.BeatN, while the ordered successor list
-// of flow-monitored runnables replays here so the look-up-table check
-// sees the same predecessor/successor pairs it would have seen locally.
-// Unknown identifiers and unenrolled runnables are ignored, matching
-// Heartbeat's tolerance.
+// of flow-monitored runnables replays here (or, a frame at a time,
+// through FlowEventN) so the look-up-table check sees the same
+// predecessor/successor pairs it would have seen locally. Unknown
+// identifiers and unenrolled runnables are ignored, matching Heartbeat's
+// tolerance.
 func (w *Watchdog) FlowEvent(rid runnable.ID) {
 	if uint(rid) >= uint(len(w.hot)) {
 		return
@@ -567,6 +578,65 @@ func (w *Watchdog) FlowEvent(rid runnable.ID) {
 	if ft.isMonitored(rid) {
 		w.checkFlow(ft, rid, w.hot[rid].tid)
 	}
+}
+
+// FlowEventN replays an ordered list of flow records, record i naming
+// the runnable table[idx[i]]: one frame's flow records resolved through
+// the node's runnable table. It loads the flow table once and, for each
+// run of consecutive records of one task, exchanges the task's
+// predecessor register once and checks the run's inner pairs locally.
+// The outcome — reports, their order and the final predecessor
+// registers — equals calling FlowEvent for each record in order, as if
+// each run executed atomically at the moment of its exchange. Records
+// whose index or runnable is out of range, or whose runnable is not
+// enrolled, are skipped as FlowEvent skips them.
+func (w *Watchdog) FlowEventN(table []runnable.ID, idx []uint32) {
+	ft := w.flow.Load()
+	for i := 0; i < len(idx); i++ {
+		first, ok := w.flowRecord(ft, table, idx[i])
+		if !ok {
+			continue
+		}
+		tid := w.taskOf[first]
+		// Scan the task's run, checking its inner pairs as it goes.
+		last, end, clean := first, i+1, true
+		for ; end < len(idx); end++ {
+			rid, ok := w.flowRecord(ft, table, idx[end])
+			if !ok {
+				continue
+			}
+			if w.taskOf[rid] != tid {
+				break
+			}
+			clean = clean && ft.allowed(last, rid)
+			last = rid
+		}
+		w.checkPair(ft, runnable.ID(w.preds[tid].last.Swap(int64(last))), first, tid)
+		if !clean {
+			// Report the run's illegal inner pairs, in order, after the
+			// pair that joins the run to its predecessor.
+			prev := first
+			for k := i + 1; k < end; k++ {
+				if rid, ok := w.flowRecord(ft, table, idx[k]); ok {
+					w.checkPair(ft, prev, rid, tid)
+					prev = rid
+				}
+			}
+		}
+		i = end - 1
+	}
+}
+
+// flowRecord resolves one FlowEventN record to a PFC-enrolled runnable.
+func (w *Watchdog) flowRecord(ft *flowTable, table []runnable.ID, i uint32) (runnable.ID, bool) {
+	if uint(i) >= uint(len(table)) {
+		return runnable.NoID, false
+	}
+	rid := table[i]
+	if uint(rid) >= uint(len(w.hot)) || !ft.isMonitored(rid) {
+		return runnable.NoID, false
+	}
+	return rid, true
 }
 
 // eagerArrival is the cold path of the EagerArrivalCheck ablation: the
@@ -600,7 +670,12 @@ func (w *Watchdog) eagerArrival(rid runnable.ID, hs *hotState, v uint64) {
 // exchange on the task's padded register; the look-up itself reads the
 // immutable table snapshot.
 func (w *Watchdog) checkFlow(ft *flowTable, rid runnable.ID, tid runnable.TaskID) {
-	pred := runnable.ID(w.preds[tid].last.Swap(int64(rid)))
+	w.checkPair(ft, runnable.ID(w.preds[tid].last.Swap(int64(rid))), rid, tid)
+}
+
+// checkPair checks that rid may follow pred in task tid and reports a
+// program-flow error when it may not.
+func (w *Watchdog) checkPair(ft *flowTable, pred, rid runnable.ID, tid runnable.TaskID) {
 	if pred == runnable.NoID {
 		return // first monitored execution of this task: no predecessor yet
 	}

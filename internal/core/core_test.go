@@ -355,6 +355,47 @@ func TestFlowPairAcrossTasksRejected(t *testing.T) {
 	}
 }
 
+// TestAddFlowSequenceAllOrNothing pins the all-or-nothing rule: a
+// sequence with a cross-task member installs none of its pairs, so its
+// earlier, valid pair a→b must not become legal.
+func TestAddFlowSequenceAllOrNothing(t *testing.T) {
+	m := runnable.NewModel()
+	app, _ := m.AddApp("A", runnable.QM)
+	t1, _ := m.AddTask(app, "T1", 1)
+	t2, _ := m.AddTask(app, "T2", 1)
+	a, _ := m.AddRunnable(t1, "a", time.Millisecond, runnable.QM)
+	b, _ := m.AddRunnable(t1, "b", time.Millisecond, runnable.QM)
+	x, _ := m.AddRunnable(t2, "x", time.Millisecond, runnable.QM)
+	if err := m.Freeze(); err != nil {
+		t.Fatalf("Freeze: %v", err)
+	}
+	sink := &collector{}
+	w, err := New(Config{Model: m, Clock: sim.NewManualClock(), Sink: sink})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for _, rid := range []runnable.ID{a, b} {
+		if err := w.MonitorFlow(rid); err != nil {
+			t.Fatalf("MonitorFlow: %v", err)
+		}
+	}
+	before := w.flow.Load()
+	if err := w.AddFlowSequence(a, b, x); err == nil {
+		t.Fatal("AddFlowSequence with a cross-task member accepted")
+	}
+	w.FlowEvent(a)
+	w.FlowEvent(b)
+	if got := w.Results().ProgramFlow; got != 1 {
+		t.Fatalf("ProgramFlow = %d after a→b, want 1: the rejected sequence left a→b installed", got)
+	}
+	if r := sink.faults[0]; r.Runnable != b || r.Predecessor != a {
+		t.Fatalf("report = %+v, want b after a", r)
+	}
+	if w.flow.Load() != before {
+		t.Fatal("rejected AddFlowSequence replaced the flow table")
+	}
+}
+
 func TestPerTaskFlowTrackingIgnoresPreemption(t *testing.T) {
 	// Two tasks, each with a legal sequence; the interleaving produced by
 	// preemption (a1 x1 a2 x2) must not be flagged. A naive global

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"swwd/internal/runnable"
@@ -19,14 +20,18 @@ import (
 //     single atomic add.
 //   - The program-flow look-up table is an immutable snapshot swapped with
 //     an atomic pointer (copy-on-write on the rare AddFlowPair), so the
-//     per-beat flow check is two loads and a bit test.
+//     per-beat flow check is two loads, a bit test and a scan of the
+//     predecessor's short successor list. The table is sparse and paged
+//     (see flowTable): it costs memory only for predecessors with pairs.
 //   - PFC predecessor tracking shards by task: each task owns a padded
 //     atomic register, and the per-beat read-predecessor/set-current step
-//     is one atomic exchange. (An earlier iteration guarded the registers
-//     with 16 sharded mutexes; benchmarking showed the uncontended
-//     lock/unlock pair alone cost more than half of the seed's entire
-//     hot path, so the shards degenerated to one lock-free register per
-//     task — perfect sharding.)
+//     is one atomic exchange. A frame's flow records (FlowEventN) pay one
+//     exchange per run of consecutive records of one task and check the
+//     run's inner pairs locally. (An earlier iteration guarded the
+//     registers with 16 sharded mutexes; benchmarking showed the
+//     uncontended lock/unlock pair alone cost more than half of the
+//     seed's entire hot path, so the shards degenerated to one lock-free
+//     register per task — perfect sharding.)
 //
 // The cold path — detections, the TSI unit, configuration — stays behind
 // the watchdog's single mutex; it runs only when something is wrong or
@@ -162,16 +167,31 @@ func eagerLimitFor(eager bool, h Hypothesis) uint32 {
 	return uint32(h.MaxArrivals)
 }
 
+// flowPageBits sets the page size of the PFC successor table: one page
+// holds the successor lists of 64 consecutive predecessors.
+const flowPageBits = 6
+
+// flowPage holds the successor lists of one page of predecessors.
+type flowPage [1 << flowPageBits][]runnable.ID
+
 // flowTable is an immutable snapshot of the PFC configuration: which
 // runnables are enrolled and which successor pairs are allowed (§3.4).
-// Readers load it once per heartbeat through an atomic pointer; writers
-// clone-and-swap under the watchdog mutex.
+// Readers load it once per heartbeat (or once per frame, FlowEventN)
+// through an atomic pointer; writers clone-and-swap under the watchdog
+// mutex.
+//
+// The look-up table is sparse, as the paper's table is: a runnable has a
+// handful of allowed successors. Successor lists live in pages of 64
+// predecessors, and a page no pair touches stays nil, so a table without
+// pairs costs the monitored bitset plus the page index: two words per 64
+// runnables. A clone copies those two and shares every page; an edit
+// copies only the pages it writes.
 type flowTable struct {
-	words int
 	// monitored is a bitset over runnable IDs of PFC-enrolled runnables.
 	monitored []uint64
-	// successors[p] is a bitset over runnable IDs allowed to follow p.
-	successors [][]uint64
+	// pages[p>>6][p&63] lists the runnables allowed to follow p; a nil
+	// page allows nothing after any of its predecessors.
+	pages []*flowPage
 }
 
 // newFlowTable returns an empty table for n runnables.
@@ -180,28 +200,8 @@ func newFlowTable(n int) *flowTable {
 	if words == 0 {
 		words = 1
 	}
-	t := &flowTable{
-		words:      words,
-		monitored:  make([]uint64, words),
-		successors: make([][]uint64, n),
-	}
-	for i := range t.successors {
-		t.successors[i] = make([]uint64, words)
-	}
-	return t
-}
-
-// clone deep-copies the table for copy-on-write mutation.
-func (t *flowTable) clone() *flowTable {
-	nt := &flowTable{
-		words:      t.words,
-		monitored:  append([]uint64(nil), t.monitored...),
-		successors: make([][]uint64, len(t.successors)),
-	}
-	for i := range t.successors {
-		nt.successors[i] = append([]uint64(nil), t.successors[i]...)
-	}
-	return nt
+	pages := (n + 1<<flowPageBits - 1) >> flowPageBits
+	return &flowTable{monitored: make([]uint64, words), pages: make([]*flowPage, pages)}
 }
 
 // isMonitored reports whether rid is PFC-enrolled. rid must be in range.
@@ -209,21 +209,57 @@ func (t *flowTable) isMonitored(rid runnable.ID) bool {
 	return t.monitored[uint(rid)>>6]&(1<<(uint(rid)&63)) != 0
 }
 
-// setMonitored enrols rid. Callers mutate only fresh clones.
-func (t *flowTable) setMonitored(rid runnable.ID) {
-	t.monitored[uint(rid)>>6] |= 1 << (uint(rid) & 63)
-}
-
 // allowed reports whether succ may follow pred per the look-up table.
 func (t *flowTable) allowed(pred, succ runnable.ID) bool {
-	return t.successors[pred][uint(succ)>>6]&(1<<(uint(succ)&63)) != 0
+	pg := t.pages[uint(pred)>>flowPageBits]
+	if pg == nil {
+		return false
+	}
+	for _, s := range pg[uint(pred)&(1<<flowPageBits-1)] {
+		if s == succ {
+			return true
+		}
+	}
+	return false
 }
 
-// addPair allows succ after pred. Callers mutate only fresh clones.
-func (t *flowTable) addPair(pred, succ runnable.ID) {
-	t.successors[pred][uint(succ)>>6] |= 1 << (uint(succ) & 63)
-	t.setMonitored(pred)
-	t.setMonitored(succ)
+// flowEdit is one copy-on-write edit of a flowTable. The new table
+// shares every page of the snapshot it started from until the edit first
+// writes to one; owned lists the page indices already copied.
+type flowEdit struct {
+	t     *flowTable
+	owned []uint
+}
+
+// edit starts a copy-on-write edit of t.
+func (t *flowTable) edit() *flowEdit {
+	return &flowEdit{t: &flowTable{monitored: slices.Clone(t.monitored), pages: slices.Clone(t.pages)}}
+}
+
+// setMonitored enrols rid.
+func (e *flowEdit) setMonitored(rid runnable.ID) {
+	e.t.monitored[uint(rid)>>6] |= 1 << (uint(rid) & 63)
+}
+
+// addPair allows succ after pred and enrols both.
+func (e *flowEdit) addPair(pred, succ runnable.ID) {
+	e.setMonitored(pred)
+	e.setMonitored(succ)
+	pi := uint(pred) >> flowPageBits
+	if !slices.Contains(e.owned, pi) {
+		pg := new(flowPage)
+		if old := e.t.pages[pi]; old != nil {
+			*pg = *old
+		}
+		e.t.pages[pi] = pg
+		e.owned = append(e.owned, pi)
+	}
+	list := &e.t.pages[pi][uint(pred)&(1<<flowPageBits-1)]
+	if !slices.Contains(*list, succ) {
+		// The full slice expression makes append copy: the list's backing
+		// array may be shared with older snapshots.
+		*list = append((*list)[:len(*list):len(*list)], succ)
+	}
 }
 
 // predReg is the per-task PFC predecessor register ("the previously

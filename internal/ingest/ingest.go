@@ -12,7 +12,7 @@
 // # Architecture
 //
 //	UDP sockets ──► read loops ──► per-source shard workers ──► Monitor.BeatN
-//	(SO_REUSEPORT)  (batched recv,  (decode + seq + replay)     Watchdog.FlowEvent
+//	(SO_REUSEPORT)  (batched recv,  (decode + seq + replay)     Watchdog.FlowEventN
 //	                 PeekNode)                                  link Monitor.Beat
 //
 // The front end is N listener sockets bound to the same address via
@@ -756,9 +756,7 @@ func (s *Server) ingestFrame(buf []byte, f *wire.Frame, src netip.AddrPort) {
 	for i := range f.Beats {
 		ns.mons[f.Beats[i].Runnable].BeatN(int(f.Beats[i].Beats))
 	}
-	for _, idx := range f.Flow {
-		s.w.FlowEvent(ns.spec.Runnables[idx])
-	}
+	s.w.FlowEventN(ns.spec.Runnables, f.Flow)
 	// The accepted frame is the link runnable's heartbeat: aliveness of
 	// the *reporting channel*, supervised like any other runnable.
 	ns.link.Beat()

@@ -12,9 +12,9 @@
 //     that beat 47 times since the last frame travels as one varint pair),
 //     replayed on the server through Monitor.BeatN;
 //   - the ordered list of executed flow-monitored runnables ("successor
-//     IDs"), replayed through Watchdog.FlowEvent so the server-side PFC
-//     look-up-table check sees the same predecessor/successor pairs it
-//     would have seen locally;
+//     IDs"), replayed a frame at a time through Watchdog.FlowEventN so the
+//     server-side PFC look-up-table check sees the same
+//     predecessor/successor pairs it would have seen locally;
 //   - a session epoch, chosen once per reporter process (swwdclient uses
 //     its start time in nanoseconds), so the server can tell a restarted
 //     reporter — whose sequence numbers begin again at 1 — from a
