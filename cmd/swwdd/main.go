@@ -255,25 +255,34 @@ func run() error {
 	}
 	defer func() { close(shipperStop); <-shipperDone }()
 
-	exp := &exporter{svc: svc, srv: fleet.Server, names: fleet.Names, treat: fleet.Treat, calib: fleet.Calib, wal: hist}
+	// The exposition is the watchdog snapshot (rendered by the exporter
+	// itself) followed by each enabled subsystem's families.
+	writers := []func(*bytes.Buffer){func(b *bytes.Buffer) {
+		export.WriteIngest(b, fleet.Server.Stats())
+		export.WriteIngestDetail(b, fleet.Server.ListenerStats(), fleet.Server.ShardStats())
+	}}
+	if fleet.Treat != nil {
+		writers = append(writers, func(b *bytes.Buffer) { export.WriteTreat(b, fleet.Treat.Stats()) })
+	}
+	if fleet.Calib != nil {
+		writers = append(writers, func(b *bytes.Buffer) { export.WriteCalib(b, fleet.Calib.Status(), fleet.Names) })
+	}
+	if hist != nil {
+		writers = append(writers, func(b *bytes.Buffer) { export.WriteWAL(b, hist.Stats()) })
+	}
+	exp := export.NewExporter(svc.SnapshotInto, fleet.Names, writers...)
+	var pusher *export.Pusher
 	if *pushURL != "" {
-		pusher, err := export.NewPusher(export.PushConfig{
-			URL:      *pushURL,
-			Interval: *pushInterval,
-			Collect:  exp.render,
-		})
-		if err != nil {
+		if pusher, err = exp.StartPush(*pushURL, *pushInterval); err != nil {
 			return err
 		}
-		exp.push = pusher
-		pusher.Start()
 		defer pusher.Stop()
 		fmt.Printf("swwdd: pushing metrics to %s every %v\n", *pushURL, *pushInterval)
 	}
 
 	if *metrics != "" {
-		http.HandleFunc("/metrics", exp.handle)
-		http.Handle("/healthz", healthFor(fleet, hist, exp.push, *walFsync, *pushInterval))
+		http.Handle("/metrics", exp)
+		http.Handle("/healthz", healthFor(fleet, hist, pusher, *walFsync, *pushInterval))
 		if hist != nil {
 			http.HandleFunc("/history", historyHandler(*walDir))
 		}
@@ -328,8 +337,8 @@ func run() error {
 		fmt.Printf("swwdd: wal appended=%d dropped=%d synced=%d synced_seq=%d syncs=%d bytes=%d rotations=%d segments=%d write_errors=%d\n",
 			ws.Appended, ws.Dropped, ws.Synced, ws.SyncedSeq, ws.Syncs, ws.BytesWritten, ws.Rotations, ws.Segments, ws.WriteErrors)
 	}
-	if exp.push != nil {
-		ps := exp.push.Stats()
+	if pusher != nil {
+		ps := pusher.Stats()
 		fmt.Printf("swwdd: push collected=%d delivered=%d retries=%d errors=%d dropped=%d\n",
 			ps.Collected, ps.Delivered, ps.Retries, ps.Errors, ps.Dropped)
 	}
@@ -627,60 +636,4 @@ func calibHandler(fleet *ingest.Fleet) http.HandlerFunc {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(out)
 	}
-}
-
-// exporter renders the combined telemetry — the watchdog snapshot, the
-// ingestion server's wire counters, treatment, WAL and push-sink
-// accounting — with one reused buffer. The same rendering backs the
-// /metrics pull endpoint and the push sink's Collect.
-type exporter struct {
-	svc   *swwd.Service
-	srv   *ingest.Server
-	names []string
-	treat *treat.Controller       // nil when the control plane is off
-	calib *ingest.CalibController // nil when -calib is off
-	wal   *wal.WAL                // nil when -wal-dir is off
-	push  *export.Pusher          // nil when -push-url is off
-
-	mu   sync.Mutex
-	snap swwd.Snapshot
-	buf  bytes.Buffer
-}
-
-// render writes the full exposition into out (used by the push sink).
-func (e *exporter) render(out *bytes.Buffer) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.renderLocked()
-	out.Write(e.buf.Bytes())
-}
-
-// renderLocked fills e.buf; callers hold e.mu.
-func (e *exporter) renderLocked() {
-	e.svc.SnapshotInto(&e.snap)
-	e.buf.Reset()
-	export.WriteSnapshot(&e.buf, &e.snap, e.names)
-	export.WriteJournalSeq(&e.buf, e.snap.Journal)
-	export.WriteIngest(&e.buf, e.srv.Stats())
-	export.WriteIngestDetail(&e.buf, e.srv.ListenerStats(), e.srv.ShardStats())
-	if e.treat != nil {
-		export.WriteTreat(&e.buf, e.treat.Stats())
-	}
-	if e.calib != nil {
-		export.WriteCalib(&e.buf, e.calib.Status(), e.names)
-	}
-	if e.wal != nil {
-		export.WriteWAL(&e.buf, e.wal.Stats())
-	}
-	if e.push != nil {
-		export.WritePush(&e.buf, e.push.Stats())
-	}
-}
-
-func (e *exporter) handle(w http.ResponseWriter, _ *http.Request) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.renderLocked()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(e.buf.Bytes())
 }

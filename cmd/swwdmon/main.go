@@ -106,7 +106,7 @@ func run() error {
 	if *metrics != "" || *pushURL != "" {
 		ms := newMetricsServer(svc, sys)
 		if *pushURL != "" {
-			if err := ms.startPush(*pushURL, *pushInterval); err != nil {
+			if ms.push, err = ms.exp.StartPush(*pushURL, *pushInterval); err != nil {
 				return err
 			}
 			defer ms.push.Stop()

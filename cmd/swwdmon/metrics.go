@@ -12,15 +12,13 @@
 //	             "swwd" key next to the usual memstats.
 //	/debug/pprof net/http/pprof profiles.
 //
-// The exporter scrapes through Service.SnapshotInto with one reused
-// buffer behind a mutex, so a scrape allocates only the HTTP response
-// plumbing and never touches the heartbeat hot path. The same rendering
-// backs the optional push sink (-push-url): export.Pusher delivers the
-// payload on an interval with retry, backoff and drop accounting.
+// The /metrics endpoint and the push sink (-push-url) share one
+// export.Exporter: a scrape refills one reused snapshot and buffer
+// through Service.SnapshotInto, so it allocates only the HTTP response
+// plumbing and never touches the heartbeat hot path.
 package main
 
 import (
-	"bytes"
 	"expvar"
 	"fmt"
 	"net/http"
@@ -32,53 +30,29 @@ import (
 	"swwd/internal/export"
 )
 
-// metricsServer renders a Service's telemetry for scraping and pushing.
+// metricsServer serves a Service's telemetry for scraping and pushing.
 type metricsServer struct {
 	svc *swwd.Service
-	// names[i] is the spec name of runnable i, for metric labels.
-	names []string
+	exp *export.Exporter
 	// push is the optional push sink (nil without -push-url).
 	push *export.Pusher
-
-	// mu guards snap (the reused snapshot buffer) and buf (the reused
-	// exposition buffer) across concurrent scrapes.
-	mu   sync.Mutex
-	snap swwd.Snapshot
-	buf  bytes.Buffer
 }
 
-// newMetricsServer builds the exporter and resolves runnable names.
+// newMetricsServer builds the exporter, labelling runnables by spec name.
 func newMetricsServer(svc *swwd.Service, sys *swwd.System) *metricsServer {
-	n := sys.Model.NumRunnables()
-	names := make([]string, n)
-	for i := 0; i < n; i++ {
+	names := make([]string, sys.Model.NumRunnables())
+	for i := range names {
 		if r, err := sys.Model.Runnable(swwd.RunnableID(i)); err == nil {
 			names[i] = r.Name
-		} else {
-			names[i] = fmt.Sprintf("runnable-%d", i)
 		}
 	}
-	return &metricsServer{svc: svc, names: names}
-}
-
-// startPush attaches a push sink delivering the /metrics payload to url
-// on the given interval.
-func (m *metricsServer) startPush(url string, interval time.Duration) error {
-	p, err := export.NewPusher(export.PushConfig{
-		URL: url, Interval: interval, Collect: m.render,
-	})
-	if err != nil {
-		return err
-	}
-	m.push = p
-	p.Start()
-	return nil
+	return &metricsServer{svc: svc, exp: export.NewExporter(svc.SnapshotInto, names)}
 }
 
 // serve mounts the handlers and blocks on the listener. The default mux
 // already carries expvar's /debug/vars and pprof's /debug/pprof.
 func (m *metricsServer) serve(addr string) error {
-	http.HandleFunc("/metrics", m.handleMetrics)
+	http.Handle("/metrics", m.exp)
 	http.Handle("/healthz", m.health())
 	expvar.Publish("swwd", expvar.Func(func() any {
 		return m.svc.Snapshot()
@@ -125,33 +99,4 @@ func (m *metricsServer) health() *export.Health {
 		})
 	}
 	return h
-}
-
-// render writes the full exposition into out (shared by the pull
-// endpoint and the push sink).
-func (m *metricsServer) render(out *bytes.Buffer) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.renderLocked()
-	out.Write(m.buf.Bytes())
-}
-
-// renderLocked fills m.buf; callers hold m.mu.
-func (m *metricsServer) renderLocked() {
-	m.svc.SnapshotInto(&m.snap)
-	m.buf.Reset()
-	export.WriteSnapshot(&m.buf, &m.snap, m.names)
-	export.WriteJournalSeq(&m.buf, m.snap.Journal)
-	if m.push != nil {
-		export.WritePush(&m.buf, m.push.Stats())
-	}
-}
-
-// handleMetrics renders the Prometheus text exposition.
-func (m *metricsServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.renderLocked()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(m.buf.Bytes())
 }

@@ -3,16 +3,19 @@ package export
 // Golden-file tests pinning the Prometheus text output byte-for-byte.
 // The exposition format is an external contract — dashboards, alerts
 // and the CI smoke test all key on these exact series — so any change
-// to a writer must show up as a reviewed testdata diff, regenerated
-// with:
+// to a descriptor table must show up as a reviewed testdata diff. The
+// README metric reference is checked against the same tables. Both are
+// regenerated with:
 //
 //	go test ./internal/export -run TestGolden -update
 
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"swwd/internal/calib"
@@ -197,14 +200,94 @@ func TestGoldenComposed(t *testing.T) {
 	checkGolden(t, "composed.prom", b.Bytes())
 }
 
-// TestLabelEscaping pins the %q-based escaping rule for runnable names
-// carrying Prometheus-special characters.
+// TestLabelEscaping pins the label-value escaping of runnable names.
+// Text format 0.0.4 defines only \\, \" and \n; every other byte,
+// tab and non-ASCII included, goes out as it is (a Go-quoted \t or
+// \u00a0 would make the whole scrape unparseable).
 func TestLabelEscaping(t *testing.T) {
-	var b bytes.Buffer
-	s := core.Snapshot{Runnables: []core.RunnableStats{{ID: 0, Active: true}}}
-	WriteSnapshot(&b, &s, []string{"quo\"te\\back\nline"})
-	want := "swwd_runnable_active{runnable=\"quo\\\"te\\\\back\\nline\"} 1\n"
-	if !bytes.Contains(b.Bytes(), []byte(want)) {
-		t.Fatalf("escaped label line missing:\n%s", b.Bytes())
+	for _, tc := range []struct{ name, want string }{
+		{"quo\"te\\back\nline", "swwd_runnable_active{runnable=\"quo\\\"te\\\\back\\nline\"} 1\n"},
+		{"tab\there", "swwd_runnable_active{runnable=\"tab\there\"} 1\n"},
+		{"café", "swwd_runnable_active{runnable=\"café\"} 1\n"},
+		{"nb\u00a0sp", "swwd_runnable_active{runnable=\"nb\u00a0sp\"} 1\n"},
+	} {
+		var b bytes.Buffer
+		s := core.Snapshot{Runnables: []core.RunnableStats{{ID: 0, Active: true}}}
+		WriteSnapshot(&b, &s, []string{tc.name})
+		if !bytes.Contains(b.Bytes(), []byte(tc.want)) {
+			t.Errorf("%q: escaped label line %q missing:\n%s", tc.name, tc.want, b.Bytes())
+		}
+	}
+}
+
+// metricReference renders the README's metric reference from the
+// descriptor tables, in the order swwdd serves them.
+func metricReference() string {
+	var b strings.Builder
+	b.WriteString("| family | type | labels | help |\n|---|---|---|---|\n")
+	referenceRows(&b, snapshotFamilies)
+	referenceRows(&b, journalSeqFamilies)
+	referenceRows(&b, ingestFamilies)
+	referenceRows(&b, ingestDetailFamilies)
+	referenceRows(&b, treatFamilies)
+	referenceRows(&b, calibFamilies)
+	referenceRows(&b, candidateFamilies)
+	referenceRows(&b, walFamilies)
+	referenceRows(&b, pushFamilies)
+	return b.String()
+}
+
+func referenceRows[S any](b *strings.Builder, t []family[S]) {
+	for _, f := range t {
+		var labels []string
+		if f.fan != nil {
+			labels = append(labels, f.fan.key)
+		}
+		if f.kinds != nil {
+			key, _, _ := strings.Cut(f.kinds[0], "=")
+			labels = append(labels, key)
+		}
+		if f.hist != nil {
+			labels = append(labels, "le")
+		}
+		fmt.Fprintf(b, "| `%s` | %s | %s | %s |\n", f.name, f.typ, strings.Join(labels, ", "), strings.ReplaceAll(f.help, "|", `\|`))
+	}
+}
+
+// TestGoldenReadmeReference fails when the README metric reference
+// drifts from the descriptor tables; -update rewrites the section.
+func TestGoldenReadmeReference(t *testing.T) {
+	const path, begin, end = "../../README.md", "<!-- metric-reference:begin -->\n", "<!-- metric-reference:end -->"
+	readme, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, rest, ok1 := strings.Cut(string(readme), begin)
+	section, tail, ok2 := strings.Cut(rest, end)
+	if !ok1 || !ok2 {
+		t.Fatalf("%s lacks the %q … %q anchors", path, begin, end)
+	}
+	want := metricReference()
+	if *update {
+		if err := os.WriteFile(path, []byte(head+begin+want+end+tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if section != want {
+		t.Fatalf("README metric reference drifted from the descriptor tables (regenerate with -update).\n got:\n%s\nwant:\n%s", section, want)
+	}
+}
+
+// TestFamilyNamesUnique checks that no family is declared twice across
+// the tables and that every name is a legal metric name.
+func TestFamilyNamesUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(metricReference()), "\n")[2:] {
+		name := strings.Trim(strings.Fields(line)[1], "`")
+		if seen[name] || !validName(name, true) || !strings.HasPrefix(name, "swwd_") {
+			t.Errorf("family %q is duplicated or not a legal swwd_ name", name)
+		}
+		seen[name] = true
 	}
 }
