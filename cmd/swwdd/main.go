@@ -109,7 +109,7 @@ func run() error {
 	interval := flag.Duration("interval", 100*time.Millisecond, "declared per-node frame flush interval")
 	cycle := flag.Duration("cycle", 10*time.Millisecond, "watchdog monitoring cycle period")
 	grace := flag.Int("grace", ingest.DefaultGraceFrames, "flush intervals a node may stay silent before a link aliveness fault")
-	shards := flag.Int("shards", ingest.DefaultShards, "ingest worker shards (a node is pinned to node%shards)")
+	shards := flag.Int("shards", ingest.DefaultShards, "ingest lock stripes (a read loop replays node N's frames under stripe N%shards)")
 	listeners := flag.Int("listeners", 0, "UDP sockets bound to -listen via SO_REUSEPORT (0 = one per CPU up to 8; platforms without SO_REUSEPORT fall back to 1)")
 	readBatch := flag.Int("read-batch", ingest.DefaultBatchSize, "datagrams one socket receive may return (recvmmsg batching; 1 disables)")
 	duration := flag.Duration("duration", 0, "exit after this long (0 = run until SIGINT/SIGTERM)")
@@ -259,7 +259,7 @@ func run() error {
 	// itself) followed by each enabled subsystem's families.
 	writers := []func(*bytes.Buffer){func(b *bytes.Buffer) {
 		export.WriteIngest(b, fleet.Server.Stats())
-		export.WriteIngestDetail(b, fleet.Server.ListenerStats(), fleet.Server.ShardStats())
+		export.WriteIngestDetail(b, fleet.Server.ListenerStats(), nil)
 	}}
 	if fleet.Treat != nil {
 		writers = append(writers, func(b *bytes.Buffer) { export.WriteTreat(b, fleet.Treat.Stats()) })
@@ -310,9 +310,9 @@ func run() error {
 
 	st := fleet.Server.Stats()
 	res := fleet.Watchdog.Results()
-	fmt.Printf("swwdd: frames=%d accepted=%d bytes=%d decode_errors=%d seq_gaps=%d dup_drops=%d restarts=%d stale_epochs=%d interval_mismatch=%d dropped=%d buffers_exhausted=%d\n",
+	fmt.Printf("swwdd: frames=%d accepted=%d bytes=%d decode_errors=%d seq_gaps=%d dup_drops=%d restarts=%d stale_epochs=%d interval_mismatch=%d kernel_drops=%d\n",
 		st.Frames, st.Accepted, st.Bytes, st.DecodeErrors, st.SeqGaps, st.DuplicateDrops,
-		st.NodeRestarts, st.StaleEpochDrops, st.IntervalMismatch, st.DroppedPackets, st.BuffersExhausted)
+		st.NodeRestarts, st.StaleEpochDrops, st.IntervalMismatch, st.DroppedPackets)
 	fmt.Printf("swwdd: listeners=%d", st.Listeners)
 	for i, ls := range fleet.Server.ListenerStats() {
 		fmt.Printf(" [%d packets=%d batches=%d max_batch=%d]", i, ls.Packets, ls.Batches, ls.MaxBatch)

@@ -28,10 +28,12 @@ func WriteJournalSeq(b *bytes.Buffer, js core.JournalStats) { render(b, journalS
 // WriteIngest renders the ingestion server's wire counters.
 func WriteIngest(b *bytes.Buffer, st ingest.Stats) { render(b, ingestFamilies, st) }
 
-// WriteIngestDetail renders the per-listener packet/batch counters and
-// the per-shard queue depth, high-water mark and capacity.
+// WriteIngestDetail renders the per-listener packet/batch counters.
+// shards is ignored: the shard queues it described are gone. The
+// parameter stays only because the end-to-end benchmark (e2ebench)
+// passes it; delete it with that use.
 func WriteIngestDetail(b *bytes.Buffer, listeners []ingest.ListenerStat, shards []ingest.ShardStat) {
-	render(b, ingestDetailFamilies, detailView{listeners, shards})
+	render(b, ingestDetailFamilies, listeners)
 }
 
 // WriteTreat renders the fault-treatment controller's counters and gauges.
@@ -54,16 +56,11 @@ func WriteCalib(b *bytes.Buffer, st ingest.CalibStatus, names []string) {
 	}
 }
 
-// snapView, detailView and calibView are the sources of the tables
-// whose samples fan out.
+// snapView and calibView are, with the listener slice, the sources of
+// the tables whose samples fan out.
 type snapView struct {
 	*core.Snapshot
 	names []string
-}
-
-type detailView struct {
-	listeners []ingest.ListenerStat
-	shards    []ingest.ShardStat
 }
 
 type calibView struct {
@@ -75,8 +72,7 @@ var (
 	errKinds = []string{`kind="aliveness"`, `kind="arrival_rate"`, `kind="program_flow"`}
 
 	perRunnable  = &fanout[snapView]{key: "runnable", n: func(s snapView) int { return len(s.Runnables) }, label: func(b []byte, s snapView, i int) []byte { return appendName(b, s.names, i) }}
-	perListener  = &fanout[detailView]{key: "listener", n: func(s detailView) int { return len(s.listeners) }, label: appendIndex[detailView]}
-	perShard     = &fanout[detailView]{key: "shard", n: func(s detailView) int { return len(s.shards) }, label: appendIndex[detailView]}
+	perListener  = &fanout[[]ingest.ListenerStat]{key: "listener", n: func(s []ingest.ListenerStat) int { return len(s) }, label: appendIndex[[]ingest.ListenerStat]}
 	perCandidate = &fanout[calibView]{key: "runnable", n: func(s calibView) int { return len(s.cands) }, label: func(b []byte, s calibView, i int) []byte { return appendName(b, s.names, int(s.cands[i].Runnable)) }}
 	perShadow    = &fanout[calibView]{key: perCandidate.key, n: perCandidate.n, label: perCandidate.label, skip: func(s calibView, i int) bool { return !s.cands[i].HasShadow }}
 )
@@ -115,7 +111,7 @@ var journalSeqFamilies = []family[core.JournalStats]{
 
 var ingestFamilies = []family[ingest.Stats]{
 	gauge("swwd_ingest_nodes", "Remote nodes registered with the ingestion server.", func(s ingest.Stats) uint64 { return uint64(s.Nodes) }),
-	counter("swwd_ingest_frames_total", "Heartbeat frames handed to ingest workers.", func(s ingest.Stats) uint64 { return s.Frames }),
+	counter("swwd_ingest_frames_total", "Heartbeat frames ingested by the read loops.", func(s ingest.Stats) uint64 { return s.Frames }),
 	counter("swwd_ingest_bytes_total", "Frame payload bytes received.", func(s ingest.Stats) uint64 { return s.Bytes }),
 	counter("swwd_ingest_accepted_total", "Frames decoded, sequence-checked and replayed into the watchdog.", func(s ingest.Stats) uint64 { return s.Accepted }),
 	counter("swwd_ingest_decode_errors_total", "Malformed frames, including unknown runnable indices.", func(s ingest.Stats) uint64 { return s.DecodeErrors }),
@@ -126,8 +122,8 @@ var ingestFamilies = []family[ingest.Stats]{
 	counter("swwd_ingest_node_restarts_total", "Reporter restarts detected via an advanced session epoch.", func(s ingest.Stats) uint64 { return s.NodeRestarts }),
 	counter("swwd_ingest_stale_epoch_drops_total", "Frames dropped because their session epoch was superseded.", func(s ingest.Stats) uint64 { return s.StaleEpochDrops }),
 	counter("swwd_ingest_interval_mismatch_total", "Accepted frames declaring a flush interval different from the node's registration.", func(s ingest.Stats) uint64 { return s.IntervalMismatch }),
-	counter("swwd_ingest_dropped_packets_total", "Datagrams discarded because buffers or worker queues were full.", func(s ingest.Stats) uint64 { return s.DroppedPackets }),
-	counter("swwd_ingest_buffers_exhausted_total", "Datagrams received into scratch because the packet free list was dry (subset of dropped packets).", func(s ingest.Stats) uint64 { return s.BuffersExhausted }),
+	counter("swwd_ingest_dropped_packets_total", "Datagrams the kernel discarded because a listener socket's receive queue was full (0 off linux/amd64 and linux/arm64).", func(s ingest.Stats) uint64 { return s.DroppedPackets }),
+	counter("swwd_ingest_buffers_exhausted_total", "Always 0: the packet free list it counted is gone; kept for compatibility.", func(s ingest.Stats) uint64 { return s.BuffersExhausted }),
 	gauge("swwd_ingest_listeners", "UDP sockets serving the ingest address (SO_REUSEPORT group size).", func(s ingest.Stats) uint64 { return uint64(s.Listeners) }),
 	counter("swwd_ingest_read_errors_total", "Transient socket read errors.", func(s ingest.Stats) uint64 { return s.ReadErrors }),
 	counter("swwd_ingest_commands_sent_total", "Treatment command frames written to reporters.", func(s ingest.Stats) uint64 { return s.CommandsSent }),
@@ -136,13 +132,10 @@ var ingestFamilies = []family[ingest.Stats]{
 	counter("swwd_ingest_command_stale_acks_total", "Command acknowledgements carrying a superseded command epoch.", func(s ingest.Stats) uint64 { return s.CommandStaleAcks }),
 }
 
-var ingestDetailFamilies = []family[detailView]{
-	{name: "swwd_ingest_listener_packets_total", typ: "counter", help: "Datagrams received per listener socket.", fan: perListener, val: func(s detailView, i, _ int) uint64 { return s.listeners[i].Packets }},
-	{name: "swwd_ingest_listener_batches_total", typ: "counter", help: "Receive wakeups per listener socket (recvmmsg batches; 1 packet each without batching).", fan: perListener, val: func(s detailView, i, _ int) uint64 { return s.listeners[i].Batches }},
-	{name: "swwd_ingest_listener_max_batch", typ: "gauge", help: "Largest datagram batch one receive returned per listener socket.", fan: perListener, val: func(s detailView, i, _ int) uint64 { return uint64(s.listeners[i].MaxBatch) }},
-	{name: "swwd_ingest_shard_queue_depth", typ: "gauge", help: "Packets waiting in the shard worker's queue.", fan: perShard, val: func(s detailView, i, _ int) uint64 { return uint64(s.shards[i].Depth) }},
-	{name: "swwd_ingest_shard_queue_hwm", typ: "gauge", help: "High-water mark of the shard worker's queue depth.", fan: perShard, val: func(s detailView, i, _ int) uint64 { return uint64(s.shards[i].DepthHWM) }},
-	{name: "swwd_ingest_shard_queue_capacity", typ: "gauge", help: "Capacity of the shard worker's queue.", fan: perShard, val: func(s detailView, i, _ int) uint64 { return uint64(s.shards[i].Capacity) }},
+var ingestDetailFamilies = []family[[]ingest.ListenerStat]{
+	{name: "swwd_ingest_listener_packets_total", typ: "counter", help: "Datagrams received per listener socket.", fan: perListener, val: func(s []ingest.ListenerStat, i, _ int) uint64 { return s[i].Packets }},
+	{name: "swwd_ingest_listener_batches_total", typ: "counter", help: "Receive wakeups per listener socket (recvmmsg batches; 1 packet each without batching).", fan: perListener, val: func(s []ingest.ListenerStat, i, _ int) uint64 { return s[i].Batches }},
+	{name: "swwd_ingest_listener_max_batch", typ: "gauge", help: "Largest datagram batch one receive returned per listener socket.", fan: perListener, val: func(s []ingest.ListenerStat, i, _ int) uint64 { return s[i].MaxBatch }},
 }
 
 var treatFamilies = []family[treat.Stats]{

@@ -143,11 +143,7 @@ func TestGoldenIngestDetail(t *testing.T) {
 		[]ingest.ListenerStat{
 			{Packets: 60000, Batches: 2000, MaxBatch: 32},
 			{Packets: 40000, Batches: 1800, MaxBatch: 31},
-		},
-		[]ingest.ShardStat{
-			{Depth: 0, DepthHWM: 12, Capacity: 256},
-			{Depth: 3, DepthHWM: 40, Capacity: 256},
-		})
+		}, nil)
 	checkGolden(t, "ingest_detail.prom", b.Bytes())
 }
 
@@ -192,8 +188,7 @@ func TestGoldenComposed(t *testing.T) {
 	WriteJournalSeq(&b, s.Journal)
 	WriteIngest(&b, goldenIngest())
 	WriteIngestDetail(&b,
-		[]ingest.ListenerStat{{Packets: 60000, Batches: 2000, MaxBatch: 32}},
-		[]ingest.ShardStat{{Depth: 0, DepthHWM: 12, Capacity: 256}})
+		[]ingest.ListenerStat{{Packets: 60000, Batches: 2000, MaxBatch: 32}}, nil)
 	WriteTreat(&b, goldenTreat())
 	WriteWAL(&b, goldenWAL())
 	WritePush(&b, goldenPush())

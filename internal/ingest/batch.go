@@ -3,8 +3,9 @@
 //
 //   - mmsgReader (batch_linux.go): one recvmmsg(2) syscall returns up
 //     to BatchSize datagrams, each written by the kernel directly into
-//     a distinct free-list buffer. This is the manual-syscall variant
-//     of golang.org/x/net's ipv4.PacketConn.ReadBatch; it is built on
+//     a distinct receive buffer of the read loop. This is the
+//     manual-syscall variant of golang.org/x/net's
+//     ipv4.PacketConn.ReadBatch; it is built on
 //     the stdlib syscall package because this module takes no external
 //     dependencies, and it integrates with the runtime netpoller via
 //     syscall.RawConn.Read, so a loop waiting for traffic parks like
@@ -17,8 +18,8 @@
 // The receive-slot contract: the caller passes per-slot buffers, and
 // ReadBatch fills sizes[i] and srcs[i] for the first m slots. Buffers
 // are caller-owned throughout — the reader never retains them past the
-// call — which is what lets the read loop hand a filled buffer straight
-// to a shard worker without a copy.
+// call — which is what lets the read loop decode each filled buffer in
+// place, without a copy.
 package ingest
 
 import (

@@ -22,8 +22,8 @@ type mmsghdr struct {
 
 // mmsgReader receives datagram batches with one recvmmsg(2) syscall per
 // wakeup. The header/iovec/sockaddr vectors are allocated once; only
-// the iovec base pointers are re-armed per call, pointing at whatever
-// free-list buffers the read loop currently holds.
+// the iovec base pointers are re-armed per call, pointing at the read
+// loop's receive buffers.
 type mmsgReader struct {
 	rc    syscall.RawConn
 	hdrs  []mmsghdr

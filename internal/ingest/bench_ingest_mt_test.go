@@ -15,7 +15,7 @@ import (
 // BenchmarkIngestMT measures end-to-end ingestion throughput over real
 // loopback UDP across the multi-socket design space: single vs
 // SO_REUSEPORT listener groups, batched (recvmmsg) vs single-datagram
-// receives, and shard-worker fan-out. One iteration is one heartbeat
+// receives, and the lock-stripe count. One iteration is one heartbeat
 // frame of a 4-runnable reporter pushed by one of four concurrent
 // sender flows. The interesting outputs are the custom metrics —
 // frames/s (accepted aggregate rate) and delivered (accepted/sent
@@ -46,7 +46,6 @@ func benchIngestMT(b *testing.B, listeners, batch, shards int) {
 		Listeners:        listeners,
 		BatchSize:        batch,
 		Shards:           shards,
-		QueueLen:         2048,
 		Clock:            sim.NewManualClock(),
 	})
 	if err != nil {

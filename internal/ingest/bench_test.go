@@ -10,7 +10,7 @@ import (
 	"swwd/internal/wire"
 )
 
-// BenchmarkIngestFrame measures the full worker-side cost of one
+// BenchmarkIngestFrame measures the full replay-side cost of one
 // accepted heartbeat frame: decode, node lookup, sequence check, the
 // batched beat replay for every runnable and the link beat. The frame
 // is the steady-state shape of a 10-runnable reporter; the benchmark
@@ -101,7 +101,7 @@ func flowFrameFixture(tb testing.TB) (srv *Server, next func()) {
 	}
 }
 
-// BenchmarkIngestFrameFlow measures the worker-side cost of one accepted
+// BenchmarkIngestFrameFlow measures the replay-side cost of one accepted
 // wide frame with a program-flow section: decode, 256 batched beat
 // replays and 1,024 flow records checked by one FlowEventN call. It must
 // not allocate (TestIngestFrameFlowAllocs pins that) and must raise no

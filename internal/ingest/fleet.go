@@ -35,11 +35,10 @@ type FleetConfig struct {
 	// deliver per aliveness window (the window spans GraceFrames flush
 	// intervals, like the link hypothesis). Zero means 1.
 	BeatsPerWindow int
-	// GraceFrames, Shards, QueueLen, MaxPacket, ReadBuffer, Listeners
-	// and BatchSize configure the Server (see Config).
+	// GraceFrames, Shards, MaxPacket, ReadBuffer, Listeners and
+	// BatchSize configure the Server (see Config).
 	GraceFrames int
 	Shards      int
-	QueueLen    int
 	MaxPacket   int
 	ReadBuffer  int
 	Listeners   int
@@ -197,7 +196,6 @@ func BuildFleet(cfg FleetConfig) (*Fleet, error) {
 	srv, err := newServer(Config{
 		Watchdog:     w,
 		Shards:       cfg.Shards,
-		QueueLen:     cfg.QueueLen,
 		MaxPacket:    cfg.MaxPacket,
 		GraceFrames:  cfg.GraceFrames,
 		ReadBuffer:   cfg.ReadBuffer,

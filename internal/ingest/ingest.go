@@ -11,23 +11,25 @@
 //
 // # Architecture
 //
-//	UDP sockets ──► read loops ──► per-source shard workers ──► Monitor.BeatN
-//	(SO_REUSEPORT)  (batched recv,  (decode + seq + replay)     Watchdog.FlowEventN
-//	                 PeekNode)                                  link Monitor.Beat
+//	UDP sockets ──► read loops ─────────────────────────────────► Monitor.BeatN
+//	(SO_REUSEPORT)  (batched recv, PeekNode, stripe lock,         Watchdog.FlowEventN
+//	                 decode + seq + replay)                       link Monitor.Beat
 //
 // The front end is N listener sockets bound to the same address via
 // SO_REUSEPORT (Config.Listeners; one socket where the platform lacks
 // it), each drained by its own read loop. A loop receives datagrams in
 // batches (recvmmsg on linux/amd64 and linux/arm64, see batch.go)
-// directly into buffers drawn from a fixed free list, peeks the node ID
-// from the frame header and hands the same buffer — never a copy — to
-// the worker that owns the node (node ID modulo shard count). Pinning a
-// node to one worker serializes its frames no matter which socket they
-// arrived on, so the per-node sequence bookkeeping needs no locks, and
-// decode buffers are per-worker, so the steady-state ingest path —
-// decode, validate, sequence-check, replay — performs zero allocations
+// directly into the receive buffers it owns, and runs each datagram to
+// completion: it peeks the node ID from the frame header, takes the
+// node's stripe lock (node ID modulo Shards) and decodes, checks and
+// replays the frame in place — never a copy, never a hand-off to
+// another goroutine. The stripe lock serializes a node's frames no
+// matter which socket they arrived on, so the per-node sequence
+// bookkeeping is safe; the receive buffers and the decode frame are
+// per-loop, so the steady-state ingest path performs zero allocations
 // per frame (see BenchmarkIngestFrame; BenchmarkIngestMT measures the
-// socket-to-replay aggregate).
+// socket-to-replay aggregate). The kernel receive buffer is the only
+// burst buffer: what overflows it is counted in Stats.DroppedPackets.
 //
 // # Link supervision
 //
@@ -75,7 +77,10 @@ import (
 
 // Defaults for Config zero values.
 const (
-	DefaultShards      = 4
+	DefaultShards = 4
+	// DefaultQueueLen is unused: the shard queues it sized are gone.
+	// It stays only because the end-to-end benchmark (e2ebench) sizes
+	// its in-flight cap from it; delete it with that use.
 	DefaultQueueLen    = 512
 	DefaultMaxPacket   = 9000
 	DefaultGraceFrames = 3
@@ -126,17 +131,14 @@ type NodeSpec struct {
 type Config struct {
 	// Watchdog receives the replayed heartbeats. Required.
 	Watchdog *core.Watchdog
-	// Shards is the worker count frames are decoded on; a node is pinned
-	// to the worker node%Shards, so frames of one node always replay in
-	// order. Zero means DefaultShards.
+	// Shards is the number of lock stripes frames are replayed under: a
+	// read loop holds stripe node%Shards while it ingests a frame of
+	// that node, so frames of one node never replay concurrently. Zero
+	// means DefaultShards.
 	Shards int
-	// QueueLen is the per-worker packet queue depth. Zero means
-	// DefaultQueueLen. The free list holds Shards*QueueLen buffers; when
-	// it runs dry the reader drops datagrams and counts them.
-	QueueLen int
 	// MaxPacket is the largest datagram accepted, and the size of each
-	// pooled buffer. Zero means DefaultMaxPacket; senders must keep
-	// frames within it or they are counted as decode errors.
+	// read loop's receive buffers. Zero means DefaultMaxPacket; senders
+	// must keep frames within it or they are counted as decode errors.
 	MaxPacket int
 	// GraceFrames is how many declared flush intervals a node may stay
 	// silent before its link runnable accumulates an aliveness error:
@@ -168,15 +170,15 @@ type Config struct {
 	// FrameHook, when set, observes every accepted frame after replay:
 	// the node ID and whether the frame advanced the node's session
 	// epoch (reporter restart). The treatment controller subscribes
-	// here. Called on the shard worker goroutine — implementations must
-	// be non-blocking.
+	// here. Called on the read loop under the node's stripe lock —
+	// implementations must not block.
 	FrameHook func(node uint32, restarted bool)
 }
 
 // Stats is a point-in-time copy of the server's ingestion counters.
 type Stats struct {
-	// Frames is the number of datagrams handed to workers; Bytes their
-	// cumulative payload size.
+	// Frames is the number of datagrams the read loops ingested; Bytes
+	// their cumulative payload size.
 	Frames uint64
 	Bytes  uint64
 	// Accepted counts frames that passed decode, registration and
@@ -211,14 +213,15 @@ type Stats struct {
 	// counter is the diagnostic for a client flushing on a different
 	// cadence than the server expects.
 	IntervalMismatch uint64
-	// DroppedPackets counts datagrams discarded because the buffer free
-	// list or a worker queue was full.
+	// DroppedPackets counts datagrams the kernel discarded because a
+	// listener socket's receive queue was full: the sum over listeners
+	// of the socket's drop counter (SO_MEMINFO), sampled when Stats is
+	// called. Only linux/amd64 and linux/arm64 expose it; elsewhere it
+	// stays 0.
 	DroppedPackets uint64
-	// BuffersExhausted counts the free-list-dry subset of
-	// DroppedPackets: datagrams read into scratch and discarded because
-	// no pooled buffer was available. A non-zero value means the pool
-	// (Shards*QueueLen plus listener batch headroom) is undersized for
-	// the offered load.
+	// BuffersExhausted is always 0: the packet free list it counted is
+	// gone. The field stays for the WAL record and /metrics
+	// compatibility.
 	BuffersExhausted uint64
 	// ReadErrors counts transient socket read errors.
 	ReadErrors uint64
@@ -286,29 +289,18 @@ type ListenerStat struct {
 	MaxBatch uint64
 }
 
-// ShardStat is the per-shard queue occupancy, reported by
-// Server.ShardStats in shard order. DepthHWM is the high-water mark of
-// the queue depth observed at enqueue time (approximate under
-// concurrent listeners): a high mark with an idle queue now means a
-// past burst; a mark pinned at Capacity means the shard worker is the
-// bottleneck, not the listeners.
+// ShardStat described a shard worker's queue, which no longer exists;
+// Server.ShardStats returns none. It stays only because the end-to-end
+// benchmark (e2ebench) compiles against it; delete it with that use.
 type ShardStat struct {
 	Depth    int
 	DepthHWM int
 	Capacity int
 }
 
-// packet is one pooled datagram buffer.
-type packet struct {
-	buf []byte
-	n   int
-	src netip.AddrPort
-}
-
 // nodeState is the server-side state of one registered node. Everything
 // except the sequence fields is immutable after registration; epoch,
-// lastSeq and haveSeq are touched only by the node's owning shard
-// worker.
+// lastSeq and haveSeq are touched only under the node's stripe lock.
 type nodeState struct {
 	spec NodeSpec
 	// mons[i] is the Monitor handle of wire runnable index i.
@@ -326,19 +318,19 @@ type nodeState struct {
 	haveSeq bool
 
 	// cmdAcked is the highest command sequence number the reporter has
-	// confirmed in the current command epoch. Written only by the owning
-	// shard worker; read atomically by NodeCommandAcked (the calibration
-	// controller polls per-node ack progress).
+	// confirmed in the current command epoch. Written only under the
+	// node's stripe lock; read atomically by NodeCommandAcked (the
+	// calibration controller polls per-node ack progress).
 	cmdAcked atomic.Uint64
 
 	// addr is the source address of the node's most recent accepted
-	// frame — the return path for command frames. Updated by the shard
-	// worker (allocating only when the address actually changes), read
-	// by SendCommand.
+	// frame — the return path for command frames. Updated under the
+	// stripe lock (allocating only when the address actually changes),
+	// read by SendCommand.
 	addr atomic.Pointer[netip.AddrPort]
 	// cmdSeq is the per-node command sequence counter, advanced under
-	// the server's cmdMu and read atomically by the shard worker to
-	// clamp runaway acks.
+	// the server's cmdMu and read atomically by ingestFrame to clamp
+	// runaway acks.
 	cmdSeq atomic.Uint64
 }
 
@@ -357,15 +349,13 @@ type Server struct {
 	// socket (len 1 on the single-socket fallback).
 	conn      *net.UDPConn
 	listeners []*listenerState
-	shards    []*shardState
-	free      chan *packet
-	// readerWG tracks the per-listener read loops; wg tracks the shard
-	// workers and the closer goroutine that shuts the shard queues once
-	// every read loop has drained out.
+	stripes   []stripe
+	// readerWG tracks the per-listener read loops.
 	readerWG sync.WaitGroup
-	wg       sync.WaitGroup
 	started  bool
 	closed   bool
+	// dropMu serializes kernelDrops' sampling of the listeners.
+	dropMu sync.Mutex
 
 	// cmdEpoch is fixed at construction; cmdMu serializes command
 	// sequence allocation and the reused encode buffer.
@@ -384,8 +374,6 @@ type Server struct {
 	restarts     atomic.Uint64
 	staleEpochs  atomic.Uint64
 	intervalMism atomic.Uint64
-	dropped      atomic.Uint64
-	exhausted    atomic.Uint64
 	readErrs     atomic.Uint64
 	cmdSent      atomic.Uint64
 	cmdAcked     atomic.Uint64
@@ -404,9 +392,6 @@ func newServer(cfg Config) (*Server, error) {
 	}
 	if cfg.Shards > 64 {
 		cfg.Shards = 64
-	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = DefaultQueueLen
 	}
 	if cfg.MaxPacket <= 0 {
 		cfg.MaxPacket = DefaultMaxPacket
@@ -441,7 +426,7 @@ func newServer(cfg Config) (*Server, error) {
 			cfg.CommandEpoch = 1
 		}
 	}
-	s := &Server{w: cfg.Watchdog, cfg: cfg, cmdEpoch: cfg.CommandEpoch}
+	s := &Server{w: cfg.Watchdog, cfg: cfg, cmdEpoch: cfg.CommandEpoch, stripes: make([]stripe, cfg.Shards)}
 	empty := make(map[uint32]*nodeState)
 	s.nodes.Store(&empty)
 	return s, nil
@@ -544,10 +529,9 @@ func (s *Server) resolveNode(spec *NodeSpec) (*nodeState, error) {
 	return ns, nil
 }
 
-// Listen binds the UDP socket(s) and starts the read loops and the
-// shard workers. addr is a host:port as for net.ListenUDP (":0" picks
-// an ephemeral port); the bound address is returned for clients to
-// dial. With Config.Listeners > 1 the address is bound that many times
+// Listen binds the UDP socket(s) and starts one read loop per socket.
+// addr is a host:port as for net.ListenUDP (":0" picks an ephemeral
+// port); the bound address is returned for clients to dial. With Config.Listeners > 1 the address is bound that many times
 // via SO_REUSEPORT, falling back to a single socket where the platform
 // or kernel lacks it.
 func (s *Server) Listen(addr string) (net.Addr, error) {
@@ -568,21 +552,6 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	}
 	s.conn = conns[0]
 	s.started = true
-
-	// The free list covers the worker queues at full depth plus the
-	// buffers the batch readers keep armed in their receive slots, so a
-	// full set of in-flight batches cannot by itself starve the pool.
-	total := s.cfg.Shards*s.cfg.QueueLen + len(conns)*s.cfg.BatchSize
-	s.free = make(chan *packet, total)
-	for i := 0; i < total; i++ {
-		s.free <- &packet{buf: make([]byte, s.cfg.MaxPacket)}
-	}
-	s.shards = make([]*shardState, s.cfg.Shards)
-	for i := range s.shards {
-		s.shards[i] = &shardState{ch: make(chan *packet, s.cfg.QueueLen)}
-		s.wg.Add(1)
-		go s.worker(s.shards[i].ch)
-	}
 	s.listeners = make([]*listenerState, len(conns))
 	for i, c := range conns {
 		ls := &listenerState{conn: c}
@@ -590,17 +559,6 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 		s.readerWG.Add(1)
 		go s.readLoop(ls)
 	}
-	// The shard queues close only after every read loop has exited, so
-	// one listener erroring out (or being closed externally) can never
-	// strand packets of the surviving loops on a closed channel.
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.readerWG.Wait()
-		for _, sh := range s.shards {
-			close(sh.ch)
-		}
-	}()
 	return s.conn.LocalAddr(), nil
 }
 
@@ -614,10 +572,9 @@ func (s *Server) Addr() net.Addr {
 	return s.conn.LocalAddr()
 }
 
-// Close stops the read loops and the workers and releases every
-// socket. The watchdog is left running — link runnables of silent nodes
-// will keep accumulating aliveness faults until the caller deactivates
-// them.
+// Close stops the read loops and releases every socket. The watchdog
+// is left running — link runnables of silent nodes will keep
+// accumulating aliveness faults until the caller deactivates them.
 func (s *Server) Close() error {
 	s.regMu.Lock()
 	if s.closed {
@@ -630,27 +587,15 @@ func (s *Server) Close() error {
 	for _, ls := range listeners {
 		_ = ls.conn.Close() // unblocks the read loop
 	}
-	s.wg.Wait()
+	s.readerWG.Wait()
 	return nil
-}
-
-// worker decodes and replays the frames of the nodes pinned to one
-// shard. The wire.Frame is per-worker and reused, so the steady state
-// allocates nothing per frame.
-func (s *Server) worker(in <-chan *packet) {
-	defer s.wg.Done()
-	var frame wire.Frame
-	for p := range in {
-		s.ingestFrame(p.buf[:p.n], &frame, p.src)
-		s.free <- p
-	}
 }
 
 // ingestFrame is the per-frame ingest path: decode, validate against the
 // node's registered runnable table, enforce the sequence discipline and
 // replay. Frames of one node are processed by exactly one goroutine at a
-// time (shard pinning), which makes the nodeState sequence fields safe
-// without locks.
+// time (the read loop holding the node's stripe lock), which makes the
+// nodeState sequence fields safe.
 func (s *Server) ingestFrame(buf []byte, f *wire.Frame, src netip.AddrPort) {
 	s.frames.Add(1)
 	s.bytes.Add(uint64(len(buf)))
@@ -837,8 +782,7 @@ func (s *Server) Stats() Stats {
 		NodeRestarts:     s.restarts.Load(),
 		StaleEpochDrops:  s.staleEpochs.Load(),
 		IntervalMismatch: s.intervalMism.Load(),
-		DroppedPackets:   s.dropped.Load(),
-		BuffersExhausted: s.exhausted.Load(),
+		DroppedPackets:   s.kernelDrops(),
 		ReadErrors:       s.readErrs.Load(),
 		CommandsSent:     s.cmdSent.Load(),
 		CommandsAcked:    s.cmdAcked.Load(),
@@ -864,22 +808,10 @@ func (s *Server) ListenerStats() []ListenerStat {
 	return out
 }
 
-// ShardStats returns the per-shard queue occupancy in shard order;
-// empty before Listen.
-func (s *Server) ShardStats() []ShardStat {
-	s.regMu.Lock()
-	shards := s.shards
-	s.regMu.Unlock()
-	out := make([]ShardStat, len(shards))
-	for i, sh := range shards {
-		out[i] = ShardStat{
-			Depth:    len(sh.ch),
-			DepthHWM: int(sh.hwm.Load()),
-			Capacity: cap(sh.ch),
-		}
-	}
-	return out
-}
+// ShardStats returns nil: there are no shard queues to report. It
+// stays only because the end-to-end benchmark (e2ebench) calls it;
+// delete it with that use.
+func (s *Server) ShardStats() []ShardStat { return nil }
 
 // snapshotListeners reads the listener slice under the registration
 // lock (it is assigned once, by Listen).

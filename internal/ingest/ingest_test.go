@@ -46,7 +46,7 @@ func encode(t *testing.T, f *wire.Frame) []byte {
 	return buf
 }
 
-// inject pushes raw bytes through the worker ingest path.
+// inject pushes raw bytes through the read loop's ingest path.
 func inject(s *Server, buf []byte) {
 	var frame wire.Frame
 	s.ingestFrame(buf, &frame, netip.AddrPort{})

@@ -1,42 +1,51 @@
 // Multi-socket listener front end: N UDP sockets bound to one address
-// via SO_REUSEPORT, each drained by its own batched read loop feeding
-// the shard workers through the shared free list.
+// via SO_REUSEPORT, each drained by its own batched read loop that
+// decodes and replays every datagram it receives, with no hand-off to
+// another goroutine.
 //
 // The kernel spreads inbound flows across the sockets of a reuseport
 // group by a hash of the 4-tuple, so one reporter's datagrams land on
 // one socket in the steady state and each read loop touches a disjoint
 // slice of the fleet. Correctness never depends on that affinity: the
-// node-to-shard pinning (node % Shards) serializes every node's frames
-// behind a single worker regardless of the receiving socket, and any
-// cross-socket reordering — a reporter redialing onto a new flow hash
-// mid-session — surfaces through the existing sequence discipline as
-// duplicate drops or gaps, exactly like network-level reordering.
+// per-node stripe lock (node % Shards) serializes every node's frames
+// regardless of the receiving socket, and any cross-socket reordering —
+// a reporter redialing onto a new flow hash mid-session — surfaces
+// through the existing sequence discipline as duplicate drops or gaps,
+// exactly like network-level reordering.
 package ingest
 
 import (
 	"context"
 	"net"
 	"net/netip"
+	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"swwd/internal/wire"
 )
 
 // listenerState is one listener socket and its receive counters. The
-// counters have a single writer (the listener's read loop) and are read
-// by ListenerStats.
+// atomic counters have a single writer (the listener's read loop) and
+// are read by ListenerStats; the kernel drop fields are guarded by the
+// server's dropMu.
 type listenerState struct {
 	conn     *net.UDPConn
 	packets  atomic.Uint64
 	batches  atomic.Uint64
 	maxBatch atomic.Uint64
+	// dropsSeen is the socket's last sampled kernel drop counter (a
+	// wrapping uint32); drops accumulates the deltas.
+	dropsSeen uint32
+	drops     uint64
 }
 
-// shardState is one shard worker's queue plus its depth high-water
-// mark, maintained at enqueue time by the read loops.
-type shardState struct {
-	ch  chan *packet
-	hwm atomic.Uint64
+// stripe is one of the Shards locks serializing ingestFrame per node
+// (node % Shards), padded to its own cache line so read loops taking
+// different stripes do not share one.
+type stripe struct {
+	mu sync.Mutex
+	_  [64 - unsafe.Sizeof(sync.Mutex{})]byte
 }
 
 // reusePortEnabled gates the SO_REUSEPORT bind path; it starts at the
@@ -96,49 +105,29 @@ func listenPlain(addr string) (*net.UDPConn, error) {
 	return net.ListenUDP("udp", udpAddr)
 }
 
-// readLoop drains one listener socket: it arms up to BatchSize receive
-// slots with free-list buffers, receives a batch of datagrams directly
-// into them (zero-copy — the kernel writes into the same buffer the
-// shard worker will decode) and dispatches each to its owning shard.
-// Slots the free list could not fill receive into a shared scratch
-// buffer; those datagrams are dropped and accounted as BuffersExhausted
-// so pool pressure is visible instead of silent.
+// readLoop drains one listener socket and runs every datagram to
+// completion on this goroutine. The loop owns its BatchSize receive
+// buffers (the recvmmsg slots) and its decode frame, all allocated once
+// here, so the kernel writes each datagram into the buffer the frame is
+// decoded from and the steady state allocates nothing. There is no
+// queue behind the loop: a burst the loop cannot keep up with waits in
+// the socket's kernel receive buffer, and what overflows it is counted
+// as DroppedPackets (see kernelDrops).
 func (s *Server) readLoop(ls *listenerState) {
 	defer s.readerWG.Done()
 	r := newBatchReader(ls.conn, s.cfg.BatchSize)
 	batch := r.Batch()
-	pkts := make([]*packet, batch)
 	bufs := make([][]byte, batch)
+	for i := range bufs {
+		bufs[i] = make([]byte, s.cfg.MaxPacket)
+	}
 	sizes := make([]int, batch)
 	srcs := make([]netip.AddrPort, batch)
-	var scratch []byte // shared by every dry slot: those datagrams are dropped anyway
+	var frame wire.Frame
 	for {
-		for i := 0; i < batch; i++ {
-			if pkts[i] != nil {
-				continue // still armed from the previous receive
-			}
-			select {
-			case p := <-s.free:
-				pkts[i] = p
-				bufs[i] = p.buf
-			default:
-				if scratch == nil {
-					scratch = make([]byte, s.cfg.MaxPacket)
-				}
-				bufs[i] = scratch
-			}
-		}
 		m, err := r.ReadBatch(bufs, sizes, srcs)
 		if err != nil {
 			if isClosed(err) {
-				// Hand the armed buffers back before exiting so a
-				// closed socket never leaks pool capacity.
-				for i, p := range pkts {
-					if p != nil {
-						pkts[i] = nil
-						s.free <- p
-					}
-				}
 				return
 			}
 			s.readErrs.Add(1)
@@ -150,50 +139,46 @@ func (s *Server) readLoop(ls *listenerState) {
 			ls.maxBatch.Store(um) // single writer per listener
 		}
 		for i := 0; i < m; i++ {
-			p := pkts[i]
-			if p == nil {
-				// The free list was dry when the slot was armed: the
-				// datagram landed in scratch and is gone.
-				s.exhausted.Add(1)
-				s.dropped.Add(1)
-				continue
-			}
-			pkts[i] = nil
-			p.n = sizes[i]
-			p.src = srcs[i]
-			s.dispatch(p)
+			s.replay(bufs[i][:sizes[i]], &frame, srcs[i])
 		}
 	}
 }
 
-// dispatch peeks the node ID and hands the packet — the same free-list
-// buffer the kernel filled, never a copy — to the owning shard worker.
-func (s *Server) dispatch(p *packet) {
-	node, err := wire.PeekNode(p.buf[:p.n])
+// replay peeks the node ID and ingests the datagram under the node's
+// stripe lock, so a node is never inside ingestFrame on two read loops
+// at once. One reporter's flow hashes to one socket, so in the steady
+// state the lock is uncontended.
+func (s *Server) replay(buf []byte, f *wire.Frame, src netip.AddrPort) {
+	node, err := wire.PeekNode(buf)
 	if err != nil {
 		s.frames.Add(1)
-		s.bytes.Add(uint64(p.n))
+		s.bytes.Add(uint64(len(buf)))
 		s.decodeErrs.Add(1)
-		s.free <- p
 		return
 	}
-	sh := s.shards[node%uint32(len(s.shards))]
-	select {
-	case sh.ch <- p:
-		// Track the enqueue-time depth high-water mark. len(ch) is
-		// approximate under concurrent listeners; the gauge separates
-		// listener starvation (low HWM, drops at the free list) from
-		// shard overload (HWM pinned at capacity).
-		if d := uint64(len(sh.ch)); d > sh.hwm.Load() {
-			for {
-				cur := sh.hwm.Load()
-				if d <= cur || sh.hwm.CompareAndSwap(cur, d) {
-					break
-				}
-			}
+	st := &s.stripes[node%uint32(len(s.stripes))]
+	st.mu.Lock()
+	s.ingestFrame(buf, f, src)
+	st.mu.Unlock()
+}
+
+// kernelDrops samples every listener socket's kernel receive-queue drop
+// counter and returns the total dropped since Listen. The kernel
+// counter is a wrapping uint32, so each sample adds the wrap-safe delta
+// to a per-listener total: the result is monotonic, and it keeps its
+// value once a socket is closed. Platforms without the counter report
+// 0 (sockdrops_*.go).
+func (s *Server) kernelDrops() uint64 {
+	listeners := s.snapshotListeners()
+	s.dropMu.Lock()
+	defer s.dropMu.Unlock()
+	var total uint64
+	for _, ls := range listeners {
+		if cur, ok := socketDrops(ls.conn); ok {
+			ls.drops += uint64(cur - ls.dropsSeen)
+			ls.dropsSeen = cur
 		}
-	default:
-		s.dropped.Add(1)
-		s.free <- p
+		total += ls.drops
 	}
+	return total
 }

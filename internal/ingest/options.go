@@ -9,20 +9,15 @@ import "swwd/internal/core"
 // order over the zero Config, so later options win.
 type Option func(*Config)
 
-// WithShards sets the worker count frames are decoded on; a node is
-// pinned to the worker node%Shards, so frames of one node always replay
-// in order. Zero or negative keeps DefaultShards.
+// WithShards sets the number of lock stripes frames are replayed
+// under: a read loop holds stripe node%Shards while it ingests a frame,
+// so frames of one node never replay concurrently. Zero or negative
+// keeps DefaultShards.
 func WithShards(n int) Option {
 	return func(cfg *Config) { cfg.Shards = n }
 }
 
-// WithQueueLen sets the per-worker packet queue depth. Zero or negative
-// keeps DefaultQueueLen.
-func WithQueueLen(n int) Option {
-	return func(cfg *Config) { cfg.QueueLen = n }
-}
-
-// WithMaxPacket sets the largest accepted datagram (and pooled buffer
+// WithMaxPacket sets the largest accepted datagram (and receive buffer
 // size). Zero or negative keeps DefaultMaxPacket.
 func WithMaxPacket(n int) Option {
 	return func(cfg *Config) { cfg.MaxPacket = n }
@@ -69,8 +64,8 @@ func WithCommandEpoch(epoch uint64) Option {
 // WithFrameHook subscribes hook to every accepted frame: the node ID
 // and whether the frame advanced the node's session epoch (reporter
 // restart). The treatment controller's OnFrame is the intended
-// subscriber. The hook runs on the shard worker goroutine and must be
-// non-blocking.
+// subscriber. The hook runs on the read loop under the node's stripe
+// lock and must not block.
 func WithFrameHook(hook func(node uint32, restarted bool)) Option {
 	return func(cfg *Config) { cfg.FrameHook = hook }
 }

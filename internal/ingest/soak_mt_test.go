@@ -1,8 +1,9 @@
 //go:build !race
 
 // Scaled soak: the million-node-track ingestion path — SO_REUSEPORT
-// listener group, recvmmsg batching, shard fan-out — under a synthetic
-// fleet far beyond what per-node swwdclient goroutines can simulate.
+// listener group, recvmmsg batching, run-to-completion read loops —
+// under a synthetic fleet far beyond what per-node swwdclient
+// goroutines can simulate.
 // Four paced sender flows synthesize frames for every node directly
 // (one encoder per flow, disjoint node ranges, monotonic per-node
 // sequence numbers), so the test scales by frame rate instead of by
@@ -64,7 +65,6 @@ func TestIngestScaledSoak(t *testing.T) {
 		Listeners:        4,
 		BatchSize:        32,
 		Shards:           8,
-		QueueLen:         2048,
 	})
 	if err != nil {
 		t.Fatalf("BuildFleet: %v", err)

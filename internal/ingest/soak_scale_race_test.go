@@ -6,7 +6,7 @@ import "time"
 
 // Race-detector soak parameters: the race runtime multiplies every
 // atomic and channel operation, so the soak shrinks to a scale that
-// still exercises every concurrent path (reader, shard workers, client
+// still exercises every concurrent path (read loops, client
 // flushers, watchdog sweeps) without timing out a CI worker.
 const (
 	soakNodes     = 100

@@ -72,7 +72,7 @@ func recvCommand(t *testing.T, conn *net.UDPConn) *wire.Command {
 }
 
 // injectFrom pushes one heartbeat frame through the ingest path with an
-// explicit source address, the way the shard worker sees it.
+// explicit source address, the way the read loop sees it.
 func injectFrom(t *testing.T, s *Server, f *wire.Frame, src netip.AddrPort) {
 	t.Helper()
 	var dec wire.Frame

@@ -217,9 +217,9 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 }
 
 // PeekNode extracts the node ID from an encoded frame after validating
-// only the fixed header prefix — the cheap dispatch step the ingestion
-// reader uses to route a datagram to its per-source shard worker before
-// the worker runs the full decode. It accepts both frame kinds; the
+// only the fixed header prefix — the cheap step the ingestion read loop
+// uses to pick a datagram's per-node lock stripe before it runs the
+// full decode. It accepts both frame kinds; the
 // full decoders enforce the kind.
 func PeekNode(buf []byte) (uint32, error) {
 	if len(buf) < CommandHeaderSize {
