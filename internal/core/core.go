@@ -592,6 +592,7 @@ func (w *Watchdog) FlowEvent(rid runnable.ID) {
 // enrolled, are skipped as FlowEvent skips them.
 func (w *Watchdog) FlowEventN(table []runnable.ID, idx []uint32) {
 	ft := w.flow.Load()
+	memo := newPairMemo()
 	for i := 0; i < len(idx); i++ {
 		first, ok := w.flowRecord(ft, table, idx[i])
 		if !ok {
@@ -608,23 +609,58 @@ func (w *Watchdog) FlowEventN(table []runnable.ID, idx []uint32) {
 			if w.taskOf[rid] != tid {
 				break
 			}
-			clean = clean && ft.allowed(last, rid)
+			clean = clean && memo.allowed(ft, last, rid)
 			last = rid
 		}
-		w.checkPair(ft, runnable.ID(w.preds[tid].last.Swap(int64(last))), first, tid)
+		if pred := runnable.ID(w.preds[tid].last.Swap(int64(last))); pred != runnable.NoID && !memo.allowed(ft, pred, first) {
+			w.reportFlow(pred, first, tid)
+		}
 		if !clean {
 			// Report the run's illegal inner pairs, in order, after the
 			// pair that joins the run to its predecessor.
 			prev := first
 			for k := i + 1; k < end; k++ {
 				if rid, ok := w.flowRecord(ft, table, idx[k]); ok {
-					w.checkPair(ft, prev, rid, tid)
+					if !memo.allowed(ft, prev, rid) {
+						w.reportFlow(prev, rid, tid)
+					}
 					prev = rid
 				}
 			}
 		}
 		i = end - 1
 	}
+}
+
+// pairMemo remembers, for one FlowEventN call, pairs its flow table
+// snapshot allows: a frame replaying a repeated sequence then looks up
+// each distinct pair once instead of once per record. Slot pred&7 holds
+// the last allowed pair with that predecessor. The memo is exact because
+// it only caches positive answers of one immutable snapshot and lives no
+// longer than the call that loaded it.
+type pairMemo [8]struct{ pred, succ runnable.ID }
+
+// newPairMemo returns an empty memo: no slot matches a real predecessor.
+func newPairMemo() pairMemo {
+	var m pairMemo
+	for i := range m {
+		m[i].pred = runnable.NoID
+	}
+	return m
+}
+
+// allowed reports ft.allowed(pred, succ), answering a remembered pair
+// without the look-up. pred must not be NoID.
+func (m *pairMemo) allowed(ft *flowTable, pred, succ runnable.ID) bool {
+	e := &m[uint(pred)&7]
+	if e.pred == pred && e.succ == succ {
+		return true
+	}
+	if !ft.allowed(pred, succ) {
+		return false
+	}
+	e.pred, e.succ = pred, succ
+	return true
 }
 
 // flowRecord resolves one FlowEventN record to a PFC-enrolled runnable.
@@ -670,18 +706,15 @@ func (w *Watchdog) eagerArrival(rid runnable.ID, hs *hotState, v uint64) {
 // exchange on the task's padded register; the look-up itself reads the
 // immutable table snapshot.
 func (w *Watchdog) checkFlow(ft *flowTable, rid runnable.ID, tid runnable.TaskID) {
-	w.checkPair(ft, runnable.ID(w.preds[tid].last.Swap(int64(rid))), rid, tid)
+	// NoID: the task's first monitored execution has no predecessor yet.
+	if pred := runnable.ID(w.preds[tid].last.Swap(int64(rid))); pred != runnable.NoID && !ft.allowed(pred, rid) {
+		w.reportFlow(pred, rid, tid)
+	}
 }
 
-// checkPair checks that rid may follow pred in task tid and reports a
-// program-flow error when it may not.
-func (w *Watchdog) checkPair(ft *flowTable, pred, rid runnable.ID, tid runnable.TaskID) {
-	if pred == runnable.NoID {
-		return // first monitored execution of this task: no predecessor yet
-	}
-	if ft.allowed(pred, rid) {
-		return
-	}
+// reportFlow reports that rid followed pred in task tid although the
+// look-up table does not allow it.
+func (w *Watchdog) reportFlow(pred, rid runnable.ID, tid runnable.TaskID) {
 	w.mu.Lock()
 	ts := &w.ts[tid]
 	ts.lastFlowCycle = w.cycle.Load()

@@ -387,6 +387,76 @@ func TestFlowEventNMatchesFlowEvent(t *testing.T) {
 	}
 }
 
+// TestFlowEventNMemo replays the frames that would expose a wrong pair
+// memo in FlowEventN — a slot shared by two predecessors, an illegal
+// successor right after a remembered legal one, and a table edit
+// between two calls — and requires the per-record FlowEvent outcome and
+// the expected number of program-flow errors.
+func TestFlowEventNMemo(t *testing.T) {
+	m, byTask := flowModel(t, []int{16})
+	ts := byTask[0] // one task: runnables 0..15, so 0 and 8 share slot 0
+	pair := func(p, s int) flowOp { return flowOp{kind: 1, rids: []runnable.ID{ts[p], ts[s]}} }
+	monitor := func(r int) flowOp { return flowOp{kind: 0, rids: []runnable.ID{ts[r]}} }
+	frame := func(rs ...int) []uint32 {
+		idx := make([]uint32, len(rs))
+		for i, r := range rs {
+			idx[i] = uint32(r)
+		}
+		return idx
+	}
+	cases := []struct {
+		name   string
+		ops    []flowOp
+		frames [][]uint32
+		edit   flowOp // applied to both watchdogs after the first frame
+		faults int
+	}{{
+		// 0→1 and 1→8 are allowed, 8→1 and 1→0 are not: 8→1 meets the
+		// remembered 0→1 in slot 0, with the same successor.
+		name:   "shared slot",
+		ops:    []flowOp{pair(0, 1), pair(1, 8)},
+		frames: [][]uint32{frame(0, 1, 8, 1, 8, 1, 0, 1)},
+		faults: 3,
+	}, {
+		// 8→9 is allowed and 0→9 is not, alternating across one run.
+		name:   "shared slot, other pair",
+		ops:    []flowOp{pair(8, 9), pair(9, 0), pair(0, 8)},
+		frames: [][]uint32{frame(8, 9, 0, 9, 0, 8, 9, 0, 9)},
+		faults: 2,
+	}, {
+		// 0→2 comes right after the remembered 0→1.
+		name:   "illegal after remembered",
+		ops:    []flowOp{pair(0, 1), pair(1, 0), monitor(2)},
+		frames: [][]uint32{frame(0, 1, 0, 1, 0, 2)},
+		faults: 1,
+	}, {
+		// 0→2 is illegal in the first call and allowed in the second.
+		name:   "table edit between calls",
+		ops:    []flowOp{pair(0, 1), pair(1, 0), monitor(2)},
+		frames: [][]uint32{frame(0, 1, 0, 2), frame(0, 2, 0, 1, 0, 2)},
+		edit:   pair(0, 2),
+		faults: 3, // 0→2, then 2→0 joining the second call, then 2→0
+	}}
+	table := ts
+	for _, tc := range cases {
+		_, ws, sinks := flowPairFixture(t, m, tc.ops)
+		for i, idx := range tc.frames {
+			if i == 1 {
+				for _, w := range ws {
+					if err := w.AddFlowPair(tc.edit.rids[0], tc.edit.rids[1]); err != nil {
+						t.Fatalf("%s: AddFlowPair: %v", tc.name, err)
+					}
+				}
+			}
+			replayFlowFrame(ws, table, idx)
+			sameFlowOutcome(t, ws, sinks, fmt.Sprintf("%s frame %d", tc.name, i))
+		}
+		if got := len(sinks[0].faults); got != tc.faults {
+			t.Fatalf("%s: %d program-flow errors, want %d: %+v", tc.name, got, tc.faults, sinks[0].faults)
+		}
+	}
+}
+
 // fuzzFlowModel is the fixed model of FuzzFlowEventN: three tasks of
 // four runnables, whose first three form a sequence, with a self-loop
 // on task 2's first runnable; each task's fourth runnable stays
@@ -412,6 +482,10 @@ func FuzzFlowEventN(f *testing.F) {
 	f.Add([]byte{12, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 0, 3, 6, 1, 4, 7, 2, 5, 8})
 	f.Add([]byte{6, 2, 5, 8, 11, 14, 30, 0, 1, 2, 0, 2, 1, 0xFE, 3, 4, 5, 0xFF, 0, 0})
 	f.Add([]byte{4, 4, 4, 0, 1, 0, 1, 2, 3, 0xFE, 1, 1, 1, 9})
+	// Runnables 0 and 8 share FlowEventN's memo slot: task 0 runs 0→3,
+	// task 2 runs 8→2 and the illegal 8→5, 0→6 follows a memoized 0→3.
+	f.Add([]byte{12, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 0, 3, 8, 2, 0, 3, 8, 5, 0, 3, 6, 0, 8, 2})
+	f.Add([]byte{12, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 8, 2, 2, 0, 3, 0xFE, 0, 3, 8, 2, 8, 5, 0, 3, 0, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

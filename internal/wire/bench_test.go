@@ -38,3 +38,22 @@ func BenchmarkWireEncode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWireDecodeWide measures the decode of the widest frame in
+// steady use: a 256-runnable node flushing every beat record, with
+// two-byte varints, and 1,024 one-byte flow records (wideFrame).
+func BenchmarkWireDecodeWide(b *testing.B) {
+	buf := mustEncode(b, wideFrame())
+	var f Frame
+	if err := DecodeFrame(buf, &f); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := DecodeFrame(buf, &f); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -182,7 +182,7 @@ func DecodeCommand(buf []byte, c *Command) error {
 	c.Recs = c.Recs[:0]
 	p := buf[CommandHeaderSize:]
 	for i := 0; i < nRecs; i++ {
-		op, n, err := uvarint(p, "command op")
+		op, n, err := uvarint(p, fieldCommandOp)
 		if err != nil {
 			return err
 		}
@@ -190,7 +190,7 @@ func DecodeCommand(buf []byte, c *Command) error {
 		if op == 0 || op > cmdOpMax {
 			return fmt.Errorf("%w: command record %d op %d", ErrRange, i, op)
 		}
-		rid, n, err := uvarint(p, "command runnable")
+		rid, n, err := uvarint(p, fieldCommandRunnable)
 		if err != nil {
 			return err
 		}
@@ -202,7 +202,7 @@ func DecodeCommand(buf []byte, c *Command) error {
 		if rec.Op == CmdSetHypothesis {
 			var fields [4]uint64
 			for j := range fields {
-				v, n, err := uvarint(p, "hypothesis param")
+				v, n, err := uvarint(p, fieldHypothesisParam)
 				if err != nil {
 					return err
 				}

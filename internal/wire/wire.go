@@ -72,6 +72,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Protocol constants.
@@ -276,18 +277,29 @@ func DecodeFrame(buf []byte, f *Frame) error {
 	}
 	nBeats := int(binary.LittleEndian.Uint16(buf[44:46]))
 	nFlow := int(binary.LittleEndian.Uint16(buf[46:48]))
-	f.Beats = f.Beats[:0]
-	f.Flow = f.Flow[:0]
 	p := buf[HeaderSize:]
+	// Size each section once, bounded by what the payload can hold: a
+	// beat record takes at least two bytes and a flow record at least
+	// one, so record i can only decode while i is below the bound, and a
+	// header promising more records than its bytes carry costs no
+	// allocation. No count is rejected up front: an overrun still fails
+	// in the record loop, with the error it has always returned.
+	nb := min(nBeats, len(p)/2)
+	f.Beats = slices.Grow(f.Beats[:0], nb)[:nb]
+	var err error
 	for i := 0; i < nBeats; i++ {
-		rid, n, err := uvarint(p, "beat runnable")
-		if err != nil {
-			return err
+		rid, n := uvarint2(p)
+		if n == 0 {
+			if rid, n, err = uvarint(p, fieldBeatRunnable); err != nil {
+				return err
+			}
 		}
 		p = p[n:]
-		beats, n, err := uvarint(p, "beat count")
-		if err != nil {
-			return err
+		beats, n := uvarint2(p)
+		if n == 0 {
+			if beats, n, err = uvarint(p, fieldBeatCount); err != nil {
+				return err
+			}
 		}
 		p = p[n:]
 		if rid > MaxRunnableIndex {
@@ -296,18 +308,22 @@ func DecodeFrame(buf []byte, f *Frame) error {
 		if beats == 0 || beats > MaxBeatsPerRecord {
 			return fmt.Errorf("%w: beat record %d count %d", ErrRange, i, beats)
 		}
-		f.Beats = append(f.Beats, BeatRec{Runnable: uint32(rid), Beats: uint32(beats)})
+		f.Beats[i] = BeatRec{Runnable: uint32(rid), Beats: uint32(beats)}
 	}
+	nf := min(nFlow, len(p))
+	f.Flow = slices.Grow(f.Flow[:0], nf)[:nf]
 	for i := 0; i < nFlow; i++ {
-		rid, n, err := uvarint(p, "flow runnable")
-		if err != nil {
-			return err
+		rid, n := uvarint2(p)
+		if n == 0 {
+			if rid, n, err = uvarint(p, fieldFlowRunnable); err != nil {
+				return err
+			}
 		}
 		p = p[n:]
 		if rid > MaxRunnableIndex {
 			return fmt.Errorf("%w: flow record %d runnable %d", ErrRange, i, rid)
 		}
-		f.Flow = append(f.Flow, uint32(rid))
+		f.Flow[i] = uint32(rid)
 	}
 	if len(p) != 0 {
 		return fmt.Errorf("%w: %d bytes", ErrTrailing, len(p))
@@ -315,15 +331,54 @@ func DecodeFrame(buf []byte, f *Frame) error {
 	return nil
 }
 
-// uvarint decodes one varint from p, classifying both failure modes
-// (empty/short buffer and >64-bit overlong encodings) as protocol errors.
-func uvarint(p []byte, what string) (uint64, int, error) {
+// varintField names one varint field of a frame and holds its two decode
+// errors, built once so rejecting a malformed frame allocates nothing.
+type varintField struct {
+	truncated, overflow error
+}
+
+func newVarintField(what string) *varintField {
+	return &varintField{
+		truncated: fmt.Errorf("%w: %s", ErrTruncated, what),
+		overflow:  fmt.Errorf("%w: %s varint overflow", ErrRange, what),
+	}
+}
+
+// The varint fields of heartbeat and command frames.
+var (
+	fieldBeatRunnable    = newVarintField("beat runnable")
+	fieldBeatCount       = newVarintField("beat count")
+	fieldFlowRunnable    = newVarintField("flow runnable")
+	fieldCommandOp       = newVarintField("command op")
+	fieldCommandRunnable = newVarintField("command runnable")
+	fieldHypothesisParam = newVarintField("hypothesis param")
+)
+
+// uvarint2 is the inlined fast path of the record loops: it decodes a
+// varint of one or two bytes — every runnable index and beat count
+// below 16384 — exactly as binary.Uvarint does, non-minimal encodings
+// included. It returns n == 0 for anything else (longer values, short
+// buffers), which the caller hands to uvarint.
+func uvarint2(p []byte) (uint64, int) {
+	if len(p) > 0 && p[0] < 0x80 {
+		return uint64(p[0]), 1
+	}
+	if len(p) > 1 && p[1] < 0x80 {
+		return uint64(p[0]&0x7f) | uint64(p[1])<<7, 2
+	}
+	return 0, 0
+}
+
+// uvarint decodes one varint of field fd from p, classifying both
+// failure modes (empty/short buffer and >64-bit overlong encodings) as
+// protocol errors.
+func uvarint(p []byte, fd *varintField) (uint64, int, error) {
 	v, n := binary.Uvarint(p)
 	if n <= 0 {
 		if n == 0 {
-			return 0, 0, fmt.Errorf("%w: %s", ErrTruncated, what)
+			return 0, 0, fd.truncated
 		}
-		return 0, 0, fmt.Errorf("%w: %s varint overflow", ErrRange, what)
+		return 0, 0, fd.overflow
 	}
 	return v, n, nil
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -21,6 +22,37 @@ func sampleFrame() *Frame {
 	}
 	f.Flow = []uint32{0, 1, 2, 0, 1, 2}
 	return f
+}
+
+// wideFrame builds the frame of a 256-runnable node flushing every beat
+// record and a repeated four-runnable flow sequence: runnables 0–255 and
+// counts 128–1024 take two-byte varints, the 1,024 flow records one
+// byte each.
+func wideFrame() *Frame {
+	f := &Frame{Node: 7, Epoch: 1700000000, Seq: 9, IntervalMs: 20}
+	for i := uint32(0); i < 256; i++ {
+		f.Beats = append(f.Beats, BeatRec{Runnable: i, Beats: 128 + i*37%897})
+	}
+	for i := uint32(0); i < 1024; i++ {
+		f.Flow = append(f.Flow, i%4)
+	}
+	return f
+}
+
+// rawHeader hand-encodes a valid heartbeat header promising nBeats beat
+// and nFlow flow records, for payloads AppendFrame refuses to produce.
+func rawHeader(nBeats, nFlow int) []byte {
+	b := make([]byte, HeaderSize)
+	binary.LittleEndian.PutUint16(b[0:2], Magic)
+	b[2] = Version
+	b[3] = KindHeartbeat
+	binary.LittleEndian.PutUint32(b[4:8], 1)
+	binary.LittleEndian.PutUint64(b[8:16], 1)  // epoch
+	binary.LittleEndian.PutUint64(b[16:24], 1) // seq
+	binary.LittleEndian.PutUint32(b[40:44], 100)
+	binary.LittleEndian.PutUint16(b[44:46], uint16(nBeats))
+	binary.LittleEndian.PutUint16(b[46:48], uint16(nFlow))
+	return b
 }
 
 func mustEncode(t testing.TB, f *Frame) []byte {
@@ -147,23 +179,10 @@ func TestDecodeHeaderErrors(t *testing.T) {
 func TestDecodeRangeErrors(t *testing.T) {
 	// Hand-encode payload values beyond the protocol caps: AppendFrame
 	// refuses to produce them, so build the frames manually.
-	header := func(nBeats, nFlow int) []byte {
-		b := make([]byte, HeaderSize)
-		binary.LittleEndian.PutUint16(b[0:2], Magic)
-		b[2] = Version
-		b[3] = KindHeartbeat
-		binary.LittleEndian.PutUint32(b[4:8], 1)
-		binary.LittleEndian.PutUint64(b[8:16], 1)  // epoch
-		binary.LittleEndian.PutUint64(b[16:24], 1) // seq
-		binary.LittleEndian.PutUint32(b[40:44], 100)
-		binary.LittleEndian.PutUint16(b[44:46], uint16(nBeats))
-		binary.LittleEndian.PutUint16(b[46:48], uint16(nFlow))
-		return b
-	}
 	var f Frame
 
 	// Beat runnable index beyond MaxRunnableIndex.
-	b := header(1, 0)
+	b := rawHeader(1, 0)
 	b = binary.AppendUvarint(b, MaxRunnableIndex+1)
 	b = binary.AppendUvarint(b, 1)
 	if err := DecodeFrame(b, &f); !errors.Is(err, ErrRange) {
@@ -171,7 +190,7 @@ func TestDecodeRangeErrors(t *testing.T) {
 	}
 
 	// Zero beat count.
-	b = header(1, 0)
+	b = rawHeader(1, 0)
 	b = binary.AppendUvarint(b, 3)
 	b = binary.AppendUvarint(b, 0)
 	if err := DecodeFrame(b, &f); !errors.Is(err, ErrRange) {
@@ -179,7 +198,7 @@ func TestDecodeRangeErrors(t *testing.T) {
 	}
 
 	// Beat count beyond MaxBeatsPerRecord.
-	b = header(1, 0)
+	b = rawHeader(1, 0)
 	b = binary.AppendUvarint(b, 3)
 	b = binary.AppendUvarint(b, MaxBeatsPerRecord+1)
 	if err := DecodeFrame(b, &f); !errors.Is(err, ErrRange) {
@@ -187,14 +206,14 @@ func TestDecodeRangeErrors(t *testing.T) {
 	}
 
 	// Flow runnable index beyond MaxRunnableIndex.
-	b = header(0, 1)
+	b = rawHeader(0, 1)
 	b = binary.AppendUvarint(b, MaxRunnableIndex+1)
 	if err := DecodeFrame(b, &f); !errors.Is(err, ErrRange) {
 		t.Errorf("oversized flow runnable: err = %v, want ErrRange", err)
 	}
 
 	// Overlong (>64-bit) varint.
-	b = header(1, 0)
+	b = rawHeader(1, 0)
 	b = append(b, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01)
 	if err := DecodeFrame(b, &f); !errors.Is(err, ErrRange) {
 		t.Errorf("varint overflow: err = %v, want ErrRange", err)
@@ -273,6 +292,23 @@ func TestDecodeReuseZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state DecodeFrame allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestDecodeCountAmplification sends a header-only frame promising
+// 65,535 beat and 65,535 flow records: it must fail as truncated without
+// allocating, even into a fresh Frame, so the decoder sizes its slices
+// by the payload and never by the header's counts.
+func TestDecodeCountAmplification(t *testing.T) {
+	buf := rawHeader(0xFFFF, 0xFFFF)
+	allocs := testing.AllocsPerRun(100, func() {
+		var f Frame
+		if err := DecodeFrame(buf, &f); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("err = %v, want ErrTruncated", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("rejecting the frame allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -365,5 +401,148 @@ func FuzzWireRandomFrames(f *testing.F) {
 			t.Fatalf("DecodeFrame: %v", err)
 		}
 		assertFramesEqual(t, in, &out)
+	})
+}
+
+// decodeFrameRef is the record decoder DecodeFrame replaced, kept as the
+// reference of FuzzDecodeFrameEquivalent: binary.Uvarint for every
+// varint and an append per record.
+func decodeFrameRef(buf []byte, f *Frame) error {
+	if len(buf) > MaxFrameSize {
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(buf))
+	}
+	if len(buf) < HeaderSize {
+		return fmt.Errorf("%w: %d bytes", ErrTruncated, len(buf))
+	}
+	if binary.LittleEndian.Uint16(buf[0:2]) != Magic {
+		return ErrMagic
+	}
+	if buf[2] != Version {
+		return fmt.Errorf("%w: %d", ErrVersion, buf[2])
+	}
+	if buf[3] != KindHeartbeat {
+		return fmt.Errorf("%w: 0x%02x", ErrKind, buf[3])
+	}
+	f.Node = binary.LittleEndian.Uint32(buf[4:8])
+	f.Epoch = binary.LittleEndian.Uint64(buf[8:16])
+	f.Seq = binary.LittleEndian.Uint64(buf[16:24])
+	f.CmdAckEpoch = binary.LittleEndian.Uint64(buf[24:32])
+	f.CmdAckSeq = binary.LittleEndian.Uint64(buf[32:40])
+	f.IntervalMs = binary.LittleEndian.Uint32(buf[40:44])
+	if f.Epoch == 0 {
+		return fmt.Errorf("%w: zero session epoch", ErrRange)
+	}
+	if f.Seq == 0 {
+		return fmt.Errorf("%w: zero sequence number", ErrRange)
+	}
+	if f.CmdAckEpoch == 0 && f.CmdAckSeq != 0 {
+		return fmt.Errorf("%w: command ack seq without epoch", ErrRange)
+	}
+	if f.IntervalMs == 0 {
+		return fmt.Errorf("%w: zero interval", ErrRange)
+	}
+	nBeats := int(binary.LittleEndian.Uint16(buf[44:46]))
+	nFlow := int(binary.LittleEndian.Uint16(buf[46:48]))
+	f.Beats = f.Beats[:0]
+	f.Flow = f.Flow[:0]
+	p := buf[HeaderSize:]
+	uvarintRef := func(what string) (uint64, error) {
+		v, n := binary.Uvarint(p)
+		if n <= 0 {
+			if n == 0 {
+				return 0, fmt.Errorf("%w: %s", ErrTruncated, what)
+			}
+			return 0, fmt.Errorf("%w: %s varint overflow", ErrRange, what)
+		}
+		p = p[n:]
+		return v, nil
+	}
+	for i := 0; i < nBeats; i++ {
+		rid, err := uvarintRef("beat runnable")
+		if err != nil {
+			return err
+		}
+		beats, err := uvarintRef("beat count")
+		if err != nil {
+			return err
+		}
+		if rid > MaxRunnableIndex {
+			return fmt.Errorf("%w: beat record %d runnable %d", ErrRange, i, rid)
+		}
+		if beats == 0 || beats > MaxBeatsPerRecord {
+			return fmt.Errorf("%w: beat record %d count %d", ErrRange, i, beats)
+		}
+		f.Beats = append(f.Beats, BeatRec{Runnable: uint32(rid), Beats: uint32(beats)})
+	}
+	for i := 0; i < nFlow; i++ {
+		rid, err := uvarintRef("flow runnable")
+		if err != nil {
+			return err
+		}
+		if rid > MaxRunnableIndex {
+			return fmt.Errorf("%w: flow record %d runnable %d", ErrRange, i, rid)
+		}
+		f.Flow = append(f.Flow, uint32(rid))
+	}
+	if len(p) != 0 {
+		return fmt.Errorf("%w: %d bytes", ErrTrailing, len(p))
+	}
+	return nil
+}
+
+// decodeSentinels are the error classes DecodeFrame can return.
+var decodeSentinels = []error{ErrMagic, ErrVersion, ErrKind, ErrTruncated, ErrRange, ErrTrailing, ErrTooLarge}
+
+// FuzzDecodeFrameEquivalent requires DecodeFrame to decide every input
+// exactly as decodeFrameRef does: the same accept or reject, the same
+// error class and message, and an equal Frame on accept — decoding into
+// a fresh Frame and into a reused one whose slices hold stale records.
+func FuzzDecodeFrameEquivalent(f *testing.F) {
+	f.Add(mustEncode(f, wideFrame()))
+	f.Add(mustEncode(f, sampleFrame()))
+	// Non-minimal varints, which binary.Uvarint accepts: runnable 0 as
+	// 0x80 0x00, count 1 as 0x81 0x00, flow runnable 0 in three bytes.
+	f.Add(append(rawHeader(1, 1), 0x80, 0x00, 0x81, 0x00, 0x80, 0x80, 0x00))
+	// MaxRunnableIndex takes three bytes; one more is out of range.
+	top := binary.AppendUvarint(rawHeader(1, 2), MaxRunnableIndex)
+	top = binary.AppendUvarint(top, MaxBeatsPerRecord)
+	top = binary.AppendUvarint(top, MaxRunnableIndex)
+	f.Add(binary.AppendUvarint(top, MaxRunnableIndex+1))
+	// An 11-byte varint overflows 64 bits.
+	f.Add(append(rawHeader(1, 0), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01))
+	// Headers promising more records than the payload holds, the
+	// second with a zero count ahead of the truncation: ErrRange wins.
+	more := mustEncode(f, sampleFrame())
+	binary.LittleEndian.PutUint16(more[44:46], 0xFFFF)
+	f.Add(more)
+	f.Add(append(rawHeader(3, 0), 5, 0, 6))
+	f.Add(rawHeader(0xFFFF, 0xFFFF))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ref, got Frame
+		errRef := decodeFrameRef(data, &ref)
+		err := DecodeFrame(data, &got)
+		stale := Frame{Beats: make([]BeatRec, 300), Flow: make([]uint32, 2000)}
+		for i := range stale.Beats {
+			stale.Beats[i] = BeatRec{Runnable: 9, Beats: 9}
+		}
+		errStale := DecodeFrame(data, &stale)
+		if (errRef == nil) != (err == nil) || (err == nil) != (errStale == nil) {
+			t.Fatalf("reference err = %v, DecodeFrame err = %v (fresh), %v (reused)", errRef, err, errStale)
+		}
+		if errRef != nil {
+			for _, e := range []error{err, errStale} {
+				if e.Error() != errRef.Error() {
+					t.Fatalf("err = %q, reference %q", e, errRef)
+				}
+				for _, s := range decodeSentinels {
+					if errors.Is(e, s) != errors.Is(errRef, s) {
+						t.Fatalf("err = %v, reference %v: disagree on %v", e, errRef, s)
+					}
+				}
+			}
+			return
+		}
+		assertFramesEqual(t, &ref, &got)
+		assertFramesEqual(t, &ref, &stale)
 	})
 }
