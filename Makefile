@@ -107,9 +107,9 @@ bench-gate: bench-json
 # Smoke-tier loopback soak: 1000 swwdclient nodes x 10 runnables over
 # real UDP, with a mid-run client kill (see internal/ingest/soak_test.go),
 # plus the treatment soak: kill + quarantine + scale-down + recovery over
-# the wire v3 command channel (see internal/ingest/treat_soak_test.go).
+# the wire v3 command channel (see internal/fleet/treat_soak_test.go).
 soak:
-	$(GO) test -run 'TestIngestSoak|TestIngestTreatSoak' -count=1 -v ./internal/ingest
+	$(GO) test -run 'TestIngestSoak|TestIngestTreatSoak' -count=1 -v ./internal/ingest ./internal/fleet
 
 # WAL crash soak: repeated kill -9 mid-group-commit + recovery rounds
 # verifying every acknowledged record survives bit-identically (see

@@ -48,6 +48,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -63,6 +64,7 @@ import (
 
 	"swwd"
 	"swwd/internal/export"
+	"swwd/internal/fleet"
 	"swwd/internal/ingest"
 	"swwd/internal/treat"
 	"swwd/internal/wal"
@@ -135,7 +137,7 @@ func run() error {
 	calibSpec := flag.String("calib-spec", "", "JSON calibration spec file (see swwd.CalibrationSpec); overrides the -calib-* knobs")
 	flag.Parse()
 
-	if *since > 0 || *until > 0 {
+	if *since != 0 || *until != 0 {
 		return queryHistory(*walDir, *since, *until)
 	}
 
@@ -181,7 +183,7 @@ func run() error {
 		}
 	}
 	sink := &printSink{quiet: *quiet}
-	fleet, err := ingest.BuildFleet(ingest.FleetConfig{
+	fl, err := fleet.Build(fleet.Config{
 		Nodes:            *nodes,
 		RunnablesPerNode: *runnables,
 		Interval:         *interval,
@@ -197,28 +199,28 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if fleet.Treat != nil {
-		defer fleet.Treat.Close()
+	if fl.Treat != nil {
+		defer fl.Treat.Close()
 	}
-	if fleet.Calib != nil {
-		defer fleet.Calib.Close()
+	if fl.Calib != nil {
+		defer fl.Calib.Close()
 	}
-	addr, err := fleet.Server.Listen(*listen)
+	addr, err := fl.Server.Listen(*listen)
 	if err != nil {
 		return err
 	}
-	defer fleet.Server.Close()
+	defer fl.Server.Close()
 
 	if hist != nil {
 		// Stream every journaled detection into the WAL. The sink runs
 		// under the watchdog mutex; AppendDetection is one lock-free
 		// ring push (a full ring drops and counts, never blocks).
-		fleet.Watchdog.SetJournalSink(func(e swwd.JournalEntry) {
+		fl.Watchdog.SetJournalSink(func(e swwd.JournalEntry) {
 			hist.AppendDetection(wal.FromJournal(e))
 		})
 	}
 
-	svc, err := swwd.NewService(fleet.Watchdog, *cycle)
+	svc, err := swwd.NewService(fl.Watchdog, *cycle)
 	if err != nil {
 		return err
 	}
@@ -236,14 +238,14 @@ func run() error {
 			defer close(shipperDone)
 			tick := time.NewTicker(*walDelta)
 			defer tick.Stop()
-			prev := fleet.Server.Stats()
+			prev := fl.Server.Stats()
 			for {
 				select {
 				case <-shipperStop:
 					return
 				case <-tick.C:
 				}
-				cur := fleet.Server.Stats()
+				cur := fl.Server.Stats()
 				if d := statsToDelta(cur.Delta(prev)); !d.IsZero() {
 					hist.AppendDelta(d)
 				}
@@ -258,19 +260,19 @@ func run() error {
 	// The exposition is the watchdog snapshot (rendered by the exporter
 	// itself) followed by each enabled subsystem's families.
 	writers := []func(*bytes.Buffer){func(b *bytes.Buffer) {
-		export.WriteIngest(b, fleet.Server.Stats())
-		export.WriteIngestDetail(b, fleet.Server.ListenerStats(), nil)
+		export.WriteIngest(b, fl.Server.Stats())
+		export.WriteIngestDetail(b, fl.Server.ListenerStats(), nil)
 	}}
-	if fleet.Treat != nil {
-		writers = append(writers, func(b *bytes.Buffer) { export.WriteTreat(b, fleet.Treat.Stats()) })
+	if fl.Treat != nil {
+		writers = append(writers, func(b *bytes.Buffer) { export.WriteTreat(b, fl.Treat.Stats()) })
 	}
-	if fleet.Calib != nil {
-		writers = append(writers, func(b *bytes.Buffer) { export.WriteCalib(b, fleet.Calib.Status(), fleet.Names) })
+	if fl.Calib != nil {
+		writers = append(writers, func(b *bytes.Buffer) { export.WriteCalib(b, fl.Calib.Status(), fl.Names) })
 	}
 	if hist != nil {
 		writers = append(writers, func(b *bytes.Buffer) { export.WriteWAL(b, hist.Stats()) })
 	}
-	exp := export.NewExporter(svc.SnapshotInto, fleet.Names, writers...)
+	exp := export.NewExporter(svc.SnapshotInto, fl.Names, writers...)
 	var pusher *export.Pusher
 	if *pushURL != "" {
 		if pusher, err = exp.StartPush(*pushURL, *pushInterval); err != nil {
@@ -282,12 +284,12 @@ func run() error {
 
 	if *metrics != "" {
 		http.Handle("/metrics", exp)
-		http.Handle("/healthz", healthFor(fleet, hist, pusher, *walFsync, *pushInterval))
+		http.Handle("/healthz", healthFor(fl, hist, pusher, *walFsync, *pushInterval))
 		if hist != nil {
 			http.HandleFunc("/history", historyHandler(*walDir))
 		}
-		if fleet.Calib != nil {
-			http.HandleFunc("/calib", calibHandler(fleet))
+		if fl.Calib != nil {
+			http.HandleFunc("/calib", calibHandler(fl))
 		}
 		ln, err := net.Listen("tcp", *metrics)
 		if err != nil {
@@ -308,13 +310,13 @@ func run() error {
 	}
 	<-ctx.Done()
 
-	st := fleet.Server.Stats()
-	res := fleet.Watchdog.Results()
+	st := fl.Server.Stats()
+	res := fl.Watchdog.Results()
 	fmt.Printf("swwdd: frames=%d accepted=%d bytes=%d decode_errors=%d seq_gaps=%d dup_drops=%d restarts=%d stale_epochs=%d interval_mismatch=%d kernel_drops=%d\n",
 		st.Frames, st.Accepted, st.Bytes, st.DecodeErrors, st.SeqGaps, st.DuplicateDrops,
 		st.NodeRestarts, st.StaleEpochDrops, st.IntervalMismatch, st.DroppedPackets)
 	fmt.Printf("swwdd: listeners=%d", st.Listeners)
-	for i, ls := range fleet.Server.ListenerStats() {
+	for i, ls := range fl.Server.ListenerStats() {
 		fmt.Printf(" [%d packets=%d batches=%d max_batch=%d]", i, ls.Packets, ls.Batches, ls.MaxBatch)
 	}
 	fmt.Println()
@@ -322,13 +324,13 @@ func run() error {
 		st.CommandsSent, st.CommandsAcked, st.CommandsDropped, st.CommandStaleAcks)
 	fmt.Printf("swwdd: detections aliveness=%d arrival_rate=%d program_flow=%d\n",
 		res.Aliveness, res.ArrivalRate, res.ProgramFlow)
-	if fleet.Treat != nil {
-		ts := fleet.Treat.Stats()
+	if fl.Treat != nil {
+		ts := fl.Treat.Stats()
 		fmt.Printf("swwdd: treatment quarantines=%d resumes=%d scale_downs=%d scale_ups=%d active_quarantines=%d exec_errors=%d\n",
 			ts.Quarantines, ts.Resumes, ts.ScaleDowns, ts.ScaleUps, ts.ActiveQuarantines, ts.ExecErrors)
 	}
-	if fleet.Calib != nil {
-		cs := fleet.Calib.Status()
+	if fl.Calib != nil {
+		cs := fl.Calib.Status()
 		fmt.Printf("swwdd: calibration stage=%s rounds=%d rollbacks=%d rejected=%d pending_acks=%d\n",
 			cs.Stage, cs.Rounds, cs.Rollbacks, cs.Rejected, cs.PendingAcks)
 	}
@@ -370,31 +372,58 @@ func statsToDelta(d ingest.Stats) wal.Delta {
 	}
 }
 
+// errBadWindow marks a since/until window the caller got wrong, as
+// opposed to a WAL that failed to replay.
+var errBadWindow = errors.New("bad window")
+
+// historyWindow is one WAL replay cut to a since/until window, and the
+// window's records folded into the Snapshot-equivalent view.
+type historyWindow struct {
+	all              *wal.History
+	sinceNs, untilNs int64
+	records          []wal.Record
+	view             wal.View
+}
+
+// replayWindow validates a window of "this long ago" durations — both
+// non-negative, zero meaning unbounded, and until only with a since it
+// does not precede — then replays the WAL in dir and cuts the window
+// out of it. Query mode and /history share it.
+func replayWindow(dir string, since, until time.Duration) (*historyWindow, error) {
+	if since < 0 || until < 0 {
+		return nil, fmt.Errorf("%w: since (%v) and until (%v) must not be negative", errBadWindow, since, until)
+	}
+	if until > since {
+		return nil, fmt.Errorf("%w: until (%v ago) must not be earlier than since (%v ago)", errBadWindow, until, since)
+	}
+	h, err := wal.Replay(dir)
+	if err != nil {
+		return nil, err
+	}
+	hw := &historyWindow{all: h}
+	now := time.Now()
+	if since > 0 {
+		hw.sinceNs = now.Add(-since).UnixNano()
+	}
+	if until > 0 {
+		hw.untilNs = now.Add(-until).UnixNano()
+	}
+	hw.records = h.Window(hw.sinceNs, hw.untilNs)
+	hw.view = (&wal.History{Records: hw.records}).View()
+	return hw, nil
+}
+
 // queryHistory is the offline query mode: replay the WAL, fold the
-// [since, until] window ("this long ago" durations) into the
-// Snapshot-equivalent view and print both as JSON, then exit.
+// [since, until] window into the Snapshot-equivalent view and print
+// both as JSON, then exit.
 func queryHistory(dir string, since, until time.Duration) error {
 	if dir == "" {
 		return fmt.Errorf("-since/-until require -wal-dir")
 	}
-	if until > 0 && until > since {
-		return fmt.Errorf("-until (%v ago) must not be earlier than -since (%v ago)", until, since)
-	}
-	h, err := wal.Replay(dir)
+	hw, err := replayWindow(dir, since, until)
 	if err != nil {
 		return err
 	}
-	now := time.Now()
-	sinceNs := int64(0)
-	if since > 0 {
-		sinceNs = now.Add(-since).UnixNano()
-	}
-	untilNs := int64(0)
-	if until > 0 {
-		untilNs = now.Add(-until).UnixNano()
-	}
-	win := h.Window(sinceNs, untilNs)
-	view := (&wal.History{Records: win}).View()
 	out := struct {
 		Dir          string `json:"dir"`
 		Segments     int    `json:"segments"`
@@ -406,10 +435,10 @@ func queryHistory(dir string, since, until time.Duration) error {
 			Records int   `json:"records"`
 		} `json:"window"`
 		View wal.View `json:"view"`
-	}{Dir: dir, Segments: h.Segments, TornBytes: h.TornBytes, TotalRecords: len(h.Records), View: view}
-	out.Window.SinceNs = sinceNs
-	out.Window.UntilNs = untilNs
-	out.Window.Records = len(win)
+	}{Dir: dir, Segments: hw.all.Segments, TornBytes: hw.all.TornBytes, TotalRecords: len(hw.all.Records), View: hw.view}
+	out.Window.SinceNs = hw.sinceNs
+	out.Window.UntilNs = hw.untilNs
+	out.Window.Records = len(hw.records)
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
@@ -417,6 +446,7 @@ func queryHistory(dir string, since, until time.Duration) error {
 
 // historyHandler serves the /history endpoint: a read-only WAL replay
 // folded over an optional ?since=10m&until=5m window (durations ago).
+// A malformed or invalid window is a 400.
 func historyHandler(dir string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var since, until time.Duration
@@ -433,38 +463,31 @@ func historyHandler(dir string) http.HandlerFunc {
 				return
 			}
 		}
-		h, err := wal.Replay(dir)
+		hw, err := replayWindow(dir, since, until)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			code := http.StatusInternalServerError
+			if errors.Is(err, errBadWindow) {
+				code = http.StatusBadRequest
+			}
+			http.Error(w, err.Error(), code)
 			return
 		}
-		now := time.Now()
-		sinceNs := int64(0)
-		if since > 0 {
-			sinceNs = now.Add(-since).UnixNano()
-		}
-		untilNs := int64(0)
-		if until > 0 {
-			untilNs = now.Add(-until).UnixNano()
-		}
-		win := h.Window(sinceNs, untilNs)
-		view := (&wal.History{Records: win}).View()
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(struct {
 			Records int      `json:"records"`
 			View    wal.View `json:"view"`
-		}{Records: len(win), View: view})
+		}{Records: len(hw.records), View: hw.view})
 	}
 }
 
 // healthFor assembles the /healthz probe set: WAL writer liveness and
 // fsync age, push-sink delivery and backlog, ingest listeners.
-func healthFor(fleet *ingest.Fleet, hist *wal.WAL, push *export.Pusher, fsync, pushEvery time.Duration) *export.Health {
+func healthFor(fl *fleet.Fleet, hist *wal.WAL, push *export.Pusher, fsync, pushEvery time.Duration) *export.Health {
 	h := &export.Health{}
 	h.Register(func() export.Check {
-		st := fleet.Server.Stats()
+		st := fl.Server.Stats()
 		return export.Check{
 			Name:    "ingest",
 			Healthy: st.Listeners > 0,
@@ -502,7 +525,7 @@ func healthFor(fleet *ingest.Fleet, hist *wal.WAL, push *export.Pusher, fsync, p
 // treatmentConfig derives the fleet treatment configuration from the
 // -treat-* flags: a JSON spec file, or inline node:depends_on edges
 // with the policy knobs. Nil means the control plane stays off.
-func treatmentConfig(specPath, deps string, recovery int, restart bool, nodes int) (*ingest.TreatmentConfig, error) {
+func treatmentConfig(specPath, deps string, recovery int, restart bool, nodes int) (*fleet.TreatmentConfig, error) {
 	if specPath != "" && deps != "" {
 		return nil, fmt.Errorf("-treat-spec and -treat-deps are mutually exclusive")
 	}
@@ -520,7 +543,7 @@ func treatmentConfig(specPath, deps string, recovery int, restart bool, nodes in
 		if err != nil {
 			return nil, err
 		}
-		return &ingest.TreatmentConfig{Edges: edges, Policy: pol}, nil
+		return &fleet.TreatmentConfig{Edges: edges, Policy: pol}, nil
 	}
 	if deps == "" {
 		return nil, nil
@@ -534,13 +557,13 @@ func treatmentConfig(specPath, deps string, recovery int, restart bool, nodes in
 		edges = append(edges, swwd.TreatmentEdge{Node: n, DependsOn: d})
 	}
 	pol := swwd.TreatmentPolicy{RecoveryFrames: recovery, RestartDependents: restart}
-	return &ingest.TreatmentConfig{Edges: edges, Policy: pol}, nil
+	return &fleet.TreatmentConfig{Edges: edges, Policy: pol}, nil
 }
 
 // calibrationConfig derives the fleet calibration configuration from
 // the -calib-* flags: a JSON spec file, or the inline knobs. Nil means
 // the loop stays off.
-func calibrationConfig(on bool, specPath string, window int, margin float64, promoteAfter int) (*ingest.CalibrationConfig, error) {
+func calibrationConfig(on bool, specPath string, window int, margin float64, promoteAfter int) (*fleet.CalibrationConfig, error) {
 	if !on && specPath == "" {
 		return nil, nil
 	}
@@ -559,13 +582,13 @@ func calibrationConfig(on bool, specPath string, window int, margin float64, pro
 	if err != nil {
 		return nil, err
 	}
-	return &ingest.CalibrationConfig{Params: p}, nil
+	return &fleet.CalibrationConfig{Params: p}, nil
 }
 
 // calibHandler serves the /calib endpoint: the rollout stage and the
 // current round's candidates, plus the per-runnable baseline the last
 // suggestion was derived from.
-func calibHandler(fleet *ingest.Fleet) http.HandlerFunc {
+func calibHandler(fl *fleet.Fleet) http.HandlerFunc {
 	type candidate struct {
 		Runnable  uint32            `json:"runnable"`
 		Name      string            `json:"name"`
@@ -586,14 +609,14 @@ func calibHandler(fleet *ingest.Fleet) http.HandlerFunc {
 		P95      uint64  `json:"p95"`
 	}
 	name := func(rid int) string {
-		if rid >= 0 && rid < len(fleet.Names) {
-			return fleet.Names[rid]
+		if rid >= 0 && rid < len(fl.Names) {
+			return fl.Names[rid]
 		}
 		return ""
 	}
 	return func(w http.ResponseWriter, _ *http.Request) {
-		st := fleet.Calib.Status()
-		base := fleet.Calib.LastBaseline()
+		st := fl.Calib.Status()
+		base := fl.Calib.LastBaseline()
 		out := struct {
 			Stage       string             `json:"stage"`
 			Rounds      uint64             `json:"rounds"`

@@ -11,7 +11,7 @@
 //     turning a recorded Baseline into tightened hypothesis Proposals.
 //   - Params/Stage (rollout.go) are the operator knobs and the staged
 //     rollout state machine (shadow → canary → fleet) executed by
-//     ingest.CalibController.
+//     fleet.CalibController.
 //
 // The shadow guard itself lives in the core (Watchdog.SetShadow): a
 // candidate hypothesis rides the timer wheel's due-cycle machinery and

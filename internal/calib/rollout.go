@@ -3,7 +3,7 @@ package calib
 import "fmt"
 
 // Stage is the staged-rollout state machine driven by the fleet
-// calibration loop (ingest.CalibController):
+// calibration loop (fleet.CalibController):
 //
 //	Idle ──suggest──▶ Shadow ──N clean windows──▶ Canary ──hold clean──▶ Fleet ──all acks──▶ Idle (round++)
 //	                    │                            │

@@ -142,6 +142,24 @@ func TestChaosBrokenOracle(t *testing.T) {
 	}
 }
 
+// TestOracleTreatmentGauges pins the gauge oracle every treatment
+// campaign runs: the controller's active gauges must equal the
+// quarantined and scaled-down counts of the engine replayed over its
+// trace, and a gauge that drifted from the engine is a violation.
+func TestOracleTreatmentGauges(t *testing.T) {
+	res := &Result{HasTreatment: true, ReplayQuarantined: 1, ReplayScaledDown: 2}
+	res.TreatStats.ActiveQuarantines, res.TreatStats.ActiveScaledDown = 1, 2
+	var o Oracle
+	if v := o.Check(res); len(v) != 0 {
+		t.Fatalf("matching gauges: violations = %v", v)
+	}
+	res.TreatStats.ActiveScaledDown = 3
+	v := o.Check(res)
+	if len(v) != 1 || !strings.Contains(v[0], "treatment gauges read 1 quarantined / 3 scaled down") {
+		t.Fatalf("drifted gauge: violations = %v", v)
+	}
+}
+
 // TestChaosRandomized is the nightly-style gate: SWWD_CHAOS_RUNS
 // generated campaigns from one root seed, every decision derived from
 // it, the seed printed so one env var reproduces a failure.

@@ -14,6 +14,7 @@ package chaos
 import (
 	"fmt"
 
+	"swwd/internal/fleet"
 	"swwd/internal/ingest"
 	"swwd/internal/treat"
 	"swwd/swwdclient"
@@ -80,7 +81,7 @@ type Result struct {
 
 	// Calib is the calibration loop's final status; nil unless the
 	// topology attached it.
-	Calib *ingest.CalibStatus `json:"calib,omitempty"`
+	Calib *fleet.CalibStatus `json:"calib,omitempty"`
 
 	// Treatment evidence; empty unless the topology attached the
 	// control plane.
@@ -88,6 +89,13 @@ type Result struct {
 	Actions       []treat.Action `json:"actions,omitempty"`
 	Trace         []treat.Event  `json:"trace,omitempty"`
 	ReplayMatches bool           `json:"replay_matches"`
+	// TreatStats is the controller's final Stats. ReplayQuarantined and
+	// ReplayScaledDown count the quarantined and the scaled-down (not
+	// quarantined) nodes of a fresh engine replayed over Trace: what
+	// TreatStats.ActiveQuarantines and ActiveScaledDown must read.
+	TreatStats        treat.Stats `json:"treat_stats"`
+	ReplayQuarantined int         `json:"replay_quarantined"`
+	ReplayScaledDown  int         `json:"replay_scaled_down"`
 
 	Violations []string `json:"violations,omitempty"`
 }
@@ -226,6 +234,12 @@ func (o *Oracle) Check(res *Result) []string {
 		}
 		if !found {
 			fail("missing treatment action %v on node %d", m.Kind, m.Node)
+		}
+	}
+	if res.HasTreatment {
+		if st := res.TreatStats; st.ActiveQuarantines != res.ReplayQuarantined || st.ActiveScaledDown != res.ReplayScaledDown {
+			fail("treatment gauges read %d quarantined / %d scaled down, the replayed engine holds %d / %d",
+				st.ActiveQuarantines, st.ActiveScaledDown, res.ReplayQuarantined, res.ReplayScaledDown)
 		}
 	}
 	if o.ReplayTreatment {

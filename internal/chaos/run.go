@@ -1,7 +1,7 @@
 package chaos
 
 // Campaign execution. Run assembles the loopback fleet exactly like
-// the soak tests (BuildFleet → Listen → per-node swwdclient reporters
+// the soak tests (fleet.Build → Listen → per-node swwdclient reporters
 // → swwd.Service sweeping in real time), with one addition: every
 // reporter dials through the Network's fault layer. The schedule then
 // plays out in real time — apply/revert pairs at their planned offsets
@@ -23,7 +23,7 @@ import (
 	"time"
 
 	"swwd"
-	"swwd/internal/ingest"
+	"swwd/internal/fleet"
 	"swwd/internal/treat"
 	"swwd/swwdclient"
 )
@@ -44,7 +44,7 @@ type Runtime struct {
 	Scenario *Scenario
 	Topology Topology // defaults applied
 	Network  *Network
-	Fleet    *ingest.Fleet
+	Fleet    *fleet.Fleet
 
 	addr string
 
@@ -97,7 +97,7 @@ func (rt *Runtime) ResumeRunnable(node uint32, r int) { rt.paused[node][r].Store
 // failed (listen, dial, warm-up), not that the oracle failed.
 func Run(sc *Scenario) (*Result, error) {
 	tp := sc.Topology.Defaults()
-	cfg := ingest.FleetConfig{
+	cfg := fleet.Config{
 		Nodes:            tp.Nodes,
 		RunnablesPerNode: tp.RunnablesPerNode,
 		Interval:         tp.Interval,
@@ -108,32 +108,32 @@ func Run(sc *Scenario) (*Result, error) {
 		CommandEpoch: Derive(sc.Seed, 0xCE) | 1,
 	}
 	if tp.Treatment != nil {
-		cfg.Treatment = &ingest.TreatmentConfig{Edges: tp.Treatment.Edges, Policy: tp.Treatment.Policy}
+		cfg.Treatment = &fleet.TreatmentConfig{Edges: tp.Treatment.Edges, Policy: tp.Treatment.Policy}
 	}
 	if tp.Calibration != nil {
-		cfg.Calibration = &ingest.CalibrationConfig{Params: *tp.Calibration}
+		cfg.Calibration = &fleet.CalibrationConfig{Params: *tp.Calibration}
 	}
-	fleet, err := ingest.BuildFleet(cfg)
+	fl, err := fleet.Build(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("chaos: BuildFleet: %w", err)
+		return nil, fmt.Errorf("chaos: fleet.Build: %w", err)
 	}
-	if fleet.Treat != nil {
-		defer fleet.Treat.Close()
+	if fl.Treat != nil {
+		defer fl.Treat.Close()
 	}
-	if fleet.Calib != nil {
-		defer fleet.Calib.Close()
+	if fl.Calib != nil {
+		defer fl.Calib.Close()
 	}
-	addr, err := fleet.Server.Listen("127.0.0.1:0")
+	addr, err := fl.Server.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("chaos: Listen: %w", err)
 	}
-	defer fleet.Server.Close()
+	defer fl.Server.Close()
 
 	rt := &Runtime{
 		Scenario:    sc,
 		Topology:    tp,
 		Network:     NewNetwork(sc.Seed, tp.Nodes),
-		Fleet:       fleet,
+		Fleet:       fl,
 		addr:        addr.String(),
 		clients:     make([]*swwdclient.Client, tp.Nodes),
 		closedStats: make([]swwdclient.Stats, tp.Nodes),
@@ -194,14 +194,14 @@ func Run(sc *Scenario) (*Result, error) {
 	defer stopAll()
 
 	warmDeadline := time.Now().Add(warmupBound)
-	for fleet.Server.Stats().Accepted < uint64(tp.Nodes) {
+	for fl.Server.Stats().Accepted < uint64(tp.Nodes) {
 		if time.Now().After(warmDeadline) {
-			return nil, fmt.Errorf("chaos: warm-up timed out: %+v", fleet.Server.Stats())
+			return nil, fmt.Errorf("chaos: warm-up timed out: %+v", fl.Server.Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	svc, err := swwd.NewService(fleet.Watchdog, tp.CyclePeriod)
+	svc, err := swwd.NewService(fl.Watchdog, tp.CyclePeriod)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: NewService: %w", err)
 	}
@@ -220,7 +220,7 @@ func Run(sc *Scenario) (*Result, error) {
 		Name:   sc.Name,
 		Seed:   sc.Seed,
 		Plan:   sc.Plan(),
-		Before: fleet.Server.Stats(),
+		Before: fl.Server.Stats(),
 	}
 
 	// Play the schedule: apply/revert pairs flattened into one
@@ -280,10 +280,10 @@ func Run(sc *Scenario) (*Result, error) {
 	// then reporters. A batch sent on the loop's last tick is still in
 	// flight, so the reporters keep running until its ack lands (bounded:
 	// a lost ack stays pending and the oracle reports it).
-	if fleet.Calib != nil {
-		fleet.Calib.Close()
+	if fl.Calib != nil {
+		fl.Calib.Close()
 		drain := time.Now().Add(ackDrainFrames * tp.Interval)
-		for fleet.Calib.Status().PendingAcks > 0 && time.Now().Before(drain) {
+		for fl.Calib.Status().PendingAcks > 0 && time.Now().Before(drain) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
@@ -293,16 +293,16 @@ func Run(sc *Scenario) (*Result, error) {
 	// Let in-flight datagrams drain before the closing snapshot.
 	time.Sleep(50 * time.Millisecond)
 
-	res.After = fleet.Server.Stats()
+	res.After = fl.Server.Stats()
 	res.Delta = res.After.Delta(res.Before)
 	for n := 0; n < tp.Nodes; n++ {
 		nr := NodeResult{Node: uint32(n)}
-		nr.Link, err = runnableCounts(fleet, fleet.Specs[n].Link)
+		nr.Link, err = runnableCounts(fl, fl.Specs[n].Link)
 		if err != nil {
 			return nil, err
 		}
-		for _, rid := range fleet.Specs[n].Runnables {
-			fc, err := runnableCounts(fleet, rid)
+		for _, rid := range fl.Specs[n].Runnables {
+			fc, err := runnableCounts(fl, rid)
 			if err != nil {
 				return nil, err
 			}
@@ -313,17 +313,17 @@ func Run(sc *Scenario) (*Result, error) {
 		res.Client = append(res.Client, rt.closedStats[n])
 	}
 
-	if fleet.Calib != nil {
+	if fl.Calib != nil {
 		// The loop was stopped at the start of the wind down.
-		st := fleet.Calib.Status()
+		st := fl.Calib.Status()
 		res.Calib = &st
 	}
 
-	if fleet.Treat != nil {
+	if fl.Treat != nil {
 		res.HasTreatment = true
-		fleet.Treat.Close() // stop the policy loop before snapshotting
-		res.Actions = fleet.Treat.Actions()
-		res.Trace = fleet.Treat.Trace()
+		fl.Treat.Close() // stop the policy loop before snapshotting
+		res.Actions = fl.Treat.Actions()
+		res.Trace = fl.Treat.Trace()
 		nodes := make([]uint32, tp.Nodes)
 		for n := range nodes {
 			nodes[n] = uint32(n)
@@ -332,7 +332,21 @@ func Run(sc *Scenario) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("chaos: NewGraph: %w", err)
 		}
-		replayed := treat.Replay(graph, tp.Treatment.Policy, res.Trace)
+		// Replay the trace through a fresh engine: its actions must be the
+		// live log, and its final state what the active gauges read.
+		eng := treat.NewEngine(graph, tp.Treatment.Policy)
+		var replayed []treat.Action
+		for _, ev := range res.Trace {
+			replayed = eng.Decide(ev, replayed)
+		}
+		for _, n := range nodes {
+			if eng.Quarantined(n) {
+				res.ReplayQuarantined++
+			} else if eng.ScaledDown(n) {
+				res.ReplayScaledDown++
+			}
+		}
+		res.TreatStats = fl.Treat.Stats()
 		res.ReplayMatches = len(replayed) == len(res.Actions)
 		if res.ReplayMatches {
 			for i := range replayed {
@@ -363,8 +377,8 @@ func (rt *Runtime) closeClients() {
 }
 
 // runnableCounts reads one runnable's attribution from the watchdog.
-func runnableCounts(fleet *ingest.Fleet, rid swwd.RunnableID) (FaultCounts, error) {
-	a, ar, pf, err := fleet.Watchdog.RunnableErrors(rid)
+func runnableCounts(fl *fleet.Fleet, rid swwd.RunnableID) (FaultCounts, error) {
+	a, ar, pf, err := fl.Watchdog.RunnableErrors(rid)
 	if err != nil {
 		return FaultCounts{}, fmt.Errorf("chaos: RunnableErrors(%d): %w", rid, err)
 	}

@@ -537,7 +537,7 @@ func flowFootprint(ft *flowTable) int {
 }
 
 // fleetModel is the steady benchmark's shape: tasks × 5 runnables, each
-// task's runnables numbered consecutively as ingest's BuildFleet numbers
+// task's runnables numbered consecutively as fleet.Build numbers
 // a node's.
 func fleetModel(tb testing.TB, tasks int) (*runnable.Model, [][]runnable.ID) {
 	tb.Helper()

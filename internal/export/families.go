@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"swwd/internal/core"
+	"swwd/internal/fleet"
 	"swwd/internal/ingest"
 	"swwd/internal/treat"
 	"swwd/internal/wal"
@@ -47,9 +48,9 @@ func WriteWAL(b *bytes.Buffer, st wal.Stats) { render(b, walFamilies, st) }
 func WritePush(b *bytes.Buffer, st PushStats) { render(b, pushFamilies, st) }
 
 // WriteCalib renders the calibration loop's status
-// (ingest.CalibController.Status); the per-candidate families appear
+// (fleet.CalibController.Status); the per-candidate families appear
 // only while a rollout round has candidates.
-func WriteCalib(b *bytes.Buffer, st ingest.CalibStatus, names []string) {
+func WriteCalib(b *bytes.Buffer, st fleet.CalibStatus, names []string) {
 	render(b, calibFamilies, st)
 	if len(st.Candidates) > 0 {
 		render(b, candidateFamilies, calibView{st.Candidates, names})
@@ -64,7 +65,7 @@ type snapView struct {
 }
 
 type calibView struct {
-	cands []ingest.CalibCandidate
+	cands []fleet.CalibCandidate
 	names []string
 }
 
@@ -174,14 +175,14 @@ var pushFamilies = []family[PushStats]{
 	gauge("swwd_push_backlog", "Payloads queued for delivery.", func(s PushStats) uint64 { return uint64(s.Backlog) }),
 }
 
-var calibFamilies = []family[ingest.CalibStatus]{
-	gauge("swwd_calib_stage", "Rollout stage of the calibration loop (0 idle, 1 shadow, 2 canary, 3 fleet, 4 rolled back).", func(s ingest.CalibStatus) uint64 { return uint64(s.Stage) }),
-	counter("swwd_calib_rounds_total", "Completed calibration rounds (fleet-wide hypothesis adoptions).", func(s ingest.CalibStatus) uint64 { return s.Rounds }),
-	counter("swwd_calib_rollbacks_total", "Canary regressions rolled back to the prior hypothesis.", func(s ingest.CalibStatus) uint64 { return s.Rollbacks }),
-	counter("swwd_calib_rejected_total", "Candidates the shadow guard refused to promote.", func(s ingest.CalibStatus) uint64 { return s.Rejected }),
-	gauge("swwd_calib_proposals", "Candidates in the current rollout round.", func(s ingest.CalibStatus) uint64 { return uint64(len(s.Candidates)) }),
-	gauge("swwd_calib_canary_nodes", "Canary subset size of the current round.", func(s ingest.CalibStatus) uint64 { return uint64(s.CanaryNodes) }),
-	gauge("swwd_calib_pending_acks", "Nodes still owing a command ack for the current round.", func(s ingest.CalibStatus) uint64 { return uint64(s.PendingAcks) }),
+var calibFamilies = []family[fleet.CalibStatus]{
+	gauge("swwd_calib_stage", "Rollout stage of the calibration loop (0 idle, 1 shadow, 2 canary, 3 fleet, 4 rolled back).", func(s fleet.CalibStatus) uint64 { return uint64(s.Stage) }),
+	counter("swwd_calib_rounds_total", "Completed calibration rounds (fleet-wide hypothesis adoptions).", func(s fleet.CalibStatus) uint64 { return s.Rounds }),
+	counter("swwd_calib_rollbacks_total", "Canary regressions rolled back to the prior hypothesis.", func(s fleet.CalibStatus) uint64 { return s.Rollbacks }),
+	counter("swwd_calib_rejected_total", "Candidates the shadow guard refused to promote.", func(s fleet.CalibStatus) uint64 { return s.Rejected }),
+	gauge("swwd_calib_proposals", "Candidates in the current rollout round.", func(s fleet.CalibStatus) uint64 { return uint64(len(s.Candidates)) }),
+	gauge("swwd_calib_canary_nodes", "Canary subset size of the current round.", func(s fleet.CalibStatus) uint64 { return uint64(s.CanaryNodes) }),
+	gauge("swwd_calib_pending_acks", "Nodes still owing a command ack for the current round.", func(s fleet.CalibStatus) uint64 { return uint64(s.PendingAcks) }),
 }
 
 var candidateFamilies = []family[calibView]{

@@ -20,6 +20,7 @@ import (
 
 	"swwd/internal/calib"
 	"swwd/internal/core"
+	"swwd/internal/fleet"
 	"swwd/internal/ingest"
 	"swwd/internal/treat"
 	"swwd/internal/wal"
@@ -73,11 +74,11 @@ func goldenTreat() treat.Stats {
 	}
 }
 
-func goldenCalib() ingest.CalibStatus {
-	return ingest.CalibStatus{
+func goldenCalib() fleet.CalibStatus {
+	return fleet.CalibStatus{
 		Stage: calib.StageShadow, Rounds: 3, Rollbacks: 1, Rejected: 2,
 		CanaryNodes: 1, PendingAcks: 2,
-		Candidates: []ingest.CalibCandidate{
+		Candidates: []fleet.CalibCandidate{
 			{Runnable: 0, Node: 0,
 				Hyp:       core.Hypothesis{AlivenessCycles: 20, MinHeartbeats: 3, ArrivalCycles: 20, MaxArrivals: 7},
 				Shadow:    core.ShadowStats{Windows: 9, WouldAliveness: 1, WouldArrival: 0, CleanStreak: 4},

@@ -15,7 +15,7 @@ import (
 	"testing"
 
 	"swwd/internal/core"
-	"swwd/internal/ingest"
+	"swwd/internal/fleet"
 	"swwd/internal/runnable"
 )
 
@@ -247,7 +247,7 @@ func TestHostileNamesWellFormed(t *testing.T) {
 	st := goldenCalib()
 	st.Candidates = nil
 	for i := range hostileNames {
-		st.Candidates = append(st.Candidates, ingest.CalibCandidate{Runnable: runnable.ID(i), HasShadow: true})
+		st.Candidates = append(st.Candidates, fleet.CalibCandidate{Runnable: runnable.ID(i), HasShadow: true})
 	}
 	var b bytes.Buffer
 	WriteSnapshot(&b, &s, hostileNames)

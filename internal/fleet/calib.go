@@ -4,7 +4,7 @@
 // preserves the in-flight window age), remotely via batched
 // CmdSetHypothesis over the wire v3 command channel with per-node ack
 // accounting and automatic rollback.
-package ingest
+package fleet
 
 import (
 	"errors"
@@ -121,7 +121,7 @@ func buildCalibration(f *Fleet, cfg *CalibrationConfig, cyclePeriod time.Duratio
 		return nil, err
 	}
 	if f.Watchdog.Estimator() == nil {
-		return nil, errors.New("ingest: calibration requires the estimator (EstimatorWindowCycles)")
+		return nil, errors.New("fleet: calibration requires the estimator (EstimatorWindowCycles)")
 	}
 	tick := cfg.Tick
 	if tick <= 0 {

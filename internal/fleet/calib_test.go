@@ -13,7 +13,7 @@
 // counters, the round is rolled back automatically — prior hypotheses
 // restored locally and on the canary reporter — and the rest of the
 // fleet never sees the bad hypothesis.
-package ingest_test
+package fleet_test
 
 import (
 	"fmt"
@@ -25,14 +25,14 @@ import (
 
 	"swwd"
 	"swwd/internal/calib"
-	"swwd/internal/ingest"
+	"swwd/internal/fleet"
 	"swwd/swwdclient"
 )
 
 // calibFleet assembles a loopback fleet with the calibration loop on,
 // dials the reporters and starts the cycle service.
 type calibFleet struct {
-	fleet   *ingest.Fleet
+	fleet   *fleet.Fleet
 	svc     *swwd.Service
 	clients []*swwdclient.Client
 	hypCmds []atomic.Uint64 // OpSetHypothesis deliveries per node
@@ -42,11 +42,11 @@ type calibFleet struct {
 	beatN     atomic.Int64 // beats per tick per runnable (load knob)
 }
 
-func startCalibFleet(t *testing.T, nodes, runnables int, interval, cycle, beatEvery time.Duration, ccfg ingest.CalibrationConfig) *calibFleet {
+func startCalibFleet(t *testing.T, nodes, runnables int, interval, cycle, beatEvery time.Duration, ccfg fleet.CalibrationConfig) *calibFleet {
 	t.Helper()
 	cf := &calibFleet{stopBeats: make(chan struct{}), hypCmds: make([]atomic.Uint64, nodes)}
 	cf.beatN.Store(1)
-	fleet, err := ingest.BuildFleet(ingest.FleetConfig{
+	fl, err := fleet.Build(fleet.Config{
 		Nodes:            nodes,
 		RunnablesPerNode: runnables,
 		Interval:         interval,
@@ -56,15 +56,15 @@ func startCalibFleet(t *testing.T, nodes, runnables int, interval, cycle, beatEv
 		Calibration:      &ccfg,
 	})
 	if err != nil {
-		t.Fatalf("BuildFleet: %v", err)
+		t.Fatalf("Build: %v", err)
 	}
-	cf.fleet = fleet
-	t.Cleanup(fleet.Calib.Close)
-	addr, err := fleet.Server.Listen("127.0.0.1:0")
+	cf.fleet = fl
+	t.Cleanup(fl.Calib.Close)
+	addr, err := fl.Server.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	t.Cleanup(func() { _ = fleet.Server.Close() })
+	t.Cleanup(func() { _ = fl.Server.Close() })
 
 	cf.clients = make([]*swwdclient.Client, nodes)
 	for n := 0; n < nodes; n++ {
@@ -106,13 +106,13 @@ func startCalibFleet(t *testing.T, nodes, runnables int, interval, cycle, beatEv
 	t.Cleanup(func() { close(cf.stopBeats); cf.wg.Wait() })
 
 	deadline := time.Now().Add(10 * time.Second)
-	for fleet.Server.Stats().Accepted < uint64(nodes) {
+	for fl.Server.Stats().Accepted < uint64(nodes) {
 		if time.Now().After(deadline) {
-			t.Fatalf("fleet warm-up timed out: %+v", fleet.Server.Stats())
+			t.Fatalf("fleet warm-up timed out: %+v", fl.Server.Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	svc, err := swwd.NewService(fleet.Watchdog, cycle)
+	svc, err := swwd.NewService(fl.Watchdog, cycle)
 	if err != nil {
 		t.Fatalf("NewService: %v", err)
 	}
@@ -125,7 +125,7 @@ func startCalibFleet(t *testing.T, nodes, runnables int, interval, cycle, beatEv
 }
 
 // waitCalib polls the calibration status until cond holds.
-func waitCalib(t *testing.T, f *ingest.Fleet, what string, every time.Duration, cond func(ingest.CalibStatus) bool) ingest.CalibStatus {
+func waitCalib(t *testing.T, f *fleet.Fleet, what string, every time.Duration, cond func(fleet.CalibStatus) bool) fleet.CalibStatus {
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	for {
@@ -151,7 +151,7 @@ func TestIngestCalibSoak(t *testing.T) {
 		cycle     = 5 * time.Millisecond
 		beatEvery = 20 * time.Millisecond
 	)
-	cf := startCalibFleet(t, nodes, runnables, interval, cycle, beatEvery, ingest.CalibrationConfig{
+	cf := startCalibFleet(t, nodes, runnables, interval, cycle, beatEvery, fleet.CalibrationConfig{
 		Params: calib.Params{
 			WindowCycles:   20, // 100ms estimator/shadow window
 			Margin:         0.5,
@@ -159,31 +159,31 @@ func TestIngestCalibSoak(t *testing.T) {
 			CanaryFraction: 0.34, // 1 of 3 nodes
 		},
 	})
-	fleet := cf.fleet
+	fl := cf.fleet
 
-	initial, err := fleet.Watchdog.Hypothesis(fleet.Specs[0].Runnables[0])
+	initial, err := fl.Watchdog.Hypothesis(fl.Specs[0].Runnables[0])
 	if err != nil {
 		t.Fatalf("Hypothesis: %v", err)
 	}
 
 	// One full round: shadow clean streak, canary hold, fleet-wide acks.
-	st := waitCalib(t, fleet, "first completed rollout", 10*time.Millisecond,
-		func(st ingest.CalibStatus) bool { return st.Rounds >= 1 })
+	st := waitCalib(t, fl, "first completed rollout", 10*time.Millisecond,
+		func(st fleet.CalibStatus) bool { return st.Rounds >= 1 })
 	if st.Rollbacks != 0 {
 		t.Fatalf("rollout rolled back on a steady fleet: %+v", st)
 	}
 
 	// Zero supervision gap: not a single fault was raised anywhere —
 	// not during shadow evaluation, not at the hypothesis switch.
-	if r := fleet.Watchdog.Results(); r != (swwd.Results{}) {
+	if r := fl.Watchdog.Results(); r != (swwd.Results{}) {
 		t.Fatalf("faults during calibration rollout: %+v", r)
 	}
 
 	// The whole fleet runs the tightened hypothesis: estimator-window
 	// periods, arrival monitoring now on, and no runnable left behind.
-	for n := range fleet.Specs {
-		for _, rid := range fleet.Specs[n].Runnables {
-			h, err := fleet.Watchdog.Hypothesis(rid)
+	for n := range fl.Specs {
+		for _, rid := range fl.Specs[n].Runnables {
+			h, err := fl.Watchdog.Hypothesis(rid)
 			if err != nil {
 				t.Fatalf("Hypothesis(%d): %v", rid, err)
 			}
@@ -202,19 +202,19 @@ func TestIngestCalibSoak(t *testing.T) {
 			t.Fatalf("node %d never received a hypothesis command", n)
 		}
 	}
-	ws := fleet.Server.Stats()
+	ws := fl.Server.Stats()
 	if ws.CommandsSent == 0 || ws.CommandsAcked == 0 {
 		t.Fatalf("command channel silent: %+v", ws)
 	}
 
 	// Replay: the recorded baseline reproduces the suggestion bit for
 	// bit — twice over, and rendered identically.
-	base := fleet.Calib.LastBaseline()
+	base := fl.Calib.LastBaseline()
 	if base.WindowCycles != 20 || len(base.Runnables) == 0 {
 		t.Fatalf("recorded baseline empty: %+v", base)
 	}
-	p1 := calib.Suggest(base, fleet.Calib.Policy())
-	p2 := calib.Suggest(base, fleet.Calib.Policy())
+	p1 := calib.Suggest(base, fl.Calib.Policy())
+	p2 := calib.Suggest(base, fl.Calib.Policy())
 	if !reflect.DeepEqual(p1, p2) {
 		t.Fatal("replayed suggestions differ structurally")
 	}
@@ -237,7 +237,7 @@ func TestIngestCalibRollback(t *testing.T) {
 		cycle     = 5 * time.Millisecond
 		beatEvery = 20 * time.Millisecond
 	)
-	cf := startCalibFleet(t, nodes, runnables, interval, cycle, beatEvery, ingest.CalibrationConfig{
+	cf := startCalibFleet(t, nodes, runnables, interval, cycle, beatEvery, fleet.CalibrationConfig{
 		Params: calib.Params{
 			WindowCycles:   20,
 			Margin:         0.25,
@@ -245,10 +245,10 @@ func TestIngestCalibRollback(t *testing.T) {
 			CanaryFraction: 0.5, // node 0 canaries, node 1 follows
 		},
 	})
-	fleet := cf.fleet
-	canaryRid := fleet.Specs[0].Runnables[0]
-	fleetRid := fleet.Specs[1].Runnables[0]
-	prior, err := fleet.Watchdog.Hypothesis(canaryRid)
+	fl := cf.fleet
+	canaryRid := fl.Specs[0].Runnables[0]
+	fleetRid := fl.Specs[1].Runnables[0]
+	prior, err := fl.Watchdog.Hypothesis(canaryRid)
 	if err != nil {
 		t.Fatalf("Hypothesis: %v", err)
 	}
@@ -256,15 +256,15 @@ func TestIngestCalibRollback(t *testing.T) {
 	// Wait for the canary stage, then shift the workload: burst beats
 	// exceed the tightened arrival ceiling. The prior hypothesis has no
 	// arrival monitoring, so only the canary's candidate can fault.
-	waitCalib(t, fleet, "canary stage", 2*time.Millisecond,
-		func(st ingest.CalibStatus) bool { return st.Stage == calib.StageCanary })
+	waitCalib(t, fl, "canary stage", 2*time.Millisecond,
+		func(st fleet.CalibStatus) bool { return st.Stage == calib.StageCanary })
 	cf.beatN.Store(8)
 
-	st := waitCalib(t, fleet, "automatic rollback", 2*time.Millisecond,
-		func(st ingest.CalibStatus) bool { return st.Rollbacks >= 1 })
+	st := waitCalib(t, fl, "automatic rollback", 2*time.Millisecond,
+		func(st fleet.CalibStatus) bool { return st.Rollbacks >= 1 })
 
 	// The prior hypothesis is restored on the canary.
-	h, err := fleet.Watchdog.Hypothesis(canaryRid)
+	h, err := fl.Watchdog.Hypothesis(canaryRid)
 	if err != nil {
 		t.Fatalf("Hypothesis after rollback: %v", err)
 	}
@@ -276,10 +276,10 @@ func TestIngestCalibRollback(t *testing.T) {
 	// saw the bad hypothesis — its counters are spotless and (at the
 	// moment of rollback) it still ran a hypothesis without arrival
 	// monitoring, so the burst load cannot have touched it.
-	if _, ar, _, err := fleet.Watchdog.RunnableErrors(canaryRid); err != nil || ar == 0 {
+	if _, ar, _, err := fl.Watchdog.RunnableErrors(canaryRid); err != nil || ar == 0 {
 		t.Fatalf("canary arrival errors = %d (err %v), want > 0", ar, err)
 	}
-	if a, ar, pf, err := fleet.Watchdog.RunnableErrors(fleetRid); err != nil || a != 0 || ar != 0 || pf != 0 {
+	if a, ar, pf, err := fl.Watchdog.RunnableErrors(fleetRid); err != nil || a != 0 || ar != 0 || pf != 0 {
 		t.Fatalf("non-canary runnable faulted: aliveness=%d arrival=%d flow=%d err=%v", a, ar, pf, err)
 	}
 	if st.Rounds != 0 && st.Rollbacks == 0 {

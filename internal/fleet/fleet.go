@@ -1,26 +1,30 @@
-// Fleet assembly: a declarative helper that builds the model, watchdog
-// and ingestion server for a uniform fleet of remote reporter nodes —
-// the deployment shape of a dedicated health-monitoring ECU aggregating
-// aliveness across the in-vehicle network. cmd/swwdd and the loopback
-// soak test share this code path.
-package ingest
+// Package fleet is the control side of a dedicated health-monitoring
+// ECU aggregating aliveness across the in-vehicle network: Build
+// assembles the model, watchdog and ingestion server (internal/ingest)
+// for a uniform fleet of remote reporter nodes, and optionally the two
+// control loops that act on what ingest reports — fault treatment
+// (treat.go, over internal/treat) and online calibration (calib.go,
+// over internal/calib). Both talk back to the reporters through the
+// server's command channel. cmd/swwdd, the chaos engine and the soak
+// tests share this code path.
+package fleet
 
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"swwd/internal/core"
+	"swwd/internal/ingest"
 	"swwd/internal/runnable"
 	"swwd/internal/sim"
 	"swwd/internal/treat"
 )
 
-// FleetConfig describes a uniform fleet: Nodes remote nodes, each
+// Config describes a uniform fleet: Nodes remote nodes, each
 // reporting RunnablesPerNode runnables and flushing one frame every
 // Interval.
-type FleetConfig struct {
+type Config struct {
 	// Nodes is the number of remote reporter nodes (must be positive).
 	Nodes int
 	// RunnablesPerNode is the monitored runnable count per node (must be
@@ -36,7 +40,7 @@ type FleetConfig struct {
 	// intervals, like the link hypothesis). Zero means 1.
 	BeatsPerWindow int
 	// GraceFrames, Shards, MaxPacket, ReadBuffer, Listeners and
-	// BatchSize configure the Server (see Config).
+	// BatchSize configure the Server (see ingest.Config).
 	GraceFrames int
 	Shards      int
 	MaxPacket   int
@@ -54,8 +58,8 @@ type FleetConfig struct {
 	// its dependents per the declared edges, and resumed heartbeats
 	// expedite recovery. Fleet.Treat exposes the controller.
 	Treatment *TreatmentConfig
-	// CommandEpoch forwards to Config.CommandEpoch (zero derives it
-	// from the wall clock).
+	// CommandEpoch forwards to ingest.Config.CommandEpoch (zero derives
+	// it from the wall clock).
 	CommandEpoch uint64
 	// Calibration, when non-nil, enables the online auto-calibration
 	// loop: the watchdog's estimator records per-runnable baselines and
@@ -70,28 +74,28 @@ type FleetConfig struct {
 type Fleet struct {
 	Model    *runnable.Model
 	Watchdog *core.Watchdog
-	Server   *Server
+	Server   *ingest.Server
 	// Specs[i] is the registration of node ID i (0-based node IDs).
-	Specs []NodeSpec
+	Specs []ingest.NodeSpec
 	// Names[rid] is the runnable name for metric labels.
 	Names []string
 	// Treat is the fault-treatment controller; nil unless
-	// FleetConfig.Treatment was set. Callers own its Close.
+	// Config.Treatment was set. Callers own its Close.
 	Treat *treat.Controller
 	// Calib is the calibration controller; nil unless
-	// FleetConfig.Calibration was set. Callers own its Close.
+	// Config.Calibration was set. Callers own its Close.
 	Calib *CalibController
 }
 
-// BuildFleet assembles the model (one application, one task per node,
+// Build assembles the model (one application, one task per node,
 // RunnablesPerNode monitored runnables plus one link runnable per
 // node), creates the watchdog, derives and installs every hypothesis,
 // and registers all nodes with a new ingestion server. The server is
 // not yet listening: call Fleet.Server.Listen, then drive
 // Fleet.Watchdog.Cycle (e.g. via swwd.Service).
-func BuildFleet(cfg FleetConfig) (*Fleet, error) {
+func Build(cfg Config) (f *Fleet, err error) {
 	if cfg.Nodes <= 0 || cfg.RunnablesPerNode <= 0 {
-		return nil, errors.New("ingest: fleet needs positive Nodes and RunnablesPerNode")
+		return nil, errors.New("fleet: needs positive Nodes and RunnablesPerNode")
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 100 * time.Millisecond
@@ -106,21 +110,26 @@ func BuildFleet(cfg FleetConfig) (*Fleet, error) {
 		cfg.Clock = sim.NewWallClock()
 	}
 
-	// The treatment sink and frame hook must exist before the watchdog
-	// and server that invoke them, but the controller they forward to
-	// can only be built after both: bind it late through atomics.
-	var tsink *treatSink
-	var hookCtrl atomic.Pointer[treat.Controller]
+	// The treatment controller comes first: the watchdog's sink and the
+	// server's frame hook feed it, and its executor acts through the
+	// Fleet, whose fields are filled in below before any event can reach
+	// the controller.
+	f = &Fleet{}
 	sink := cfg.Sink
 	var frameHook func(node uint32, restarted bool)
+	var tsink *treatSink
 	if cfg.Treatment != nil {
-		tsink = &treatSink{inner: cfg.Sink, linkToNode: make(map[runnable.ID]uint32, cfg.Nodes)}
-		sink = tsink
-		frameHook = func(node uint32, restarted bool) {
-			if c := hookCtrl.Load(); c != nil {
-				c.OnFrame(node, restarted)
-			}
+		if f.Treat, err = newTreatment(f, cfg.Nodes, cfg.Treatment, cfg.Clock); err != nil {
+			return nil, err
 		}
+		defer func() {
+			if err != nil {
+				f.Treat.Close()
+			}
+		}()
+		tsink = &treatSink{inner: cfg.Sink, ctrl: f.Treat, linkToNode: make(map[runnable.ID]uint32, cfg.Nodes)}
+		sink = tsink
+		frameHook = f.Treat.OnFrame
 	}
 
 	model := runnable.NewModel()
@@ -128,13 +137,13 @@ func BuildFleet(cfg FleetConfig) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := make([]NodeSpec, cfg.Nodes)
+	specs := make([]ingest.NodeSpec, cfg.Nodes)
 	for n := 0; n < cfg.Nodes; n++ {
 		task, err := model.AddTask(app, fmt.Sprintf("node%04d", n), 1)
 		if err != nil {
 			return nil, err
 		}
-		spec := NodeSpec{Node: uint32(n), Interval: cfg.Interval}
+		spec := ingest.NodeSpec{Node: uint32(n), Interval: cfg.Interval}
 		for r := 0; r < cfg.RunnablesPerNode; r++ {
 			rid, err := model.AddRunnable(task, fmt.Sprintf("node%04d/r%d", n, r), time.Millisecond, runnable.SafetyRelevant)
 			if err != nil {
@@ -180,7 +189,7 @@ func BuildFleet(cfg FleetConfig) (*Fleet, error) {
 	// GraceFrames flush intervals, requiring BeatsPerWindow heartbeats —
 	// a runnable whose beats stop flowing (locally dead, or its node's
 	// frames lost) faults within one window.
-	hyp := LinkHypothesis(cfg.Interval, cfg.CyclePeriod, cfg.GraceFrames)
+	hyp := ingest.LinkHypothesis(cfg.Interval, cfg.CyclePeriod, cfg.GraceFrames)
 	hyp.MinHeartbeats = cfg.BeatsPerWindow
 	for n := range specs {
 		for _, rid := range specs[n].Runnables {
@@ -193,17 +202,15 @@ func BuildFleet(cfg FleetConfig) (*Fleet, error) {
 		}
 	}
 
-	srv, err := newServer(Config{
-		Watchdog:     w,
-		Shards:       cfg.Shards,
-		MaxPacket:    cfg.MaxPacket,
-		GraceFrames:  cfg.GraceFrames,
-		ReadBuffer:   cfg.ReadBuffer,
-		Listeners:    cfg.Listeners,
-		BatchSize:    cfg.BatchSize,
-		CommandEpoch: cfg.CommandEpoch,
-		FrameHook:    frameHook,
-	})
+	srv, err := ingest.New(w,
+		ingest.WithShards(cfg.Shards),
+		ingest.WithMaxPacket(cfg.MaxPacket),
+		ingest.WithGraceFrames(cfg.GraceFrames),
+		ingest.WithReadBuffer(cfg.ReadBuffer),
+		ingest.WithListeners(cfg.Listeners),
+		ingest.WithBatchSize(cfg.BatchSize),
+		ingest.WithCommandEpoch(cfg.CommandEpoch),
+		ingest.WithFrameHook(frameHook))
 	if err != nil {
 		return nil, err
 	}
@@ -217,18 +224,11 @@ func BuildFleet(cfg FleetConfig) (*Fleet, error) {
 			names[i] = r.Name
 		}
 	}
-	f := &Fleet{Model: model, Watchdog: w, Server: srv, Specs: specs, Names: names}
-	if cfg.Treatment != nil {
-		if err := buildTreatment(f, cfg.Treatment, cfg.Clock, tsink, &hookCtrl); err != nil {
-			return nil, err
-		}
-	}
+	f.Model, f.Watchdog, f.Server, f.Specs, f.Names = model, w, srv, specs, names
 	if cfg.Calibration != nil {
-		ctrl, err := buildCalibration(f, cfg.Calibration, cfg.CyclePeriod)
-		if err != nil {
+		if f.Calib, err = buildCalibration(f, cfg.Calibration, cfg.CyclePeriod); err != nil {
 			return nil, err
 		}
-		f.Calib = ctrl
 	}
 	return f, nil
 }

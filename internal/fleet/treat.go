@@ -2,13 +2,13 @@
 // (internal/treat) and the live fleet — the watchdog that detects, the
 // server that talks to reporters, and the node registration tables that
 // map treatment actions onto model runnables and wire commands.
-package ingest
+package fleet
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"swwd/internal/core"
+	"swwd/internal/ingest"
 	"swwd/internal/runnable"
 	"swwd/internal/sim"
 	"swwd/internal/treat"
@@ -35,7 +35,8 @@ type TreatmentConfig struct {
 
 // treatExecutor applies treatment actions to a fleet: watchdog
 // activation toggles plus wire commands back to the affected reporter.
-// It runs on the controller's single policy goroutine.
+// It runs on the controller's single policy goroutine, which receives
+// its first event only after Build has filled in the Fleet.
 type treatExecutor struct {
 	f *Fleet
 }
@@ -99,7 +100,7 @@ func (e treatExecutor) Execute(a treat.Action) error {
 
 // setRunnables toggles supervision of every monitored runnable of one
 // node (the link is handled separately).
-func (e treatExecutor) setRunnables(spec *NodeSpec, active bool) error {
+func (e treatExecutor) setRunnables(spec *ingest.NodeSpec, active bool) error {
 	var first error
 	for _, rid := range spec.Runnables {
 		var err error
@@ -118,21 +119,17 @@ func (e treatExecutor) setRunnables(spec *NodeSpec, active bool) error {
 // treatSink wraps the fleet's user sink and feeds link aliveness faults
 // to the treatment controller. The watchdog invokes Fault with its
 // internal lock held; Controller.OnLinkFault is non-blocking by
-// contract, so the detour adds no blocking to the detection path. The
-// controller is bound late (the sink must exist before the watchdog,
-// the controller only after the server), so the pointer is atomic.
+// contract, so the detour adds no blocking to the detection path.
 type treatSink struct {
 	inner      core.Sink
+	ctrl       *treat.Controller
 	linkToNode map[runnable.ID]uint32
-	ctrl       atomic.Pointer[treat.Controller]
 }
 
 func (s *treatSink) Fault(r core.Report) {
 	if r.Kind == core.AlivenessError && !r.Correlated {
 		if node, ok := s.linkToNode[r.Runnable]; ok {
-			if c := s.ctrl.Load(); c != nil {
-				c.OnLinkFault(node)
-			}
+			s.ctrl.OnLinkFault(node)
 		}
 	}
 	if s.inner != nil {
@@ -146,22 +143,17 @@ func (s *treatSink) StateChanged(ev core.StateEvent) {
 	}
 }
 
-// buildTreatment assembles the graph, controller and executor for a
-// fleet and binds them to the sink and frame hook installed during
-// BuildFleet.
-func buildTreatment(f *Fleet, cfg *TreatmentConfig, clock sim.Clock, sink *treatSink, hookCtrl *atomic.Pointer[treat.Controller]) error {
-	nodes := make([]uint32, len(f.Specs))
-	for i := range f.Specs {
-		nodes[i] = f.Specs[i].Node
+// newTreatment builds the dependency graph over node IDs 0..nodes-1 and
+// starts the controller, executing its actions on f.
+func newTreatment(f *Fleet, nodes int, cfg *TreatmentConfig, clock sim.Clock) (*treat.Controller, error) {
+	ids := make([]uint32, nodes)
+	for i := range ids {
+		ids[i] = uint32(i)
 	}
-	g, err := treat.NewGraph(nodes, cfg.Edges)
+	g, err := treat.NewGraph(ids, cfg.Edges)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	ctrl := treat.NewController(g, cfg.Policy, treatExecutor{f: f}, clock,
-		treat.Options{EventQueue: cfg.EventQueue, ActionSink: cfg.ActionSink})
-	f.Treat = ctrl
-	sink.ctrl.Store(ctrl)
-	hookCtrl.Store(ctrl)
-	return nil
+	return treat.NewController(g, cfg.Policy, treatExecutor{f: f}, clock,
+		treat.Options{EventQueue: cfg.EventQueue, ActionSink: cfg.ActionSink}), nil
 }

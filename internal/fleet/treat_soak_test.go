@@ -12,7 +12,7 @@
 //   - the independent node is never touched by any action;
 //   - replaying the recorded event trace through the pure engine
 //     reproduces the live action sequence exactly.
-package ingest_test
+package fleet_test
 
 import (
 	"sync"
@@ -21,7 +21,7 @@ import (
 	"time"
 
 	"swwd"
-	"swwd/internal/ingest"
+	"swwd/internal/fleet"
 	"swwd/internal/treat"
 	"swwd/swwdclient"
 )
@@ -45,24 +45,24 @@ func TestIngestTreatSoak(t *testing.T) {
 	edges := []treat.Edge{{Node: 1, DependsOn: 0}, {Node: 2, DependsOn: 0}}
 	policy := treat.Policy{RecoveryFrames: 3}
 
-	fleet, err := ingest.BuildFleet(ingest.FleetConfig{
+	fl, err := fleet.Build(fleet.Config{
 		Nodes:            nodes,
 		RunnablesPerNode: runnables,
 		Interval:         interval,
 		CyclePeriod:      cycle,
 		GraceFrames:      graceFrames,
 		CommandEpoch:     1234,
-		Treatment:        &ingest.TreatmentConfig{Edges: edges, Policy: policy},
+		Treatment:        &fleet.TreatmentConfig{Edges: edges, Policy: policy},
 	})
 	if err != nil {
-		t.Fatalf("BuildFleet: %v", err)
+		t.Fatalf("Build: %v", err)
 	}
-	defer fleet.Treat.Close()
-	addr, err := fleet.Server.Listen("127.0.0.1:0")
+	defer fl.Treat.Close()
+	addr, err := fl.Server.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	defer fleet.Server.Close()
+	defer fl.Server.Close()
 
 	// Each reporter records the treatment commands it receives; beats
 	// continue regardless (beats into deactivated runnables are simply
@@ -129,14 +129,14 @@ func TestIngestTreatSoak(t *testing.T) {
 	defer closeAll()
 
 	deadline := time.Now().Add(waitBound)
-	for fleet.Server.Stats().Accepted < nodes {
+	for fl.Server.Stats().Accepted < nodes {
 		if time.Now().After(deadline) {
-			t.Fatalf("fleet warm-up timed out: stats %+v", fleet.Server.Stats())
+			t.Fatalf("fleet warm-up timed out: stats %+v", fl.Server.Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	svc, err := swwd.NewService(fleet.Watchdog, cycle)
+	svc, err := swwd.NewService(fl.Watchdog, cycle)
 	if err != nil {
 		t.Fatalf("NewService: %v", err)
 	}
@@ -147,7 +147,7 @@ func TestIngestTreatSoak(t *testing.T) {
 
 	// Healthy phase: the control plane must stay completely silent.
 	time.Sleep(healthyPhase)
-	if st := fleet.Treat.Stats(); st.Quarantines != 0 || st.ScaleDowns != 0 ||
+	if st := fl.Treat.Stats(); st.Quarantines != 0 || st.ScaleDowns != 0 ||
 		st.Resumes != 0 || st.ScaleUps != 0 || st.NotifyQuarantine != 0 {
 		t.Fatalf("treatment actions on a healthy fleet: %+v", st)
 	}
@@ -156,7 +156,7 @@ func TestIngestTreatSoak(t *testing.T) {
 	waitTreat := func(what string, cond func(treat.Stats) bool) treat.Stats {
 		deadline := time.Now().Add(waitBound)
 		for {
-			st := fleet.Treat.Stats()
+			st := fl.Treat.Stats()
 			if cond(st) {
 				return st
 			}
@@ -208,7 +208,7 @@ func TestIngestTreatSoak(t *testing.T) {
 	// Let the recovered fleet soak a moment: no further treatment, no
 	// new faults anywhere.
 	time.Sleep(healthyPhase)
-	end := fleet.Treat.Stats()
+	end := fl.Treat.Stats()
 	if end.Quarantines != 1 || end.Resumes != 1 || end.ScaleDowns != 2 || end.ScaleUps != 3 {
 		t.Fatalf("treatment did not stay settled after recovery: %+v", end)
 	}
@@ -218,15 +218,15 @@ func TestIngestTreatSoak(t *testing.T) {
 
 	// The independent node was never touched by any action, and its
 	// supervision never faulted.
-	for _, a := range fleet.Treat.Actions() {
+	for _, a := range fl.Treat.Actions() {
 		if a.Node == 3 || a.Cause == 3 {
 			t.Fatalf("independent node 3 touched by treatment: %+v", a)
 		}
 	}
 	for n := 1; n < nodes; n++ {
-		rids := append([]swwd.RunnableID{fleet.Specs[n].Link}, fleet.Specs[n].Runnables...)
+		rids := append([]swwd.RunnableID{fl.Specs[n].Link}, fl.Specs[n].Runnables...)
 		for _, rid := range rids {
-			a, ar, pf, err := fleet.Watchdog.RunnableErrors(rid)
+			a, ar, pf, err := fl.Watchdog.RunnableErrors(rid)
 			if err != nil {
 				t.Fatalf("RunnableErrors(%d): %v", rid, err)
 			}
@@ -240,13 +240,13 @@ func TestIngestTreatSoak(t *testing.T) {
 	// The dependents acked their quarantine commands and the restarted
 	// reporter acked its resume: the channel round-tripped.
 	wireDeadline := time.Now().Add(waitBound)
-	for fleet.Server.Stats().CommandsAcked < 2 {
+	for fl.Server.Stats().CommandsAcked < 2 {
 		if time.Now().After(wireDeadline) {
-			t.Fatalf("commands never acked: %+v", fleet.Server.Stats())
+			t.Fatalf("commands never acked: %+v", fl.Server.Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	ws := fleet.Server.Stats()
+	ws := fl.Server.Stats()
 	if ws.NodeRestarts != 1 {
 		t.Fatalf("NodeRestarts = %d, want 1 (the node 0 restart)", ws.NodeRestarts)
 	}
@@ -260,8 +260,8 @@ func TestIngestTreatSoak(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGraph: %v", err)
 	}
-	live := fleet.Treat.Actions()
-	replayed := treat.Replay(graph, policy, fleet.Treat.Trace())
+	live := fl.Treat.Actions()
+	replayed := treat.Replay(graph, policy, fl.Treat.Trace())
 	if len(replayed) != len(live) {
 		t.Fatalf("replay produced %d actions, live %d", len(replayed), len(live))
 	}

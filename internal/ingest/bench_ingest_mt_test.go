@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"swwd/internal/sim"
 	"swwd/internal/wire"
 )
 
@@ -37,20 +36,7 @@ func BenchmarkIngestMT(b *testing.B) {
 
 func benchIngestMT(b *testing.B, listeners, batch, shards int) {
 	const nodes, rpn, senders = 256, 4, 4
-	f, err := BuildFleet(FleetConfig{
-		Nodes:            nodes,
-		RunnablesPerNode: rpn,
-		Interval:         100 * time.Millisecond,
-		CyclePeriod:      10 * time.Millisecond,
-		GraceFrames:      3,
-		Listeners:        listeners,
-		BatchSize:        batch,
-		Shards:           shards,
-		Clock:            sim.NewManualClock(),
-	})
-	if err != nil {
-		b.Fatalf("BuildFleet: %v", err)
-	}
+	f := newFixture(b, nodes, rpn, WithListeners(listeners), WithBatchSize(batch), WithShards(shards))
 	addr, err := f.Server.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatalf("Listen: %v", err)

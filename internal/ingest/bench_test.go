@@ -4,9 +4,7 @@ import (
 	"encoding/binary"
 	"net/netip"
 	"testing"
-	"time"
 
-	"swwd/internal/sim"
 	"swwd/internal/wire"
 )
 
@@ -17,17 +15,7 @@ import (
 // re-encodes nothing and must not allocate.
 func BenchmarkIngestFrame(b *testing.B) {
 	const rpn = 10
-	f, err := BuildFleet(FleetConfig{
-		Nodes:            1,
-		RunnablesPerNode: rpn,
-		Interval:         100 * time.Millisecond,
-		CyclePeriod:      10 * time.Millisecond,
-		GraceFrames:      3,
-		Clock:            sim.NewManualClock(),
-	})
-	if err != nil {
-		b.Fatalf("BuildFleet: %v", err)
-	}
+	f := newFixture(b, 1, rpn)
 
 	frame := wire.Frame{Node: 0, Epoch: 1, IntervalMs: 100}
 	for i := 0; i < rpn; i++ {
@@ -67,17 +55,7 @@ func BenchmarkIngestFrame(b *testing.B) {
 func flowFrameFixture(tb testing.TB) (srv *Server, next func()) {
 	tb.Helper()
 	const rpn, seqLen, flowRecs = 256, 4, 1024
-	f, err := BuildFleet(FleetConfig{
-		Nodes:            1,
-		RunnablesPerNode: rpn,
-		Interval:         100 * time.Millisecond,
-		CyclePeriod:      10 * time.Millisecond,
-		GraceFrames:      3,
-		Clock:            sim.NewManualClock(),
-	})
-	if err != nil {
-		tb.Fatalf("BuildFleet: %v", err)
-	}
+	f := newFixture(tb, 1, rpn)
 	if err := f.Watchdog.AddFlowSequence(f.Specs[0].Runnables[:seqLen]...); err != nil {
 		tb.Fatalf("AddFlowSequence: %v", err)
 	}

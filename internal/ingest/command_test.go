@@ -1,9 +1,8 @@
 package ingest
 
-// White-box tests of the wire v3 command channel and its treatment
-// wiring: delivery accounting on the server side (sent / acked /
-// dropped / stale), the session-epoch discipline protecting the ack
-// path, and the reporter-restart-mid-quarantine renotification.
+// White-box tests of the wire v3 command channel: delivery accounting
+// on the server side (sent / acked / dropped / stale) and the
+// session-epoch discipline protecting the ack path.
 
 import (
 	"errors"
@@ -12,34 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"swwd/internal/sim"
-	"swwd/internal/treat"
 	"swwd/internal/wire"
 )
-
-// treatTestFleet builds a fleet on a manual clock with a pinned command
-// epoch (so ack assertions are deterministic) and, optionally, the
-// treatment control plane.
-func treatTestFleet(t *testing.T, nodes int, cmdEpoch uint64, tc *TreatmentConfig) *Fleet {
-	t.Helper()
-	f, err := BuildFleet(FleetConfig{
-		Nodes:            nodes,
-		RunnablesPerNode: 1,
-		Interval:         100 * time.Millisecond,
-		CyclePeriod:      10 * time.Millisecond,
-		GraceFrames:      3,
-		Clock:            sim.NewManualClock(),
-		CommandEpoch:     cmdEpoch,
-		Treatment:        tc,
-	})
-	if err != nil {
-		t.Fatalf("BuildFleet: %v", err)
-	}
-	if tc != nil {
-		t.Cleanup(f.Treat.Close)
-	}
-	return f
-}
 
 // reporterSocket opens a loopback UDP socket standing in for one
 // reporter: commands sent to its frames' source address arrive here.
@@ -80,7 +53,7 @@ func injectFrom(t *testing.T, s *Server, f *wire.Frame, src netip.AddrPort) {
 }
 
 func TestCommandSendAndAckAccounting(t *testing.T) {
-	fleet := treatTestFleet(t, 1, 77, nil)
+	fleet := newFixture(t, 1, 1, WithCommandEpoch(77))
 	if _, err := fleet.Server.Listen("127.0.0.1:0"); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
@@ -152,90 +125,11 @@ func TestCommandSendAndAckAccounting(t *testing.T) {
 }
 
 func TestCommandSendWithoutListen(t *testing.T) {
-	fleet := treatTestFleet(t, 1, 7, nil)
+	fleet := newFixture(t, 1, 1, WithCommandEpoch(7))
 	if _, err := fleet.Server.SendCommand(0, wire.CmdRec{Op: wire.CmdResume, Runnable: wire.CmdNodeTarget}); !errors.Is(err, ErrNotListening) {
 		t.Fatalf("SendCommand without Listen = %v, want ErrNotListening", err)
 	}
 	if _, err := fleet.Server.SendCommand(9, wire.CmdRec{Op: wire.CmdResume}); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("SendCommand to unknown node = %v, want ErrUnknownNode", err)
-	}
-}
-
-// TestReporterRestartMidQuarantineRenotified: a reporter that restarts
-// while its node is quarantined starts a fresh session knowing nothing
-// of its quarantine; the session-epoch advance on its first frame must
-// make the control plane resend the quarantine state.
-func TestReporterRestartMidQuarantineRenotified(t *testing.T) {
-	fleet := treatTestFleet(t, 2, 99, &TreatmentConfig{
-		Edges: []treat.Edge{{Node: 1, DependsOn: 0}},
-		// A huge recovery grace keeps node 0 quarantined for the whole
-		// test, whatever frames trickle in.
-		Policy: treat.Policy{RecoveryFrames: 1 << 20},
-	})
-	if _, err := fleet.Server.Listen("127.0.0.1:0"); err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer fleet.Server.Close()
-	srv := fleet.Server
-	rep0, rep0Addr := reporterSocket(t)
-	rep1, rep1Addr := reporterSocket(t)
-
-	// Both nodes report once so the server knows their return addresses.
-	injectFrom(t, srv, &wire.Frame{Node: 0, Epoch: 10, Seq: 1}, rep0Addr)
-	injectFrom(t, srv, &wire.Frame{Node: 1, Epoch: 10, Seq: 1}, rep1Addr)
-
-	// A link fault on node 0 quarantines it and scales down node 1;
-	// both learn their state over the command channel.
-	fleet.Treat.OnLinkFault(0)
-	if cmd := recvCommand(t, rep0); cmd.Epoch != 99 || cmd.Seq != 1 || cmd.Recs[0].Op != wire.CmdQuarantine {
-		t.Fatalf("node 0 quarantine command = %+v", cmd)
-	}
-	if cmd := recvCommand(t, rep1); cmd.Seq != 1 || cmd.Recs[0].Op != wire.CmdQuarantine {
-		t.Fatalf("node 1 scale-down command = %+v", cmd)
-	}
-
-	// The reporter restarts mid-quarantine: its next frame advances the
-	// session epoch, and the controller must resend the quarantine. The
-	// controller applies its quarantine bookkeeping asynchronously, so
-	// the restart frame is retried with ever-newer epochs until the
-	// interest set has caught up; each dropped frame never reaches the
-	// engine, so exactly one notification is counted in the end.
-	var notify *wire.Command
-	var sessionEpoch uint64
-	for attempt := uint64(0); attempt < 100; attempt++ {
-		sessionEpoch = 11 + attempt
-		injectFrom(t, srv, &wire.Frame{Node: 0, Epoch: sessionEpoch, Seq: 1}, rep0Addr)
-		_ = rep0.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-		buf := make([]byte, 2048)
-		n, err := rep0.Read(buf)
-		if err != nil {
-			continue
-		}
-		var cmd wire.Command
-		if err := wire.DecodeCommand(buf[:n], &cmd); err != nil {
-			t.Fatalf("DecodeCommand: %v", err)
-		}
-		notify = &cmd
-		break
-	}
-	if notify == nil {
-		t.Fatal("restarted reporter never re-received its quarantine state")
-	}
-	if notify.Recs[0].Op != wire.CmdQuarantine || notify.Recs[0].Runnable != wire.CmdNodeTarget {
-		t.Fatalf("renotification = %+v, want node-target quarantine", notify)
-	}
-	if notify.Seq != 2 {
-		t.Fatalf("renotification seq = %d, want 2 (sequences are per node)", notify.Seq)
-	}
-	if st := fleet.Treat.Stats(); st.NotifyQuarantine != 1 || st.Quarantines != 1 {
-		t.Fatalf("treatment stats = %+v, want exactly one quarantine and one renotification", st)
-	}
-
-	// A plain same-session frame (no restart) must not renotify.
-	injectFrom(t, srv, &wire.Frame{Node: 0, Epoch: sessionEpoch, Seq: 2}, rep0Addr)
-	_ = rep0.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-	buf := make([]byte, 2048)
-	if n, err := rep0.Read(buf); err == nil {
-		t.Fatalf("non-restart frame triggered a %d-byte command", n)
 	}
 }

@@ -4,9 +4,10 @@
 // "a duplication storm moves duplicate_drops and nothing else" — and
 // doing that by field would couple every campaign to the Stats struct
 // shape. The string names double as the stable vocabulary campaigns
-// are written and reported in; they mirror the swwd_ingest_* metric
-// families of internal/export with the prefix and _total suffix
-// stripped.
+// are written and reported in. Most equal the swwd_ingest_* metric
+// family of internal/export with the prefix and _total suffix
+// stripped; seq_gaps and seq_gap_events are the exceptions, exported as
+// swwd_ingest_sequence_gaps_total and swwd_ingest_sequence_gap_events_total.
 package ingest
 
 // CounterNames lists every name Stats.Counter resolves, in the Stats

@@ -50,14 +50,16 @@
 //
 // Sequence numbers are scoped to a reporter *session*: every frame
 // carries a session epoch chosen at client start (larger epoch = newer
-// session). When a node's epoch advances, the server resets its
-// sequence tracking and counts a restart, so the restarted reporter's
-// frames — whose sequence numbers begin again at 1 — replay immediately
-// instead of being misread as duplicates of the old session. Stale
-// frames still in flight from the previous session (smaller epoch) are
-// dropped and counted separately. The registration-time Interval is
-// authoritative for the link hypothesis; a frame declaring a different
-// interval is still replayed but counted in Stats.IntervalMismatch as a
+// session). Each node's (epoch, seq) stream is admitted by a
+// wire.Session, the rule the reporter applies to command frames too.
+// When a node's epoch advances, sequence tracking starts over and a
+// restart is counted, so the restarted reporter's frames — whose
+// sequence numbers begin again at 1 — replay immediately instead of
+// being misread as duplicates of the old session. Stale frames still
+// in flight from the previous session (smaller epoch) are dropped and
+// counted separately. The registration-time Interval is authoritative
+// for the link hypothesis; a frame declaring a different interval is
+// still replayed but counted in Stats.IntervalMismatch as a
 // configuration diagnostic.
 package ingest
 
@@ -163,9 +165,9 @@ type Config struct {
 	BatchSize int
 	// CommandEpoch is the server's command epoch, stamped on every
 	// command frame (wire v3): larger epoch = newer server incarnation,
-	// and reporters drop commands from superseded epochs. Zero means the
-	// construction wall time in nanoseconds, which is strictly larger
-	// across restarts. Tests pin it for determinism.
+	// and reporters drop commands from superseded epochs. Zero means
+	// wire.NewEpoch at construction, which is strictly larger across
+	// restarts. Tests pin it for determinism.
 	CommandEpoch uint64
 	// FrameHook, when set, observes every accepted frame after replay:
 	// the node ID and whether the frame advanced the node's session
@@ -299,8 +301,8 @@ type ShardStat struct {
 }
 
 // nodeState is the server-side state of one registered node. Everything
-// except the sequence fields is immutable after registration; epoch,
-// lastSeq and haveSeq are touched only under the node's stripe lock.
+// except session is immutable after registration; session is touched
+// only under the node's stripe lock.
 type nodeState struct {
 	spec NodeSpec
 	// mons[i] is the Monitor handle of wire runnable index i.
@@ -311,11 +313,8 @@ type nodeState struct {
 	// authoritative value frames' declared IntervalMs is checked against.
 	intervalMs uint32
 
-	// epoch is the session epoch of the node's current reporter session;
-	// lastSeq the last accepted sequence number within it.
-	epoch   uint64
-	lastSeq uint64
-	haveSeq bool
+	// session admits the node's frames by (epoch, seq).
+	session wire.Session
 
 	// cmdAcked is the highest command sequence number the reporter has
 	// confirmed in the current command epoch. Written only under the
@@ -381,9 +380,14 @@ type Server struct {
 	cmdStale     atomic.Uint64
 }
 
-// newServer validates the configuration and builds an idle server: the
-// shared construction path of New and BuildFleet.
-func newServer(cfg Config) (*Server, error) {
+// New validates the options and builds an idle server ingesting into w;
+// register nodes with RegisterNode, then bind it with Listen.
+func New(w *core.Watchdog, opts ...Option) (*Server, error) {
+	var cfg Config
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	cfg.Watchdog = w // the watchdog is New's contract, not an option
 	if cfg.Watchdog == nil {
 		return nil, errors.New("ingest: Config.Watchdog is required")
 	}
@@ -418,13 +422,7 @@ func newServer(cfg Config) (*Server, error) {
 		cfg.BatchSize = MaxBatchSize
 	}
 	if cfg.CommandEpoch == 0 {
-		// The wall clock in nanoseconds is strictly larger across server
-		// restarts — the property the reporter's epoch comparison relies
-		// on — and never zero.
-		cfg.CommandEpoch = uint64(time.Now().UnixNano())
-		if cfg.CommandEpoch == 0 {
-			cfg.CommandEpoch = 1
-		}
+		cfg.CommandEpoch = wire.NewEpoch()
 	}
 	s := &Server{w: cfg.Watchdog, cfg: cfg, cmdEpoch: cfg.CommandEpoch, stripes: make([]stripe, cfg.Shards)}
 	empty := make(map[uint32]*nodeState)
@@ -595,7 +593,7 @@ func (s *Server) Close() error {
 // node's registered runnable table, enforce the sequence discipline and
 // replay. Frames of one node are processed by exactly one goroutine at a
 // time (the read loop holding the node's stripe lock), which makes the
-// nodeState sequence fields safe.
+// node's session safe.
 func (s *Server) ingestFrame(buf []byte, f *wire.Frame, src netip.AddrPort) {
 	s.frames.Add(1)
 	s.bytes.Add(uint64(len(buf)))
@@ -628,45 +626,27 @@ func (s *Server) ingestFrame(buf []byte, f *wire.Frame, src netip.AddrPort) {
 	if f.IntervalMs != ns.intervalMs {
 		s.intervalMism.Add(1)
 	}
-	// Sequence discipline, scoped to the session epoch. Within one
-	// session, duplicates and re-ordered frames are dropped without
-	// replay (a beat must never count twice) and gaps are counted while
-	// the frame itself replays. An advanced epoch is a reporter restart:
-	// sequence tracking resets so the new session's frames — starting
-	// again at Seq 1 — replay immediately instead of being misread as
-	// duplicates. A regressed epoch is a stale datagram from the
-	// superseded session and is dropped.
-	restarted := false
-	if ns.haveSeq {
-		switch {
-		case f.Epoch < ns.epoch:
-			// Dropping the whole stale frame also discards its command
-			// ack pair: a superseded reporter session can never confirm
-			// commands sent to its successor.
-			s.staleEpochs.Add(1)
-			return
-		case f.Epoch == ns.epoch:
-			if f.Seq <= ns.lastSeq {
-				s.dupDrops.Add(1)
-				return
-			}
-			if gap := f.Seq - ns.lastSeq - 1; gap > 0 {
-				s.seqGaps.Add(gap)
-				s.gapEvents.Add(1)
-			}
-		default: // f.Epoch > ns.epoch: the reporter restarted
-			restarted = true
-			s.restarts.Add(1)
-			if f.Seq > 1 {
-				// The new session's first frames were lost in flight.
-				s.seqGaps.Add(f.Seq - 1)
-				s.gapEvents.Add(1)
-			}
-		}
+	// Sequence discipline, scoped to the session epoch (wire.Session).
+	// Duplicates and re-ordered frames are dropped without replay (a
+	// beat must never count twice); gaps are counted while the frame
+	// itself replays. Dropping a whole stale frame also discards its
+	// command ack pair: a superseded reporter session can never confirm
+	// commands sent to its successor.
+	v, gap := ns.session.Admit(f.Epoch, f.Seq)
+	switch v {
+	case wire.Stale:
+		s.staleEpochs.Add(1)
+		return
+	case wire.Duplicate:
+		s.dupDrops.Add(1)
+		return
+	case wire.Restart:
+		s.restarts.Add(1)
 	}
-	ns.epoch = f.Epoch
-	ns.lastSeq = f.Seq
-	ns.haveSeq = true
+	if gap > 0 {
+		s.seqGaps.Add(gap)
+		s.gapEvents.Add(1)
+	}
 
 	// Remember the frame's source as the node's command return address.
 	// The pointer swap allocates only when the address actually changes
@@ -707,7 +687,7 @@ func (s *Server) ingestFrame(buf []byte, f *wire.Frame, src netip.AddrPort) {
 	ns.link.Beat()
 	s.accepted.Add(1)
 	if s.cfg.FrameHook != nil {
-		s.cfg.FrameHook(f.Node, restarted)
+		s.cfg.FrameHook(f.Node, v == wire.Restart)
 	}
 }
 

@@ -12,24 +12,6 @@ import (
 	"swwd/internal/wire"
 )
 
-// testFleet builds a small deterministic fleet on a manual clock: cycles
-// are driven by hand, so window expiry is exact.
-func testFleet(t *testing.T, nodes, rpn int) *Fleet {
-	t.Helper()
-	f, err := BuildFleet(FleetConfig{
-		Nodes:            nodes,
-		RunnablesPerNode: rpn,
-		Interval:         100 * time.Millisecond,
-		CyclePeriod:      10 * time.Millisecond,
-		GraceFrames:      3,
-		Clock:            sim.NewManualClock(),
-	})
-	if err != nil {
-		t.Fatalf("BuildFleet: %v", err)
-	}
-	return f
-}
-
 // encode builds one frame's bytes.
 func encode(t *testing.T, f *wire.Frame) []byte {
 	t.Helper()
@@ -69,7 +51,7 @@ func TestLinkHypothesis(t *testing.T) {
 }
 
 func TestIngestReplaysBeatsAndLink(t *testing.T) {
-	f := testFleet(t, 2, 3)
+	f := newFixture(t, 2, 3)
 	spec := f.Specs[0]
 	inject(f.Server, encode(t, &wire.Frame{
 		Node: 0, Seq: 1,
@@ -100,7 +82,7 @@ func TestIngestReplaysBeatsAndLink(t *testing.T) {
 }
 
 func TestIngestSequenceDiscipline(t *testing.T) {
-	f := testFleet(t, 1, 1)
+	f := newFixture(t, 1, 1)
 	spec := f.Specs[0]
 	beat1 := func(seq uint64) []byte {
 		return encode(t, &wire.Frame{Node: 0, Seq: seq, Beats: []wire.BeatRec{{Runnable: 0, Beats: 1}}})
@@ -151,7 +133,7 @@ func TestIngestSequenceDiscipline(t *testing.T) {
 // old session — while stale datagrams from the superseded session are
 // dropped without replay.
 func TestIngestReporterRestart(t *testing.T) {
-	f := testFleet(t, 1, 1)
+	f := newFixture(t, 1, 1)
 	spec := f.Specs[0]
 	send := func(epoch, seq uint64) {
 		inject(f.Server, encode(t, &wire.Frame{Node: 0, Epoch: epoch, Seq: seq,
@@ -226,7 +208,7 @@ func TestIngestReporterRestart(t *testing.T) {
 // for the link hypothesis; a frame declaring a different flush cadence
 // still replays but is counted as a configuration diagnostic.
 func TestIngestIntervalMismatch(t *testing.T) {
-	f := testFleet(t, 1, 1) // registered at 100ms
+	f := newFixture(t, 1, 1) // registered at 100ms
 	inject(f.Server, encode(t, &wire.Frame{Node: 0, Seq: 1, IntervalMs: 100,
 		Beats: []wire.BeatRec{{Runnable: 0, Beats: 1}}}))
 	if st := f.Server.Stats(); st.IntervalMismatch != 0 {
@@ -244,7 +226,7 @@ func TestIngestIntervalMismatch(t *testing.T) {
 }
 
 func TestIngestRejectsWithoutPartialReplay(t *testing.T) {
-	f := testFleet(t, 1, 2)
+	f := newFixture(t, 1, 2)
 	spec := f.Specs[0]
 	ac0 := func() int {
 		c, _ := f.Watchdog.CounterSnapshot(spec.Runnables[0])
@@ -291,7 +273,7 @@ func TestIngestRejectsWithoutPartialReplay(t *testing.T) {
 // reporting raises exactly one aliveness fault on its link runnable per
 // monitoring window, while a healthy node stays clean.
 func TestIngestLinkFaultPerWindow(t *testing.T) {
-	f := testFleet(t, 2, 2) // window = 3*100ms/10ms = 30 cycles
+	f := newFixture(t, 2, 2) // window = 3*100ms/10ms = 30 cycles
 	const window = 30
 	send := func(node uint32, seq uint64) {
 		inject(f.Server, encode(t, &wire.Frame{Node: node, Seq: seq,
@@ -389,7 +371,7 @@ func TestIngestFlowReplay(t *testing.T) {
 }
 
 func TestRegisterNodeValidation(t *testing.T) {
-	f := testFleet(t, 1, 1)
+	f := newFixture(t, 1, 1)
 	spec := f.Specs[0]
 	if err := f.Server.RegisterNode(spec); !errors.Is(err, ErrNodeExists) {
 		t.Fatalf("duplicate registration err = %v, want ErrNodeExists", err)
@@ -408,7 +390,7 @@ func TestRegisterNodeValidation(t *testing.T) {
 // ingest path: decode + validate + sequence check + replay allocates
 // nothing per frame.
 func TestIngestFrameZeroAlloc(t *testing.T) {
-	f := testFleet(t, 1, 10)
+	f := newFixture(t, 1, 10)
 	frame := &wire.Frame{Node: 0, Epoch: 1, Seq: 0, IntervalMs: 100}
 	for i := uint32(0); i < 10; i++ {
 		frame.Beats = append(frame.Beats, wire.BeatRec{Runnable: i, Beats: 3})

@@ -8,29 +8,14 @@ import (
 	"testing"
 	"time"
 
-	"swwd/internal/sim"
 	"swwd/internal/wire"
 )
 
 // mtFleet builds a fleet wired for the multi-listener front end on a
 // manual clock (no sweeps run, so no faults can fire mid-test).
-func mtFleet(t *testing.T, nodes, listeners, batch, shards int) *Fleet {
+func mtFleet(t *testing.T, nodes, listeners, batch, shards int) *fixture {
 	t.Helper()
-	f, err := BuildFleet(FleetConfig{
-		Nodes:            nodes,
-		RunnablesPerNode: 2,
-		Interval:         100 * time.Millisecond,
-		CyclePeriod:      10 * time.Millisecond,
-		GraceFrames:      3,
-		Listeners:        listeners,
-		BatchSize:        batch,
-		Shards:           shards,
-		Clock:            sim.NewManualClock(),
-	})
-	if err != nil {
-		t.Fatalf("BuildFleet: %v", err)
-	}
-	return f
+	return newFixture(t, nodes, 2, WithListeners(listeners), WithBatchSize(batch), WithShards(shards))
 }
 
 // sendFrames sends seq 1..count frames for node over conn, beating both
@@ -225,19 +210,8 @@ func TestIngestExplicitSingleListener(t *testing.T) {
 // DroppedPackets: overload degrades into counted drops, never silent
 // loss.
 func TestIngestKernelDropsCounted(t *testing.T) {
-	f, err := BuildFleet(FleetConfig{
-		Nodes:            1,
-		RunnablesPerNode: 2,
-		Interval:         100 * time.Millisecond,
-		CyclePeriod:      10 * time.Millisecond,
-		Listeners:        1,
-		BatchSize:        8,
-		ReadBuffer:       4096, // the kernel clamps this to its minimum
-		Clock:            sim.NewManualClock(),
-	})
-	if err != nil {
-		t.Fatalf("BuildFleet: %v", err)
-	}
+	// The kernel clamps the 4 KiB read buffer to its minimum.
+	f := newFixture(t, 1, 2, WithListeners(1), WithBatchSize(8), WithReadBuffer(4096))
 	// The first accepted frame parks the read loop in the hook until
 	// release closes, so the burst below lands in the kernel queue.
 	entered, release := make(chan struct{}), make(chan struct{})
@@ -341,20 +315,7 @@ func TestIngestMultiListenerShardAffinity(t *testing.T) {
 	const nodes, perSender, senders = 64, 200, 8
 	inFlight := make([]atomic.Int32, nodes)
 	var violations atomic.Uint64
-	f, err := BuildFleet(FleetConfig{
-		Nodes:            nodes,
-		RunnablesPerNode: 2,
-		Interval:         100 * time.Millisecond,
-		CyclePeriod:      10 * time.Millisecond,
-		GraceFrames:      3,
-		Listeners:        4,
-		BatchSize:        16,
-		Shards:           4,
-		Clock:            sim.NewManualClock(),
-	})
-	if err != nil {
-		t.Fatalf("BuildFleet: %v", err)
-	}
+	f := newFixture(t, nodes, 2, WithListeners(4), WithBatchSize(16), WithShards(4))
 	// The hook runs on the read loop inside the frame path, under the
 	// node's stripe lock; a node observed concurrently on two goroutines
 	// is a serialization violation.

@@ -3,8 +3,6 @@ package ingest
 // Functional options: the constructor idiom of the root swwd package
 // (swwd.New, validator.New), extended to the ingestion server.
 
-import "swwd/internal/core"
-
 // Option configures a Server built with New. Options are applied in
 // order over the zero Config, so later options win.
 type Option func(*Config)
@@ -68,15 +66,4 @@ func WithCommandEpoch(epoch uint64) Option {
 // lock and must not block.
 func WithFrameHook(hook func(node uint32, restarted bool)) Option {
 	return func(cfg *Config) { cfg.FrameHook = hook }
-}
-
-// New validates the options and builds an idle server ingesting into w;
-// register nodes with RegisterNode, then bind it with Listen.
-func New(w *core.Watchdog, opts ...Option) (*Server, error) {
-	cfg := Config{Watchdog: w}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	cfg.Watchdog = w // the watchdog is New's contract, not an option
-	return newServer(cfg)
 }

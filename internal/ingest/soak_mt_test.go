@@ -33,7 +33,7 @@ import (
 
 	"swwd"
 	"swwd/internal/core"
-	"swwd/internal/ingest"
+	"swwd/internal/fleet"
 	"swwd/internal/wire"
 )
 
@@ -56,7 +56,7 @@ func TestIngestScaledSoak(t *testing.T) {
 	)
 	window := time.Duration(graceFrames) * interval
 
-	fleet, err := ingest.BuildFleet(ingest.FleetConfig{
+	fl, err := fleet.Build(fleet.Config{
 		Nodes:            nodes,
 		RunnablesPerNode: 1,
 		Interval:         interval,
@@ -67,13 +67,13 @@ func TestIngestScaledSoak(t *testing.T) {
 		Shards:           8,
 	})
 	if err != nil {
-		t.Fatalf("BuildFleet: %v", err)
+		t.Fatalf("Build: %v", err)
 	}
-	addr, err := fleet.Server.Listen("127.0.0.1:0")
+	addr, err := fl.Server.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	defer fleet.Server.Close()
+	defer fl.Server.Close()
 
 	// dead[n] silences node n; senders skip it from the next round on.
 	dead := make([]atomic.Bool, nodes)
@@ -157,15 +157,15 @@ func TestIngestScaledSoak(t *testing.T) {
 	// Warm-up: every node reports at least once before sweeps begin.
 	warmStart := time.Now()
 	deadline := warmStart.Add(2*interval + 30*time.Second)
-	for fleet.Server.Stats().Accepted < uint64(nodes) {
+	for fl.Server.Stats().Accepted < uint64(nodes) {
 		if time.Now().After(deadline) {
-			t.Fatalf("fleet warm-up timed out: stats %+v", fleet.Server.Stats())
+			t.Fatalf("fleet warm-up timed out: stats %+v", fl.Server.Stats())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Logf("%d nodes warm in %v", nodes, time.Since(warmStart))
 
-	svc, err := swwd.NewService(fleet.Watchdog, cycle)
+	svc, err := swwd.NewService(fl.Watchdog, cycle)
 	if err != nil {
 		t.Fatalf("NewService: %v", err)
 	}
@@ -177,7 +177,7 @@ func TestIngestScaledSoak(t *testing.T) {
 	// Healthy window: a full grace window with every node beating must
 	// stay detection-free.
 	time.Sleep(window + window/2)
-	if res := fleet.Watchdog.Results(); res != (core.Results{}) {
+	if res := fl.Watchdog.Results(); res != (core.Results{}) {
 		t.Fatalf("detections on a healthy fleet: %+v", res)
 	}
 
@@ -193,9 +193,9 @@ func TestIngestScaledSoak(t *testing.T) {
 	// runner at the 100k tier).
 	bound := 2*window + 10*time.Second
 	for _, v := range victimIDs {
-		link := fleet.Specs[v].Link
+		link := fl.Specs[v].Link
 		for {
-			faults, _, _, err := fleet.Watchdog.RunnableErrors(link)
+			faults, _, _, err := fl.Watchdog.RunnableErrors(link)
 			if err != nil {
 				t.Fatalf("RunnableErrors: %v", err)
 			}
@@ -216,7 +216,7 @@ func TestIngestScaledSoak(t *testing.T) {
 	_ = svc.Stop()
 
 	elapsed := time.Since(warmStart)
-	st := fleet.Server.Stats()
+	st := fl.Server.Stats()
 	t.Logf("soak: %d frames accepted in %v (%.0f frames/s), listeners=%d, slowest pass %v",
 		st.Accepted, elapsed, float64(st.Accepted)/elapsed.Seconds(), st.Listeners,
 		time.Duration(maxPassNs.Load()))
@@ -234,13 +234,13 @@ func TestIngestScaledSoak(t *testing.T) {
 	for _, v := range victimIDs {
 		isVictim[v] = true
 	}
-	for n, spec := range fleet.Specs {
+	for n, spec := range fl.Specs {
 		if isVictim[n] {
 			continue
 		}
 		rids := append([]swwd.RunnableID{spec.Link}, spec.Runnables...)
 		for _, rid := range rids {
-			a, ar, pf, err := fleet.Watchdog.RunnableErrors(rid)
+			a, ar, pf, err := fl.Watchdog.RunnableErrors(rid)
 			if err != nil {
 				t.Fatalf("RunnableErrors(%d): %v", rid, err)
 			}

@@ -33,7 +33,7 @@ import (
 	"swwd"
 	"swwd/internal/core"
 	"swwd/internal/export"
-	"swwd/internal/ingest"
+	"swwd/internal/fleet"
 	"swwd/swwdclient"
 )
 
@@ -49,7 +49,7 @@ func TestIngestSoak(t *testing.T) {
 	)
 	window := time.Duration(graceFrames) * interval
 
-	fleet, err := ingest.BuildFleet(ingest.FleetConfig{
+	fl, err := fleet.Build(fleet.Config{
 		Nodes:            soakNodes,
 		RunnablesPerNode: soakRunnables,
 		Interval:         interval,
@@ -57,13 +57,13 @@ func TestIngestSoak(t *testing.T) {
 		GraceFrames:      graceFrames,
 	})
 	if err != nil {
-		t.Fatalf("BuildFleet: %v", err)
+		t.Fatalf("Build: %v", err)
 	}
-	addr, err := fleet.Server.Listen("127.0.0.1:0")
+	addr, err := fl.Server.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	defer fleet.Server.Close()
+	defer fl.Server.Close()
 
 	// Start the reporters first so every node has frames in flight
 	// before the watchdog begins counting silence.
@@ -107,14 +107,14 @@ func TestIngestSoak(t *testing.T) {
 
 	// Every node must have reported at least once before sweeps begin.
 	deadline := time.Now().Add(10 * time.Second)
-	for fleet.Server.Stats().Accepted < uint64(soakNodes) {
+	for fl.Server.Stats().Accepted < uint64(soakNodes) {
 		if time.Now().After(deadline) {
-			t.Fatalf("fleet warm-up timed out: stats %+v", fleet.Server.Stats())
+			t.Fatalf("fleet warm-up timed out: stats %+v", fl.Server.Stats())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	svc, err := swwd.NewService(fleet.Watchdog, cycle)
+	svc, err := swwd.NewService(fl.Watchdog, cycle)
 	if err != nil {
 		t.Fatalf("NewService: %v", err)
 	}
@@ -130,14 +130,14 @@ func TestIngestSoak(t *testing.T) {
 
 	// First half: the healthy fleet must stay detection-free.
 	time.Sleep(soakDuration / 2)
-	if res := fleet.Watchdog.Results(); res != (core.Results{}) {
+	if res := fl.Watchdog.Results(); res != (core.Results{}) {
 		t.Fatalf("detections on a healthy fleet: %+v", res)
 	}
 
 	// Kill one reporter mid-soak: its beat goroutine keeps ticking into
 	// a closed client (harmless), but no further frames leave the node.
 	victim := soakNodes / 2
-	victimLink := fleet.Specs[victim].Link
+	victimLink := fl.Specs[victim].Link
 	killed := time.Now()
 	_ = clients[victim].Close()
 	clients[victim] = nil
@@ -149,7 +149,7 @@ func TestIngestSoak(t *testing.T) {
 	bound := 2*window + 2*time.Second
 	var linkFaults uint64
 	for {
-		linkFaults, _, _, err = fleet.Watchdog.RunnableErrors(victimLink)
+		linkFaults, _, _, err = fl.Watchdog.RunnableErrors(victimLink)
 		if err != nil {
 			t.Fatalf("RunnableErrors: %v", err)
 		}
@@ -179,7 +179,7 @@ func TestIngestSoak(t *testing.T) {
 	closeAll()
 
 	// The wire stayed clean end to end.
-	st := fleet.Server.Stats()
+	st := fl.Server.Stats()
 	if st.DecodeErrors != 0 || st.UnknownNode != 0 || st.SeqGaps != 0 ||
 		st.DuplicateDrops != 0 || st.DroppedPackets != 0 ||
 		st.NodeRestarts != 0 || st.StaleEpochDrops != 0 || st.IntervalMismatch != 0 {
@@ -191,10 +191,10 @@ func TestIngestSoak(t *testing.T) {
 	}
 
 	// Every detection is attributed to the dead node.
-	for n, spec := range fleet.Specs {
+	for n, spec := range fl.Specs {
 		rids := append([]swwd.RunnableID{spec.Link}, spec.Runnables...)
 		for _, rid := range rids {
-			a, ar, pf, err := fleet.Watchdog.RunnableErrors(rid)
+			a, ar, pf, err := fl.Watchdog.RunnableErrors(rid)
 			if err != nil {
 				t.Fatalf("RunnableErrors(%d): %v", rid, err)
 			}
@@ -207,7 +207,7 @@ func TestIngestSoak(t *testing.T) {
 
 	// The fault is journaled against the link runnable...
 	var journaled bool
-	for _, e := range fleet.Watchdog.Journal() {
+	for _, e := range fl.Watchdog.Journal() {
 		if e.Kind == core.AlivenessError && e.Runnable == victimLink {
 			journaled = true
 			break
@@ -220,9 +220,9 @@ func TestIngestSoak(t *testing.T) {
 	// ...and visible in the rendered /metrics exposition.
 	var buf bytes.Buffer
 	snap := svc.Snapshot()
-	export.WriteSnapshot(&buf, &snap, fleet.Names)
+	export.WriteSnapshot(&buf, &snap, fl.Names)
 	export.WriteIngest(&buf, st)
-	needle := fmt.Sprintf("swwd_runnable_faults_total{runnable=%q,kind=\"aliveness\"}", fleet.Names[int(victimLink)])
+	needle := fmt.Sprintf("swwd_runnable_faults_total{runnable=%q,kind=\"aliveness\"}", fl.Names[int(victimLink)])
 	if !strings.Contains(buf.String(), needle+" ") {
 		t.Fatalf("metrics exposition lacks %s", needle)
 	}

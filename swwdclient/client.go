@@ -151,12 +151,12 @@ type Client struct {
 	backoff  time.Duration
 	nextDial time.Time
 
-	// ackMu guards the command epoch+seq pair so the reader's updates
-	// and the flusher's stamping never tear: a frame either carries the
-	// pair from before a command or from after it, never a mix.
-	ackMu    sync.Mutex
-	cmdEpoch uint64 // highest server command epoch seen
-	cmdSeq   uint64 // highest applied seq within cmdEpoch
+	// ackMu guards the command session so the reader's updates and the
+	// flusher's stamping never tear: a frame either carries the ack pair
+	// from before a command or from after it, never a mix. The session's
+	// (Epoch, Seq) is the highest applied command — the ack pair.
+	ackMu      sync.Mutex
+	cmdSession wire.Session
 
 	framesSent  atomic.Uint64
 	sendErrs    atomic.Uint64
@@ -212,18 +212,12 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		return nil, fmt.Errorf("swwdclient: %w", err)
 	}
 	// The session epoch distinguishes this client incarnation from any
-	// earlier one the server may have tracked for the same node ID: the
-	// wall clock in nanoseconds is strictly larger across restarts (the
-	// property the server's epoch comparison relies on) and never zero.
-	epoch := uint64(time.Now().UnixNano())
-	if epoch == 0 {
-		epoch = 1
-	}
+	// earlier one the server may have tracked for the same node ID.
 	c := &Client{
 		cfg:      cfg,
 		counts:   make([]atomic.Uint32, cfg.Runnables),
 		flowCap:  cfg.MaxFlowBacklog,
-		epoch:    epoch,
+		epoch:    wire.NewEpoch(),
 		conn:     conn,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -357,8 +351,8 @@ func (c *Client) flushLocked() {
 	// ackMu so it is always internally consistent (a non-zero seq never
 	// rides with a zero or older epoch).
 	c.ackMu.Lock()
-	c.frame.CmdAckEpoch = c.cmdEpoch
-	c.frame.CmdAckSeq = c.cmdSeq
+	c.frame.CmdAckEpoch = c.cmdSession.Epoch
+	c.frame.CmdAckSeq = c.cmdSession.Seq
 	c.ackMu.Unlock()
 	c.frame.IntervalMs = uint32(c.cfg.Interval / time.Millisecond)
 	if c.frame.IntervalMs == 0 {

@@ -115,9 +115,11 @@ func TestClientFlowBacklogCap(t *testing.T) {
 	}
 }
 
-// failingConn always errors on Write, standing in for a broken link.
+// failingConn always errors on Read and Write, standing in for a broken
+// link; the command reader may pick it up while it is installed.
 type failingConn struct{ net.Conn }
 
+func (failingConn) Read([]byte) (int, error)  { return 0, errors.New("link down") }
 func (failingConn) Write([]byte) (int, error) { return 0, errors.New("link down") }
 func (failingConn) Close() error              { return nil }
 
@@ -125,7 +127,11 @@ func TestClientFoldsBackOnSendErrorAndReconnects(t *testing.T) {
 	sink := loopback(t)
 	c := dialQuiet(t, sink.LocalAddr().String(), 2)
 
+	// Close the dialed socket before breaking the link: the command
+	// reader may be blocked reading it, and only a closed socket sends it
+	// back to fetch the current one.
 	c.flushMu.Lock()
+	_ = c.conn.Close()
 	c.conn = failingConn{}
 	c.flushMu.Unlock()
 

@@ -118,10 +118,10 @@ func (c *Client) readLoop() {
 }
 
 // handleCommand decodes one datagram and applies the epoch+seq
-// discipline: a command of an older server incarnation is stale and
-// dropped; a newer incarnation resets the sequence tracking; within an
-// incarnation each sequence number is applied at most once and only
-// moving forward.
+// discipline of wire.Session: a command of an older server incarnation
+// is stale and dropped; a newer incarnation resets the sequence
+// tracking; within an incarnation each sequence number is applied at
+// most once and only moving forward.
 func (c *Client) handleCommand(buf []byte, cmd *wire.Command) {
 	if err := wire.DecodeCommand(buf, cmd); err != nil {
 		c.cmdErrs.Add(1)
@@ -132,23 +132,12 @@ func (c *Client) handleCommand(buf []byte, cmd *wire.Command) {
 		return
 	}
 	c.ackMu.Lock()
-	if cmd.Epoch < c.cmdEpoch {
-		c.ackMu.Unlock()
-		c.cmdDropped.Add(1)
-		return
-	}
-	if cmd.Epoch > c.cmdEpoch {
-		// A new server incarnation supersedes the old one's numbering.
-		c.cmdEpoch = cmd.Epoch
-		c.cmdSeq = 0
-	}
-	if cmd.Seq <= c.cmdSeq {
-		c.ackMu.Unlock()
-		c.cmdDropped.Add(1)
-		return
-	}
-	c.cmdSeq = cmd.Seq
+	v, _ := c.cmdSession.Admit(cmd.Epoch, cmd.Seq)
 	c.ackMu.Unlock()
+	if v == wire.Duplicate || v == wire.Stale {
+		c.cmdDropped.Add(1)
+		return
+	}
 	for i := range cmd.Recs {
 		r := &cmd.Recs[i]
 		if c.cfg.OnCommand != nil {
