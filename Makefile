@@ -30,8 +30,10 @@ bench-hotpath:
 # Machine-readable benchmark suites under ./bench/ (gitignored): the
 # cycle-sweep + hot-path suite, the telemetry suite, the wire/ingest
 # suite (heartbeat + command codecs), the treatment-engine suite, the
-# WAL suite (append hand-off + replay throughput) and the calibration
-# suite (estimator sampling, Suggest derivation, beat-path parity).
+# multi-socket ingest + fleet set-up suite (BenchmarkFleetBuild reports
+# ns/node at 10k and 100k nodes), the WAL suite (append hand-off +
+# replay throughput) and the calibration suite (estimator sampling,
+# Suggest derivation, beat-path parity).
 # Override BENCHTIME for a quick smoke run: make bench-json BENCHTIME=1x
 BENCHTIME ?= 1s
 bench-json:
@@ -48,8 +50,8 @@ bench-json:
 	$(GO) test -run xxx -bench 'TreatDecide' \
 		-benchmem -benchtime $(BENCHTIME) ./internal/treat | tee bench/treat.txt
 	$(GO) run ./cmd/benchjson -o bench/BENCH_treat.json bench/treat.txt
-	$(GO) test -run xxx -bench 'IngestMT' \
-		-benchmem -benchtime $(BENCHTIME) ./internal/ingest | tee bench/ingest_mt.txt
+	$(GO) test -run xxx -bench 'IngestMT|FleetBuild' \
+		-benchmem -benchtime $(BENCHTIME) ./internal/ingest ./internal/fleet | tee bench/ingest_mt.txt
 	$(GO) run ./cmd/benchjson -o bench/BENCH_ingest_mt.json bench/ingest_mt.txt
 	$(GO) test -run xxx -bench 'WALHandoff|WALAppend|WALEncodeRecord|WALReplay' \
 		-benchmem -benchtime $(BENCHTIME) ./internal/wal | tee bench/wal.txt
@@ -71,7 +73,7 @@ bench-suite:
 	stats)     pat='Snapshot|BeatWithStats|Journal'; pkgs='.' ;; \
 	wire)      pat='WireDecode|WireEncode|CommandEncode|CommandDecode|IngestFrame'; pkgs='./internal/wire ./internal/ingest' ;; \
 	treat)     pat='TreatDecide'; pkgs='./internal/treat' ;; \
-	ingest_mt) pat='IngestMT'; pkgs='./internal/ingest' ;; \
+	ingest_mt) pat='IngestMT|FleetBuild'; pkgs='./internal/ingest ./internal/fleet' ;; \
 	wal)       pat='WALHandoff|WALAppend|WALEncodeRecord|WALReplay'; pkgs='./internal/wal' ;; \
 	calib)     pat='CalibEstimatorSample|CalibSuggest|MonitorBeatCalib'; pkgs='.' ;; \
 	*) echo "unknown SUITE '$(SUITE)' (want cycle, stats, wire, treat, ingest_mt, wal or calib)"; exit 2 ;; \

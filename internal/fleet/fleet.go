@@ -143,7 +143,8 @@ func Build(cfg Config) (f *Fleet, err error) {
 		if err != nil {
 			return nil, err
 		}
-		spec := ingest.NodeSpec{Node: uint32(n), Interval: cfg.Interval}
+		spec := ingest.NodeSpec{Node: uint32(n), Interval: cfg.Interval,
+			Runnables: make([]runnable.ID, 0, cfg.RunnablesPerNode)}
 		for r := 0; r < cfg.RunnablesPerNode; r++ {
 			rid, err := model.AddRunnable(task, fmt.Sprintf("node%04d/r%d", n, r), time.Millisecond, runnable.SafetyRelevant)
 			if err != nil {

@@ -28,6 +28,17 @@ type fixture struct {
 // listening.
 func newFixture(tb testing.TB, nodes, rpn int, opts ...Option) *fixture {
 	tb.Helper()
+	f := newUnregisteredFixture(tb, nodes, rpn, opts...)
+	if err := f.Server.RegisterNodes(f.Specs); err != nil {
+		tb.Fatalf("fixture: %v", err)
+	}
+	return f
+}
+
+// newUnregisteredFixture is newFixture without the node registration:
+// no link hypothesis is installed and no link runnable is active.
+func newUnregisteredFixture(tb testing.TB, nodes, rpn int, opts ...Option) *fixture {
+	tb.Helper()
 	const interval, cycle = 100 * time.Millisecond, 10 * time.Millisecond
 	check := func(err error) {
 		if err != nil {
@@ -62,6 +73,5 @@ func newFixture(tb testing.TB, nodes, rpn int, opts ...Option) *fixture {
 	}
 	srv, err := New(w, opts...)
 	check(err)
-	check(srv.RegisterNodes(specs))
 	return &fixture{Watchdog: w, Server: srv, Specs: specs}
 }

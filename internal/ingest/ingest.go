@@ -338,14 +338,17 @@ type Server struct {
 	w   *core.Watchdog
 	cfg Config
 
-	// nodes is a copy-on-write map: readers load it with one atomic
-	// pointer load; RegisterNode clones under regMu.
-	nodes atomic.Pointer[map[uint32]*nodeState]
-	regMu sync.Mutex
+	// nodes is the published node index (nodeindex.go): readers load it
+	// with one atomic pointer load; RegisterNodes builds the next one
+	// under nodeMu.
+	nodes  atomic.Pointer[nodeIndex]
+	nodeMu sync.Mutex
 
-	// conn is the first listener's socket: the bound-address handle and
-	// the write side of the command channel. listeners holds every
-	// socket (len 1 on the single-socket fallback).
+	// mu guards the socket lifecycle below. conn is the first listener's
+	// socket: the bound-address handle and the write side of the command
+	// channel. listeners holds every socket (len 1 on the single-socket
+	// fallback).
+	mu        sync.Mutex
 	conn      *net.UDPConn
 	listeners []*listenerState
 	stripes   []stripe
@@ -425,8 +428,7 @@ func New(w *core.Watchdog, opts ...Option) (*Server, error) {
 		cfg.CommandEpoch = wire.NewEpoch()
 	}
 	s := &Server{w: cfg.Watchdog, cfg: cfg, cmdEpoch: cfg.CommandEpoch, stripes: make([]stripe, cfg.Shards)}
-	empty := make(map[uint32]*nodeState)
-	s.nodes.Store(&empty)
+	s.nodes.Store(&nodeIndex{})
 	return s, nil
 }
 
@@ -455,46 +457,49 @@ func (s *Server) RegisterNode(spec NodeSpec) error {
 	return s.RegisterNodes([]NodeSpec{spec})
 }
 
-// RegisterNodes registers a batch of nodes with one copy-on-write step.
-// Per-node RegisterNode clones the whole lock-free node table for every
-// insert — O(fleet) per call, quadratic across a fleet build and the
-// dominant cost of assembling 100k+ nodes. The batch form resolves
-// every spec first and publishes them with a single clone, so building
-// an N-node fleet is O(N) total. On any error nothing is published.
+// RegisterNodes registers a batch of nodes all-or-nothing: every spec
+// is checked — interval, runnable IDs, link hypothesis, the node not yet
+// registered and not repeated in the batch — before the first watchdog
+// change, so on any error nothing is published and the watchdog is left
+// exactly as it was. Then each link hypothesis is installed, each link
+// runnable activated, and the batch published with one atomic store.
+// The new node index copies only the pages the batch writes, so one
+// RegisterNode costs O(page) and an N-node batch O(N).
 func (s *Server) RegisterNodes(specs []NodeSpec) error {
+	s.nodeMu.Lock()
+	defer s.nodeMu.Unlock()
 	states := make([]*nodeState, len(specs))
+	hyps := make([]core.Hypothesis, len(specs))
 	for i := range specs {
-		ns, err := s.resolveNode(&specs[i])
+		ns, hyp, err := s.resolveNode(&specs[i])
 		if err != nil {
 			return err
 		}
-		states[i] = ns
+		states[i], hyps[i] = ns, hyp
 	}
-
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	old := *s.nodes.Load()
-	next := make(map[uint32]*nodeState, len(old)+len(specs))
-	for k, v := range old {
-		next[k] = v
+	next, err := s.nodes.Load().with(states)
+	if err != nil {
+		return err
 	}
 	for i := range specs {
-		if _, dup := next[specs[i].Node]; dup {
-			return fmt.Errorf("%w: %d", ErrNodeExists, specs[i].Node)
+		link := specs[i].Link
+		if err := s.w.SetHypothesis(link, hyps[i]); err != nil {
+			return fmt.Errorf("ingest: node %d link hypothesis: %w", specs[i].Node, err)
 		}
-		next[specs[i].Node] = states[i]
+		if err := s.w.Activate(link); err != nil {
+			return fmt.Errorf("ingest: node %d link activate: %w", specs[i].Node, err)
+		}
 	}
-	s.nodes.Store(&next)
+	s.nodes.Store(next)
 	return nil
 }
 
-// resolveNode turns a NodeSpec into runtime state: Monitor handles for
-// the runnable table, the derived link hypothesis installed and the
-// link runnable activated. It touches only the watchdog, never the
-// node table.
-func (s *Server) resolveNode(spec *NodeSpec) (*nodeState, error) {
+// resolveNode turns a NodeSpec into runtime state — Monitor handles for
+// the runnable table and the link — and derives the link hypothesis,
+// checking every part of the spec without changing the watchdog.
+func (s *Server) resolveNode(spec *NodeSpec) (*nodeState, core.Hypothesis, error) {
 	if spec.Interval <= 0 {
-		return nil, fmt.Errorf("ingest: node %d: interval must be positive", spec.Node)
+		return nil, core.Hypothesis{}, fmt.Errorf("ingest: node %d: interval must be positive", spec.Node)
 	}
 	intervalMs := uint32(spec.Interval / time.Millisecond)
 	if intervalMs == 0 {
@@ -508,23 +513,20 @@ func (s *Server) resolveNode(spec *NodeSpec) (*nodeState, error) {
 	for i, rid := range spec.Runnables {
 		m, err := s.w.Register(rid)
 		if err != nil {
-			return nil, fmt.Errorf("ingest: node %d runnable %d: %w", spec.Node, i, err)
+			return nil, core.Hypothesis{}, fmt.Errorf("ingest: node %d runnable %d: %w", spec.Node, i, err)
 		}
 		ns.mons[i] = m
 	}
 	link, err := s.w.Register(spec.Link)
 	if err != nil {
-		return nil, fmt.Errorf("ingest: node %d link: %w", spec.Node, err)
+		return nil, core.Hypothesis{}, fmt.Errorf("ingest: node %d link: %w", spec.Node, err)
 	}
 	ns.link = link
 	hyp := LinkHypothesis(spec.Interval, s.w.CyclePeriod(), s.cfg.GraceFrames)
-	if err := s.w.SetHypothesis(spec.Link, hyp); err != nil {
-		return nil, fmt.Errorf("ingest: node %d link hypothesis: %w", spec.Node, err)
+	if err := hyp.Validate(); err != nil {
+		return nil, core.Hypothesis{}, fmt.Errorf("ingest: node %d link hypothesis: %w", spec.Node, err)
 	}
-	if err := s.w.Activate(spec.Link); err != nil {
-		return nil, fmt.Errorf("ingest: node %d link activate: %w", spec.Node, err)
-	}
-	return ns, nil
+	return ns, hyp, nil
 }
 
 // Listen binds the UDP socket(s) and starts one read loop per socket.
@@ -533,8 +535,8 @@ func (s *Server) resolveNode(spec *NodeSpec) (*nodeState, error) {
 // via SO_REUSEPORT, falling back to a single socket where the platform
 // or kernel lacks it.
 func (s *Server) Listen(addr string) (net.Addr, error) {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
@@ -562,8 +564,8 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 
 // Addr reports the bound address, nil before Listen.
 func (s *Server) Addr() net.Addr {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.conn == nil {
 		return nil
 	}
@@ -574,14 +576,14 @@ func (s *Server) Addr() net.Addr {
 // is left running — link runnables of silent nodes will keep
 // accumulating aliveness faults until the caller deactivates them.
 func (s *Server) Close() error {
-	s.regMu.Lock()
+	s.mu.Lock()
 	if s.closed {
-		s.regMu.Unlock()
+		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
 	listeners := s.listeners
-	s.regMu.Unlock()
+	s.mu.Unlock()
 	for _, ls := range listeners {
 		_ = ls.conn.Close() // unblocks the read loop
 	}
@@ -601,7 +603,7 @@ func (s *Server) ingestFrame(buf []byte, f *wire.Frame, src netip.AddrPort) {
 		s.decodeErrs.Add(1)
 		return
 	}
-	ns := (*s.nodes.Load())[f.Node]
+	ns := s.nodes.Load().get(f.Node)
 	if ns == nil {
 		s.unknown.Add(1)
 		return
@@ -700,13 +702,13 @@ func (s *Server) ingestFrame(buf []byte, f *wire.Frame, src netip.AddrPort) {
 // delivered a frame has no return address — ErrNoAddress — and an
 // unsendable command counts as dropped.
 func (s *Server) SendCommand(node uint32, recs ...wire.CmdRec) (uint64, error) {
-	ns := (*s.nodes.Load())[node]
+	ns := s.nodes.Load().get(node)
 	if ns == nil {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownNode, node)
 	}
-	s.regMu.Lock()
+	s.mu.Lock()
 	conn := s.conn
-	s.regMu.Unlock()
+	s.mu.Unlock()
 	if conn == nil {
 		s.cmdDropped.Add(1)
 		return 0, ErrNotListening
@@ -741,7 +743,7 @@ func (s *Server) CommandEpoch() uint64 { return s.cmdEpoch }
 // acknowledged in the server's command epoch (zero for an unknown node
 // or one that has acked nothing).
 func (s *Server) NodeCommandAcked(node uint32) uint64 {
-	ns := (*s.nodes.Load())[node]
+	ns := s.nodes.Load().get(node)
 	if ns == nil {
 		return 0
 	}
@@ -768,7 +770,7 @@ func (s *Server) Stats() Stats {
 		CommandsAcked:    s.cmdAcked.Load(),
 		CommandsDropped:  s.cmdDropped.Load(),
 		CommandStaleAcks: s.cmdStale.Load(),
-		Nodes:            len(*s.nodes.Load()),
+		Nodes:            s.nodes.Load().count,
 		Listeners:        len(s.snapshotListeners()),
 	}
 }
@@ -793,11 +795,11 @@ func (s *Server) ListenerStats() []ListenerStat {
 // delete it with that use.
 func (s *Server) ShardStats() []ShardStat { return nil }
 
-// snapshotListeners reads the listener slice under the registration
-// lock (it is assigned once, by Listen).
+// snapshotListeners reads the listener slice under s.mu (it is
+// assigned once, by Listen).
 func (s *Server) snapshotListeners() []*listenerState {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.listeners
 }
 

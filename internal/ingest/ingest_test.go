@@ -386,6 +386,66 @@ func TestRegisterNodeValidation(t *testing.T) {
 	}
 }
 
+// TestRegisterNodesRejectedBatch checks that a rejected batch leaves
+// the watchdog exactly as it was: no link hypothesis installed, no link
+// runnable activated, no fault raised for the unpublished nodes — and
+// nothing published, so the batch can be retried once corrected.
+func TestRegisterNodesRejectedBatch(t *testing.T) {
+	f := newUnregisteredFixture(t, 3, 1)
+	if err := f.Server.RegisterNode(f.Specs[0]); err != nil {
+		t.Fatal(err)
+	}
+	unknownRunnable := f.Specs[2]
+	unknownRunnable.Runnables = []runnable.ID{999}
+	zeroInterval := f.Specs[2]
+	zeroInterval.Interval = 0
+	for _, tc := range []struct {
+		name  string
+		batch []NodeSpec
+		want  error
+	}{
+		{"registered-node", []NodeSpec{f.Specs[1], f.Specs[0]}, ErrNodeExists},
+		{"repeated-in-batch", []NodeSpec{f.Specs[1], f.Specs[2], f.Specs[1]}, ErrNodeExists},
+		{"unknown-runnable", []NodeSpec{f.Specs[1], unknownRunnable}, core.ErrUnknownRunnable},
+		{"zero-interval", []NodeSpec{f.Specs[1], zeroInterval}, nil},
+	} {
+		err := f.Server.RegisterNodes(tc.batch)
+		if err == nil || tc.want != nil && !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	if got := f.Server.Stats().Nodes; got != 1 {
+		t.Fatalf("rejected batches published nodes: Stats.Nodes = %d, want 1", got)
+	}
+	for _, spec := range f.Specs[1:] {
+		hyp, err := f.Watchdog.Hypothesis(spec.Link)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := f.Watchdog.CounterSnapshot(spec.Link)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hyp.AlivenessCycles != 0 || c.Active {
+			t.Fatalf("node %d: rejected batch left link hypothesis %+v, active %v", spec.Node, hyp, c.Active)
+		}
+	}
+	for c := 0; c < 100; c++ {
+		f.Watchdog.Cycle()
+	}
+	for _, spec := range f.Specs[1:] {
+		if a, _, _, _ := f.Watchdog.RunnableErrors(spec.Link); a != 0 {
+			t.Fatalf("node %d: unpublished link raised %d aliveness faults", spec.Node, a)
+		}
+	}
+	if err := f.Server.RegisterNodes(f.Specs[1:]); err != nil {
+		t.Fatalf("corrected batch: %v", err)
+	}
+	if got := f.Server.Stats().Nodes; got != 3 {
+		t.Fatalf("Stats.Nodes = %d, want 3", got)
+	}
+}
+
 // TestIngestFrameZeroAlloc pins the steady-state cost contract of the
 // ingest path: decode + validate + sequence check + replay allocates
 // nothing per frame.

@@ -9,6 +9,7 @@ package runnable
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -176,17 +177,12 @@ func (m *Model) AddSharedRunnable(task TaskID, app AppID, name string, execTime 
 	})
 	m.tasks[task].Runnables = append(m.tasks[task].Runnables, id)
 	m.byName[name] = id
-	// The hosting task joins the owning application's task set.
-	hosts := m.apps[app].Tasks
-	known := false
-	for _, t := range hosts {
-		if t == task {
-			known = true
-			break
-		}
-	}
-	if !known {
-		m.apps[app].Tasks = append(hosts, task)
+	// The hosting task joins the owning application's task set. AddTask
+	// already listed it under its primary application, so only a
+	// runnable shared into another application needs the membership
+	// scan — which keeps building a one-app fleet linear.
+	if app != m.tasks[task].App && !slices.Contains(m.apps[app].Tasks, task) {
+		m.apps[app].Tasks = append(m.apps[app].Tasks, task)
 	}
 	return id, nil
 }

@@ -2,6 +2,8 @@ package runnable
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -281,5 +283,76 @@ func TestSharedRunnableMapping(t *testing.T) {
 	}
 	if _, err := m.AddSharedRunnable(task, AppID(9), "x", time.Millisecond, QM); err == nil {
 		t.Fatal("unknown app accepted")
+	}
+}
+
+// TestTaskListsKeepOrder pins the exact contents and order of App.Tasks
+// and Task.Runnables: a task is listed under its primary application by
+// AddTask, and under any other application once, at the first runnable
+// of that application it hosts.
+func TestTaskListsKeepOrder(t *testing.T) {
+	type step struct {
+		task TaskID
+		app  AppID
+	}
+	cases := []struct {
+		name      string
+		taskApps  []AppID // primary application of tasks 0, 1, ...
+		steps     []step  // one runnable each, IDs 0, 1, ... in order
+		appTasks  [][]TaskID
+		taskRunns [][]ID
+	}{
+		{
+			name:      "same-app",
+			taskApps:  []AppID{0, 0, 0},
+			steps:     []step{{1, 0}, {0, 0}, {1, 0}, {2, 0}, {0, 0}},
+			appTasks:  [][]TaskID{{0, 1, 2}},
+			taskRunns: [][]ID{{1, 4}, {0, 2}, {3}},
+		},
+		{
+			name:      "shared-into-second-app",
+			taskApps:  []AppID{0, 0, 1},
+			steps:     []step{{0, 0}, {1, 0}, {2, 1}, {1, 1}, {0, 1}},
+			appTasks:  [][]TaskID{{0, 1}, {2, 1, 0}},
+			taskRunns: [][]ID{{0, 4}, {1, 3}, {2}},
+		},
+		{
+			name:     "repeated-shared",
+			taskApps: []AppID{0, 0, 1},
+			steps: []step{{0, 0}, {1, 0}, {2, 1}, {1, 1}, {1, 1}, {0, 1},
+				{1, 1}, {0, 1}, {2, 0}, {2, 0}, {0, 0}},
+			appTasks:  [][]TaskID{{0, 1, 2}, {2, 1, 0}},
+			taskRunns: [][]ID{{0, 5, 7, 10}, {1, 3, 4, 6}, {2, 8, 9}},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewModel()
+			for i := range tc.appTasks {
+				if _, err := m.AddApp(fmt.Sprintf("app%d", i), SafetyRelevant); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, app := range tc.taskApps {
+				if _, err := m.AddTask(app, fmt.Sprintf("task%d", i), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, s := range tc.steps {
+				if _, err := m.AddSharedRunnable(s.task, s.app, fmt.Sprintf("r%d", i), time.Millisecond, QM); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, want := range tc.appTasks {
+				if got := m.Apps()[i].Tasks; !slices.Equal(got, want) {
+					t.Errorf("app %d: Tasks = %v, want %v", i, got, want)
+				}
+			}
+			for i, want := range tc.taskRunns {
+				if got := m.Tasks()[i].Runnables; !slices.Equal(got, want) {
+					t.Errorf("task %d: Runnables = %v, want %v", i, got, want)
+				}
+			}
+		})
 	}
 }
