@@ -33,78 +33,61 @@ bench-hotpath:
 # multi-socket ingest + fleet set-up suite (BenchmarkFleetBuild reports
 # ns/node at 10k and 100k nodes), the WAL suite (append hand-off +
 # replay throughput) and the calibration suite (estimator sampling,
-# Suggest derivation, beat-path parity).
+# Suggest derivation, beat-path parity). Each suite is one row below:
+# <suite>_BENCH is its -bench pattern, <suite>_PKGS its packages, and
+# it lands in bench/BENCH_<suite>.json.
+SUITES := cycle stats wire treat ingest_mt wal calib
+cycle_BENCH     := CycleSweep|Heartbeat|MonitorBeat|ConcurrentCycle|WatchdogCycle
+cycle_PKGS      := . ./internal/core
+stats_BENCH     := Snapshot|BeatWithStats|Journal
+stats_PKGS      := .
+wire_BENCH      := WireDecode|WireEncode|CommandEncode|CommandDecode|IngestFrame
+wire_PKGS       := ./internal/wire ./internal/ingest
+treat_BENCH     := TreatDecide
+treat_PKGS      := ./internal/treat
+ingest_mt_BENCH := IngestMT|FleetBuild
+ingest_mt_PKGS  := ./internal/ingest ./internal/fleet
+wal_BENCH       := WALHandoff|WALAppend|WALEncodeRecord|WALReplay
+wal_PKGS        := ./internal/wal
+calib_BENCH     := CalibEstimatorSample|CalibSuggest|MonitorBeatCalib
+calib_PKGS      := .
+SUITE_JSON := $(SUITES:%=bench/BENCH_%.json)
+
+# bench-run runs suite $(1) into bench/$(1).txt and converts it to
+# bench/BENCH_$(1).json.
+define bench-run
+$(GO) test -run xxx -bench '$($(1)_BENCH)' -benchmem -benchtime $(BENCHTIME) $($(1)_PKGS) | tee bench/$(1).txt
+$(GO) run ./cmd/benchjson -o bench/BENCH_$(1).json bench/$(1).txt
+
+endef
+
 # Override BENCHTIME for a quick smoke run: make bench-json BENCHTIME=1x
 BENCHTIME ?= 1s
 bench-json:
 	mkdir -p bench
-	$(GO) test -run xxx -bench 'CycleSweep|Heartbeat|MonitorBeat|ConcurrentCycle|WatchdogCycle' \
-		-benchmem -benchtime $(BENCHTIME) . ./internal/core | tee bench/cycle.txt
-	$(GO) run ./cmd/benchjson -o bench/BENCH_cycle.json bench/cycle.txt
-	$(GO) test -run xxx -bench 'Snapshot|BeatWithStats|Journal' \
-		-benchmem -benchtime $(BENCHTIME) . | tee bench/stats.txt
-	$(GO) run ./cmd/benchjson -o bench/BENCH_stats.json bench/stats.txt
-	$(GO) test -run xxx -bench 'WireDecode|WireEncode|CommandEncode|CommandDecode|IngestFrame' \
-		-benchmem -benchtime $(BENCHTIME) ./internal/wire ./internal/ingest | tee bench/wire.txt
-	$(GO) run ./cmd/benchjson -o bench/BENCH_wire.json bench/wire.txt
-	$(GO) test -run xxx -bench 'TreatDecide' \
-		-benchmem -benchtime $(BENCHTIME) ./internal/treat | tee bench/treat.txt
-	$(GO) run ./cmd/benchjson -o bench/BENCH_treat.json bench/treat.txt
-	$(GO) test -run xxx -bench 'IngestMT|FleetBuild' \
-		-benchmem -benchtime $(BENCHTIME) ./internal/ingest ./internal/fleet | tee bench/ingest_mt.txt
-	$(GO) run ./cmd/benchjson -o bench/BENCH_ingest_mt.json bench/ingest_mt.txt
-	$(GO) test -run xxx -bench 'WALHandoff|WALAppend|WALEncodeRecord|WALReplay' \
-		-benchmem -benchtime $(BENCHTIME) ./internal/wal | tee bench/wal.txt
-	$(GO) run ./cmd/benchjson -o bench/BENCH_wal.json bench/wal.txt
-	$(GO) test -run xxx -bench 'CalibEstimatorSample|CalibSuggest|MonitorBeatCalib' \
-		-benchmem -benchtime $(BENCHTIME) . | tee bench/calib.txt
-	$(GO) run ./cmd/benchjson -o bench/BENCH_calib.json bench/calib.txt
+	$(foreach s,$(SUITES),$(call bench-run,$(s)))
 
 # Regenerate one benchmark suite instead of all seven: pick SUITE from
-# cycle, stats, wire, treat, ingest_mt, wal or calib. Refreshes only that
-# suite's bench/BENCH_<suite>.json; copy it over the repo-root baseline
-# by hand if the change is intentional.
+# $(SUITES). Refreshes only that suite's bench/BENCH_<suite>.json; copy
+# it over the repo-root baseline by hand if the change is intentional.
 # Example: make bench-suite SUITE=wal BENCHTIME=1x
 SUITE ?= wal
 bench-suite:
+	@$(if $(filter $(SUITE),$(SUITES)),true,echo "unknown SUITE '$(SUITE)' (want one of: $(SUITES))"; exit 2)
 	mkdir -p bench
-	@case "$(SUITE)" in \
-	cycle)     pat='CycleSweep|Heartbeat|MonitorBeat|ConcurrentCycle|WatchdogCycle'; pkgs='. ./internal/core' ;; \
-	stats)     pat='Snapshot|BeatWithStats|Journal'; pkgs='.' ;; \
-	wire)      pat='WireDecode|WireEncode|CommandEncode|CommandDecode|IngestFrame'; pkgs='./internal/wire ./internal/ingest' ;; \
-	treat)     pat='TreatDecide'; pkgs='./internal/treat' ;; \
-	ingest_mt) pat='IngestMT|FleetBuild'; pkgs='./internal/ingest ./internal/fleet' ;; \
-	wal)       pat='WALHandoff|WALAppend|WALEncodeRecord|WALReplay'; pkgs='./internal/wal' ;; \
-	calib)     pat='CalibEstimatorSample|CalibSuggest|MonitorBeatCalib'; pkgs='.' ;; \
-	*) echo "unknown SUITE '$(SUITE)' (want cycle, stats, wire, treat, ingest_mt, wal or calib)"; exit 2 ;; \
-	esac; \
-	set -x; \
-	$(GO) test -run xxx -bench "$$pat" -benchmem -benchtime $(BENCHTIME) $$pkgs | tee bench/$(SUITE).txt && \
-	$(GO) run ./cmd/benchjson -o bench/BENCH_$(SUITE).json bench/$(SUITE).txt
+	$(call bench-run,$(SUITE))
 
 # Refresh the committed baselines from a fresh full-length run: the
 # per-suite documents at the repo root plus the merged gate baseline.
 bench-baseline: bench-json
-	cp bench/BENCH_cycle.json BENCH_cycle.json
-	cp bench/BENCH_stats.json BENCH_stats.json
-	cp bench/BENCH_wire.json BENCH_wire.json
-	cp bench/BENCH_treat.json BENCH_treat.json
-	cp bench/BENCH_ingest_mt.json BENCH_ingest_mt.json
-	cp bench/BENCH_wal.json BENCH_wal.json
-	cp bench/BENCH_calib.json BENCH_calib.json
-	$(GO) run ./cmd/benchdiff -merge -o BENCH_baseline.json \
-		bench/BENCH_cycle.json bench/BENCH_stats.json bench/BENCH_wire.json \
-		bench/BENCH_treat.json bench/BENCH_ingest_mt.json bench/BENCH_wal.json \
-		bench/BENCH_calib.json
+	for s in $(SUITES); do cp bench/BENCH_$$s.json BENCH_$$s.json; done
+	$(GO) run ./cmd/benchdiff -merge -o BENCH_baseline.json $(SUITE_JSON)
 
 # Benchmark-regression gate: fresh results vs the committed baseline.
 # Fails on >30% ns/op regressions or any allocation on the gated
 # zero-alloc hot paths (see cmd/benchdiff).
 bench-gate: bench-json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json \
-		bench/BENCH_cycle.json bench/BENCH_stats.json bench/BENCH_wire.json \
-		bench/BENCH_treat.json bench/BENCH_ingest_mt.json bench/BENCH_wal.json \
-		bench/BENCH_calib.json
+	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json $(SUITE_JSON)
 
 # Smoke-tier loopback soak: 1000 swwdclient nodes x 10 runnables over
 # real UDP, with a mid-run client kill (see internal/ingest/soak_test.go),

@@ -1,14 +1,18 @@
-// Command swwdd is the Software Watchdog ingestion daemon: the
-// dedicated health-monitoring node of a distributed deployment. It
-// listens for batched heartbeat frames (internal/wire) from remote
-// reporter nodes over UDP, replays them into a local watchdog on the
-// lock-free hot path (internal/ingest), supervises each node's link
-// through a synthetic link runnable, and serves the combined telemetry —
-// watchdog snapshot plus wire counters — on an HTTP metrics endpoint.
+// Command swwdd is the Software Watchdog daemon: one watchdog driven by
+// a swwd.Service, its detections printed to stdout and its telemetry
+// served over HTTP. Fleet mode (the default) is the dedicated
+// health-monitoring node of a distributed deployment: it listens for
+// batched heartbeat frames (internal/wire) from remote reporter nodes
+// over UDP, replays them into the watchdog on the lock-free hot path
+// (internal/ingest), and supervises each node's link through a
+// synthetic link runnable. Spec mode (-spec) supervises local programs:
+// the monitored system is a JSON spec file (see swwd.Spec) and
+// heartbeats arrive as runnable names on stdin, one per line.
 //
 // Usage:
 //
 //	swwdd -listen :9400 -metrics :9401 -nodes 8 -runnables 10 -interval 100ms
+//	my-app --heartbeat-log /dev/stdout | swwdd -spec system.json -metrics :9401
 //
 // The fleet topology is uniform: -nodes nodes, each reporting
 // -runnables runnables and flushing one frame per -interval. Remote
@@ -16,7 +20,10 @@
 // node ID below -nodes and a matching runnable count. A node that stops
 // reporting — crashed process, unplugged network — raises an aliveness
 // fault on its link runnable within one monitoring window, printed to
-// stdout and visible on /metrics like any local fault.
+// stdout and visible on /metrics like any local fault. The fleet-only
+// flags are refused with -spec. A run ends on SIGINT/SIGTERM, after
+// -duration or, in spec mode, at stdin EOF, and prints a summary whose
+// last line counts the detections.
 //
 // Two-terminal quickstart:
 //
@@ -24,16 +31,20 @@
 //	go run ./examples/remotenode -addr localhost:9400 -node 0
 //	curl -s localhost:9401/metrics | grep swwd_ingest_
 //
+// Both modes serve one HTTP surface on -metrics: Prometheus text on
+// /metrics; readiness on /healthz (the monitoring cycle advances, plus
+// ingest listeners, WAL writer liveness and fsync age, and push backlog
+// where those run); the Snapshot as expvar JSON under "swwd" on
+// /debug/vars; and /debug/pprof. -push-url adds a push export sink
+// delivering the /metrics payload to a collector endpoint on an
+// interval, with retry, backoff and drop accounting.
+//
 // Durable history: -wal-dir streams every journaled detection,
 // treatment action and ingest counter delta to a crash-safe segmented
 // write-ahead log (internal/wal). The retained window is queryable
 // three ways: the /history HTTP endpoint (?since=10m&until=5m), the
-// offline query mode (-wal-dir d -since 1h prints the window and
-// exits without serving), and wal.Replay in code. -push-url adds a
-// push export sink delivering the /metrics payload to a collector
-// endpoint on an interval, with retry, backoff and drop accounting.
-// /healthz reports readiness: WAL writer liveness and fsync age, push
-// backlog, ingest listeners.
+// offline query mode (-wal-dir d -since 1h prints the window and exits
+// without serving), and wal.Replay in code.
 //
 // The full networked pipeline this daemon fronts — client flusher,
 // wire codec, ingest sequence/epoch discipline, link supervision and
@@ -45,12 +56,15 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
@@ -70,157 +84,251 @@ import (
 	"swwd/internal/wal"
 )
 
-// printSink streams watchdog output to stdout.
+// printSink streams watchdog output and the daemon's own lines to one
+// writer.
 type printSink struct {
 	mu    sync.Mutex
+	out   io.Writer
 	quiet bool
+}
 
-	faults uint64
-	states uint64
+func (s *printSink) printf(format string, args ...any) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fmt.Fprintf(s.out, format, args...)
 }
 
 func (s *printSink) Fault(r swwd.Report) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.faults++
 	if !s.quiet {
-		fmt.Printf("%v FAULT %s runnable=%d task=%d observed=%d expected=%d\n",
+		s.printf("%v FAULT %s runnable=%d task=%d observed=%d expected=%d\n",
 			time.Duration(r.Time), r.Kind, r.Runnable, r.Task, r.Observed, r.Expected)
 	}
 }
 
 func (s *printSink) StateChanged(e swwd.StateEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.states++
-	fmt.Printf("%v STATE %s -> %s (cause %s)\n", time.Duration(e.Time), e.Scope, e.State, e.Cause)
+	s.printf("%v STATE %s -> %s (cause %s)\n", time.Duration(e.Time), e.Scope, e.State, e.Cause)
 }
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// The default mux already carries expvar's /debug/vars and pprof's
+	// /debug/pprof.
+	err := run(ctx, os.Args[1:], os.Stdin, os.Stdout, http.DefaultServeMux)
+	stop()
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "swwdd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	listen := flag.String("listen", ":9400", "UDP address to ingest heartbeat frames on")
-	metrics := flag.String("metrics", "", "serve /metrics and /debug/pprof on this HTTP address (e.g. :9401)")
-	nodes := flag.Int("nodes", 8, "number of remote reporter nodes to pre-register")
-	runnables := flag.Int("runnables", 10, "monitored runnables per node")
-	interval := flag.Duration("interval", 100*time.Millisecond, "declared per-node frame flush interval")
-	cycle := flag.Duration("cycle", 10*time.Millisecond, "watchdog monitoring cycle period")
-	grace := flag.Int("grace", ingest.DefaultGraceFrames, "flush intervals a node may stay silent before a link aliveness fault")
-	shards := flag.Int("shards", ingest.DefaultShards, "ingest lock stripes (a read loop replays node N's frames under stripe N%shards)")
-	listeners := flag.Int("listeners", 0, "UDP sockets bound to -listen via SO_REUSEPORT (0 = one per CPU up to 8; platforms without SO_REUSEPORT fall back to 1)")
-	readBatch := flag.Int("read-batch", ingest.DefaultBatchSize, "datagrams one socket receive may return (recvmmsg batching; 1 disables)")
-	duration := flag.Duration("duration", 0, "exit after this long (0 = run until SIGINT/SIGTERM)")
-	quiet := flag.Bool("quiet", false, "suppress per-fault output")
-	treatDeps := flag.String("treat-deps", "", "fault-treatment dependency edges as node:depends_on pairs (e.g. \"1:0,2:0\"); enables the treatment control plane")
-	treatRecovery := flag.Int("treat-recovery", 0, "heartbeat frames a quarantined node must deliver before resuming (0 = default)")
-	treatRestart := flag.Bool("treat-restart-dependents", false, "send restart-runnables commands to dependents scaled back up after recovery")
-	treatSpec := flag.String("treat-spec", "", "JSON treatment spec file (see swwd.TreatmentSpec); mutually exclusive with -treat-deps")
-	walDir := flag.String("wal-dir", "", "directory for the durable fault-history write-ahead log (empty = WAL off)")
-	walSegBytes := flag.Int64("wal-segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation size in bytes")
-	walFsync := flag.Duration("wal-fsync", wal.DefaultSyncInterval, "WAL group-commit fsync cadence (<=0 fsyncs every batch)")
-	walRetain := flag.Int("wal-retain", wal.DefaultRetainSegments, "sealed WAL segments kept before retention deletes the oldest")
-	walRetainAge := flag.Duration("wal-retain-age", 0, "delete sealed WAL segments older than this (0 = no age limit)")
-	walDelta := flag.Duration("wal-delta-interval", time.Second, "cadence of ingest counter-delta records written to the WAL")
-	since := flag.Duration("since", 0, "query mode: replay the WAL window starting this long ago and exit (requires -wal-dir)")
-	until := flag.Duration("until", 0, "query mode: upper window bound, this long ago (0 = now; only with -since)")
-	pushURL := flag.String("push-url", "", "POST the /metrics payload to this URL on an interval (push export sink)")
-	pushInterval := flag.Duration("push-interval", export.DefaultPushInterval, "push sink delivery cadence")
-	calibOn := flag.Bool("calib", false, "enable the online auto-calibration loop (shadow-guarded staged hypothesis rollouts)")
-	calibWindow := flag.Int("calib-window", 100, "calibration observation window in watchdog cycles")
-	calibMargin := flag.Float64("calib-margin", 0, "slack around observed beat extremes when suggesting hypotheses (0 = default)")
-	calibPromote := flag.Int("calib-promote-after", 0, "consecutive clean shadow windows before a candidate is promoted (0 = default)")
-	calibSpec := flag.String("calib-spec", "", "JSON calibration spec file (see swwd.CalibrationSpec); overrides the -calib-* knobs")
-	flag.Parse()
+// specFlags are the flags spec mode shares with fleet mode. Every other
+// flag configures the ingest fleet and is an error with -spec.
+var specFlags = map[string]bool{
+	"spec": true, "metrics": true, "duration": true, "quiet": true, "push-url": true, "push-interval": true,
+}
 
-	if *since != 0 || *until != 0 {
-		return queryHistory(*walDir, *since, *until)
-	}
-
-	treatment, err := treatmentConfig(*treatSpec, *treatDeps, *treatRecovery, *treatRestart, *nodes)
-	if err != nil {
+// run is the daemon. It builds the watchdog of the mode args select,
+// mounts the HTTP surface on mux (served on -metrics when set) and
+// returns when ctx ends, -duration passes or spec mode's stdin reaches
+// EOF, printing the exit summary to out.
+func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer, mux *http.ServeMux) error {
+	fs := flag.NewFlagSet("swwdd", flag.ExitOnError)
+	specPath := fs.String("spec", "", "spec mode: build the watchdog from this JSON system spec (see swwd.Spec) and read heartbeats as runnable names from stdin")
+	listen := fs.String("listen", ":9400", "UDP address to ingest heartbeat frames on")
+	metrics := fs.String("metrics", "", "serve /metrics, /healthz, /debug/vars and /debug/pprof on this HTTP address (e.g. :9401)")
+	nodes := fs.Int("nodes", 8, "number of remote reporter nodes to pre-register")
+	runnables := fs.Int("runnables", 10, "monitored runnables per node")
+	interval := fs.Duration("interval", 100*time.Millisecond, "declared per-node frame flush interval")
+	cycle := fs.Duration("cycle", 10*time.Millisecond, "watchdog monitoring cycle period")
+	grace := fs.Int("grace", ingest.DefaultGraceFrames, "flush intervals a node may stay silent before a link aliveness fault")
+	shards := fs.Int("shards", ingest.DefaultShards, "ingest lock stripes (a read loop replays node N's frames under stripe N%shards)")
+	listeners := fs.Int("listeners", 0, "UDP sockets bound to -listen via SO_REUSEPORT (0 = one per CPU up to 8; platforms without SO_REUSEPORT fall back to 1)")
+	readBatch := fs.Int("read-batch", ingest.DefaultBatchSize, "datagrams one socket receive may return (recvmmsg batching; 1 disables)")
+	duration := fs.Duration("duration", 0, "exit after this long (0 = run until SIGINT/SIGTERM or, with -spec, stdin EOF)")
+	quiet := fs.Bool("quiet", false, "suppress per-fault output")
+	treatDeps := fs.String("treat-deps", "", "fault-treatment dependency edges as node:depends_on pairs (e.g. \"1:0,2:0\"); enables the treatment control plane")
+	treatRecovery := fs.Int("treat-recovery", 0, "heartbeat frames a quarantined node must deliver before resuming (0 = default)")
+	treatRestart := fs.Bool("treat-restart-dependents", false, "send restart-runnables commands to dependents scaled back up after recovery")
+	treatSpec := fs.String("treat-spec", "", "JSON treatment spec file (see swwd.TreatmentSpec); mutually exclusive with -treat-deps")
+	walDir := fs.String("wal-dir", "", "directory for the durable fault-history write-ahead log (empty = WAL off)")
+	walSegBytes := fs.Int64("wal-segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation size in bytes")
+	walFsync := fs.Duration("wal-fsync", wal.DefaultSyncInterval, "WAL group-commit fsync cadence (<=0 fsyncs every batch)")
+	walRetain := fs.Int("wal-retain", wal.DefaultRetainSegments, "sealed WAL segments kept before retention deletes the oldest")
+	walRetainAge := fs.Duration("wal-retain-age", 0, "delete sealed WAL segments older than this (0 = no age limit)")
+	walDelta := fs.Duration("wal-delta-interval", time.Second, "cadence of ingest counter-delta records written to the WAL")
+	since := fs.Duration("since", 0, "query mode: replay the WAL window starting this long ago and exit (requires -wal-dir)")
+	until := fs.Duration("until", 0, "query mode: upper window bound, this long ago (0 = now; only with -since)")
+	pushURL := fs.String("push-url", "", "POST the /metrics payload to this URL on an interval (push export sink)")
+	pushInterval := fs.Duration("push-interval", export.DefaultPushInterval, "push sink delivery cadence")
+	calibOn := fs.Bool("calib", false, "enable the online auto-calibration loop (shadow-guarded staged hypothesis rollouts)")
+	calibWindow := fs.Int("calib-window", 100, "calibration observation window in watchdog cycles")
+	calibMargin := fs.Float64("calib-margin", 0, "slack around observed beat extremes when suggesting hypotheses (0 = default)")
+	calibPromote := fs.Int("calib-promote-after", 0, "consecutive clean shadow windows before a candidate is promoted (0 = default)")
+	calibSpec := fs.String("calib-spec", "", "JSON calibration spec file (see swwd.CalibrationSpec); overrides the -calib-* knobs")
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	calibration, err := calibrationConfig(*calibOn, *calibSpec, *calibWindow, *calibMargin, *calibPromote)
-	if err != nil {
-		return err
-	}
-
-	// Open the WAL before the fleet: the treatment controller's action
-	// sink must exist at fleet build time.
-	var hist *wal.WAL
-	if *walDir != "" {
-		hist, err = wal.Open(*walDir,
-			wal.WithSegmentBytes(*walSegBytes),
-			wal.WithSyncInterval(*walFsync),
-			wal.WithRetainSegments(*walRetain),
-			wal.WithRetainAge(*walRetainAge))
+	var err error
+	if *specPath != "" {
+		fs.Visit(func(f *flag.Flag) {
+			if err == nil && !specFlags[f.Name] {
+				err = fmt.Errorf("-%s is a fleet-mode flag and cannot be combined with -spec", f.Name)
+			}
+		})
 		if err != nil {
-			return fmt.Errorf("wal: %w", err)
+			return err
 		}
-		defer hist.Close()
-		rs := hist.Recovery()
-		fmt.Printf("swwdd: wal %s recovered segments=%d records=%d last_seq=%d torn_bytes=%d dropped_segments=%d\n",
-			*walDir, rs.Segments, rs.Records, rs.LastSeq, rs.TornBytes, rs.SegmentsDropped)
-		if treatment != nil {
-			treatment.ActionSink = func(a treat.Action, execErr bool) {
-				hist.AppendAction(wal.Action{
-					Kind: uint8(a.Kind), Node: a.Node, Cause: a.Cause,
-					SimTimeNs: int64(a.Time), ExecErr: execErr,
-				})
+	}
+	if *since != 0 || *until != 0 {
+		return queryHistory(out, *walDir, *since, *until)
+	}
+
+	sink := &printSink{out: out, quiet: *quiet}
+	health := &export.Health{}
+	var w *swwd.Watchdog
+	var names []string
+	var writers []func(*bytes.Buffer)
+	var fl *fleet.Fleet
+	var hist *wal.WAL
+	var eof chan error // spec mode: nil at stdin EOF, else the read error
+	if *specPath != "" {
+		spec, err := load(*specPath, swwd.LoadSpec)
+		if err != nil {
+			return err
+		}
+		sys, err := spec.Build(nil, sink)
+		if err != nil {
+			return err
+		}
+		w = sys.Watchdog
+		for _, r := range sys.Model.Runnables() {
+			names = append(names, r.Name)
+		}
+		eof = make(chan error, 1)
+		go func() {
+			sc := bufio.NewScanner(stdin)
+			for sc.Scan() {
+				sys.Heartbeat(sc.Text())
+			}
+			eof <- sc.Err()
+		}()
+		sink.printf("swwdd: monitoring %d runnables from %s, cycle %v\n", len(names), *specPath, w.CyclePeriod())
+	} else {
+		treatment, err := treatmentConfig(*treatSpec, *treatDeps, *treatRecovery, *treatRestart, *nodes)
+		if err != nil {
+			return err
+		}
+		calibration, err := calibrationConfig(*calibOn, *calibSpec, *calibWindow, *calibMargin, *calibPromote)
+		if err != nil {
+			return err
+		}
+
+		// Open the WAL before the fleet: the treatment controller's
+		// action sink must exist at fleet build time.
+		if *walDir != "" {
+			hist, err = wal.Open(*walDir,
+				wal.WithSegmentBytes(*walSegBytes),
+				wal.WithSyncInterval(*walFsync),
+				wal.WithRetainSegments(*walRetain),
+				wal.WithRetainAge(*walRetainAge))
+			if err != nil {
+				return fmt.Errorf("wal: %w", err)
+			}
+			defer hist.Close()
+			rs := hist.Recovery()
+			sink.printf("swwdd: wal %s recovered segments=%d records=%d last_seq=%d torn_bytes=%d dropped_segments=%d\n",
+				*walDir, rs.Segments, rs.Records, rs.LastSeq, rs.TornBytes, rs.SegmentsDropped)
+			if treatment != nil {
+				treatment.ActionSink = func(a treat.Action, execErr bool) {
+					hist.AppendAction(wal.Action{
+						Kind: uint8(a.Kind), Node: a.Node, Cause: a.Cause,
+						SimTimeNs: int64(a.Time), ExecErr: execErr,
+					})
+				}
 			}
 		}
-	}
 
-	if *listeners <= 0 {
-		*listeners = runtime.NumCPU()
-		if *listeners > 8 {
-			*listeners = 8
+		if *listeners <= 0 {
+			*listeners = min(runtime.NumCPU(), 8)
 		}
-	}
-	sink := &printSink{quiet: *quiet}
-	fl, err := fleet.Build(fleet.Config{
-		Nodes:            *nodes,
-		RunnablesPerNode: *runnables,
-		Interval:         *interval,
-		CyclePeriod:      *cycle,
-		GraceFrames:      *grace,
-		Shards:           *shards,
-		Listeners:        *listeners,
-		BatchSize:        *readBatch,
-		Sink:             sink,
-		Treatment:        treatment,
-		Calibration:      calibration,
-	})
-	if err != nil {
-		return err
-	}
-	if fl.Treat != nil {
-		defer fl.Treat.Close()
-	}
-	if fl.Calib != nil {
-		defer fl.Calib.Close()
-	}
-	addr, err := fl.Server.Listen(*listen)
-	if err != nil {
-		return err
-	}
-	defer fl.Server.Close()
-
-	if hist != nil {
-		// Stream every journaled detection into the WAL. The sink runs
-		// under the watchdog mutex; AppendDetection is one lock-free
-		// ring push (a full ring drops and counts, never blocks).
-		fl.Watchdog.SetJournalSink(func(e swwd.JournalEntry) {
-			hist.AppendDetection(wal.FromJournal(e))
+		fl, err = fleet.Build(fleet.Config{
+			Nodes:            *nodes,
+			RunnablesPerNode: *runnables,
+			Interval:         *interval,
+			CyclePeriod:      *cycle,
+			GraceFrames:      *grace,
+			Shards:           *shards,
+			Listeners:        *listeners,
+			BatchSize:        *readBatch,
+			Sink:             sink,
+			Treatment:        treatment,
+			Calibration:      calibration,
 		})
+		if err != nil {
+			return err
+		}
+		if fl.Treat != nil {
+			defer fl.Treat.Close()
+		}
+		if fl.Calib != nil {
+			defer fl.Calib.Close()
+		}
+		addr, err := fl.Server.Listen(*listen)
+		if err != nil {
+			return err
+		}
+		defer fl.Server.Close()
+		w, names = fl.Watchdog, fl.Names
+		health.Register(func() export.Check {
+			st := fl.Server.Stats()
+			return export.Check{
+				Name:    "ingest",
+				Healthy: st.Listeners > 0,
+				Detail:  fmt.Sprintf("listeners=%d nodes=%d", st.Listeners, st.Nodes),
+			}
+		})
+
+		// The exposition is the watchdog snapshot (rendered by the
+		// exporter itself) followed by each enabled subsystem's
+		// families.
+		writers = append(writers, func(b *bytes.Buffer) {
+			export.WriteIngest(b, fl.Server.Stats())
+			export.WriteIngestDetail(b, fl.Server.ListenerStats(), nil)
+		})
+		if fl.Treat != nil {
+			writers = append(writers, func(b *bytes.Buffer) { export.WriteTreat(b, fl.Treat.Stats()) })
+		}
+		if fl.Calib != nil {
+			writers = append(writers, func(b *bytes.Buffer) { export.WriteCalib(b, fl.Calib.Status(), fl.Names) })
+			mux.HandleFunc("/calib", calibHandler(fl))
+		}
+		if hist != nil {
+			writers = append(writers, func(b *bytes.Buffer) { export.WriteWAL(b, hist.Stats()) })
+			mux.HandleFunc("/history", historyHandler(*walDir))
+			health.Register(func() export.Check {
+				st := hist.Stats()
+				detail := fmt.Sprintf("synced_seq=%d ring_depth=%d write_errors=%d", st.SyncedSeq, st.RingDepth, st.WriteErrors)
+				if st.LastSyncNs > 0 {
+					detail += fmt.Sprintf(" fsync_age=%v", time.Duration(time.Now().UnixNano()-st.LastSyncNs).Round(time.Millisecond))
+				}
+				return export.Check{Name: "wal", Healthy: hist.Healthy(), Detail: detail}
+			})
+			// Stream every journaled detection into the WAL. The sink
+			// runs under the watchdog mutex; AppendDetection is one
+			// lock-free ring push (a full ring drops and counts, never
+			// blocks).
+			w.SetJournalSink(func(e swwd.JournalEntry) {
+				hist.AppendDetection(wal.FromJournal(e))
+			})
+			if *walDelta > 0 {
+				defer shipDeltas(fl.Server, hist, *walDelta)()
+			}
+		}
+		sink.printf("swwdd: ingesting on %s (%d nodes x %d runnables, interval %v, cycle %v)\n",
+			addr, *nodes, *runnables, *interval, *cycle)
 	}
 
-	svc, err := swwd.NewService(fl.Watchdog, *cycle)
+	svc, err := swwd.NewService(w, 0)
 	if err != nil {
 		return err
 	}
@@ -228,123 +336,141 @@ func run() error {
 		return err
 	}
 	defer func() { _ = svc.Stop() }()
-
-	// Ship ingest counter deltas to the WAL on a fixed cadence so
-	// replay can integrate the wire counters over any time window.
-	shipperDone := make(chan struct{})
-	shipperStop := make(chan struct{})
-	if hist != nil && *walDelta > 0 {
-		go func() {
-			defer close(shipperDone)
-			tick := time.NewTicker(*walDelta)
-			defer tick.Stop()
-			prev := fl.Server.Stats()
-			for {
-				select {
-				case <-shipperStop:
-					return
-				case <-tick.C:
-				}
-				cur := fl.Server.Stats()
-				if d := statsToDelta(cur.Delta(prev)); !d.IsZero() {
-					hist.AppendDelta(d)
-				}
-				prev = cur
-			}
-		}()
-	} else {
-		close(shipperDone)
-	}
-	defer func() { close(shipperStop); <-shipperDone }()
-
-	// The exposition is the watchdog snapshot (rendered by the exporter
-	// itself) followed by each enabled subsystem's families.
-	writers := []func(*bytes.Buffer){func(b *bytes.Buffer) {
-		export.WriteIngest(b, fl.Server.Stats())
-		export.WriteIngestDetail(b, fl.Server.ListenerStats(), nil)
-	}}
-	if fl.Treat != nil {
-		writers = append(writers, func(b *bytes.Buffer) { export.WriteTreat(b, fl.Treat.Stats()) })
-	}
-	if fl.Calib != nil {
-		writers = append(writers, func(b *bytes.Buffer) { export.WriteCalib(b, fl.Calib.Status(), fl.Names) })
-	}
-	if hist != nil {
-		writers = append(writers, func(b *bytes.Buffer) { export.WriteWAL(b, hist.Stats()) })
-	}
-	exp := export.NewExporter(svc.SnapshotInto, fl.Names, writers...)
+	health.Register(cycleCheck(svc))
+	exp := export.NewExporter(svc.SnapshotInto, names, writers...)
 	var pusher *export.Pusher
 	if *pushURL != "" {
 		if pusher, err = exp.StartPush(*pushURL, *pushInterval); err != nil {
 			return err
 		}
 		defer pusher.Stop()
-		fmt.Printf("swwdd: pushing metrics to %s every %v\n", *pushURL, *pushInterval)
+		health.Register(func() export.Check {
+			st := pusher.Stats()
+			return export.Check{
+				Name:    "push",
+				Healthy: pusher.Healthy(),
+				Detail:  fmt.Sprintf("delivered=%d dropped=%d backlog=%d", st.Delivered, st.Dropped, st.Backlog),
+			}
+		})
+		sink.printf("swwdd: pushing metrics to %s\n", *pushURL)
 	}
-
+	// expvar names are process-wide, so only the first run of the
+	// process publishes.
+	if expvar.Get("swwd") == nil {
+		expvar.Publish("swwd", expvar.Func(func() any { return svc.Snapshot() }))
+	}
+	mux.Handle("/metrics", exp)
+	mux.Handle("/healthz", health)
 	if *metrics != "" {
-		http.Handle("/metrics", exp)
-		http.Handle("/healthz", healthFor(fl, hist, pusher, *walFsync, *pushInterval))
-		if hist != nil {
-			http.HandleFunc("/history", historyHandler(*walDir))
-		}
-		if fl.Calib != nil {
-			http.HandleFunc("/calib", calibHandler(fl))
-		}
 		ln, err := net.Listen("tcp", *metrics)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("swwdd: metrics on http://%s/metrics\n", ln.Addr())
-		go func() { _ = http.Serve(ln, nil) }()
+		srv := &http.Server{Handler: mux}
+		defer srv.Close()
+		go func() { _ = srv.Serve(ln) }()
+		sink.printf("swwdd: metrics on http://%s/metrics\n", ln.Addr())
 	}
-	fmt.Printf("swwdd: ingesting on %s (%d nodes x %d runnables, interval %v, cycle %v)\n",
-		addr, *nodes, *runnables, *interval, *cycle)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	if *duration > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *duration)
 		defer cancel()
 	}
-	<-ctx.Done()
+	select {
+	case <-ctx.Done():
+	case err := <-eof:
+		if err != nil {
+			return fmt.Errorf("stdin: %w", err)
+		}
+	}
 
-	st := fl.Server.Stats()
-	res := fl.Watchdog.Results()
-	fmt.Printf("swwdd: frames=%d accepted=%d bytes=%d decode_errors=%d seq_gaps=%d dup_drops=%d restarts=%d stale_epochs=%d interval_mismatch=%d kernel_drops=%d\n",
-		st.Frames, st.Accepted, st.Bytes, st.DecodeErrors, st.SeqGaps, st.DuplicateDrops,
-		st.NodeRestarts, st.StaleEpochDrops, st.IntervalMismatch, st.DroppedPackets)
-	fmt.Printf("swwdd: listeners=%d", st.Listeners)
-	for i, ls := range fl.Server.ListenerStats() {
-		fmt.Printf(" [%d packets=%d batches=%d max_batch=%d]", i, ls.Packets, ls.Batches, ls.MaxBatch)
-	}
-	fmt.Println()
-	fmt.Printf("swwdd: commands sent=%d acked=%d dropped=%d stale_acks=%d\n",
-		st.CommandsSent, st.CommandsAcked, st.CommandsDropped, st.CommandStaleAcks)
-	fmt.Printf("swwdd: detections aliveness=%d arrival_rate=%d program_flow=%d\n",
-		res.Aliveness, res.ArrivalRate, res.ProgramFlow)
-	if fl.Treat != nil {
-		ts := fl.Treat.Stats()
-		fmt.Printf("swwdd: treatment quarantines=%d resumes=%d scale_downs=%d scale_ups=%d active_quarantines=%d exec_errors=%d\n",
-			ts.Quarantines, ts.Resumes, ts.ScaleDowns, ts.ScaleUps, ts.ActiveQuarantines, ts.ExecErrors)
-	}
-	if fl.Calib != nil {
-		cs := fl.Calib.Status()
-		fmt.Printf("swwdd: calibration stage=%s rounds=%d rollbacks=%d rejected=%d pending_acks=%d\n",
-			cs.Stage, cs.Rounds, cs.Rollbacks, cs.Rejected, cs.PendingAcks)
+	if fl != nil {
+		st := fl.Server.Stats()
+		sink.printf("swwdd: frames=%d accepted=%d bytes=%d decode_errors=%d seq_gaps=%d dup_drops=%d restarts=%d stale_epochs=%d interval_mismatch=%d kernel_drops=%d\n",
+			st.Frames, st.Accepted, st.Bytes, st.DecodeErrors, st.SeqGaps, st.DuplicateDrops,
+			st.NodeRestarts, st.StaleEpochDrops, st.IntervalMismatch, st.DroppedPackets)
+		var ls strings.Builder
+		for i, l := range fl.Server.ListenerStats() {
+			fmt.Fprintf(&ls, " [%d packets=%d batches=%d max_batch=%d]", i, l.Packets, l.Batches, l.MaxBatch)
+		}
+		sink.printf("swwdd: listeners=%d%s\n", st.Listeners, ls.String())
+		sink.printf("swwdd: commands sent=%d acked=%d dropped=%d stale_acks=%d\n",
+			st.CommandsSent, st.CommandsAcked, st.CommandsDropped, st.CommandStaleAcks)
+		if fl.Treat != nil {
+			ts := fl.Treat.Stats()
+			sink.printf("swwdd: treatment quarantines=%d resumes=%d scale_downs=%d scale_ups=%d active_quarantines=%d exec_errors=%d\n",
+				ts.Quarantines, ts.Resumes, ts.ScaleDowns, ts.ScaleUps, ts.ActiveQuarantines, ts.ExecErrors)
+		}
+		if fl.Calib != nil {
+			cs := fl.Calib.Status()
+			sink.printf("swwdd: calibration stage=%s rounds=%d rollbacks=%d rejected=%d pending_acks=%d\n",
+				cs.Stage, cs.Rounds, cs.Rollbacks, cs.Rejected, cs.PendingAcks)
+		}
 	}
 	if hist != nil {
 		ws := hist.Stats()
-		fmt.Printf("swwdd: wal appended=%d dropped=%d synced=%d synced_seq=%d syncs=%d bytes=%d rotations=%d segments=%d write_errors=%d\n",
+		sink.printf("swwdd: wal appended=%d dropped=%d synced=%d synced_seq=%d syncs=%d bytes=%d rotations=%d segments=%d write_errors=%d\n",
 			ws.Appended, ws.Dropped, ws.Synced, ws.SyncedSeq, ws.Syncs, ws.BytesWritten, ws.Rotations, ws.Segments, ws.WriteErrors)
 	}
 	if pusher != nil {
 		ps := pusher.Stats()
-		fmt.Printf("swwdd: push collected=%d delivered=%d retries=%d errors=%d dropped=%d\n",
+		sink.printf("swwdd: push collected=%d delivered=%d retries=%d errors=%d dropped=%d\n",
 			ps.Collected, ps.Delivered, ps.Retries, ps.Errors, ps.Dropped)
 	}
+	res := w.Results()
+	sink.printf("swwdd: detections aliveness=%d arrival_rate=%d program_flow=%d\n",
+		res.Aliveness, res.ArrivalRate, res.ProgramFlow)
 	return nil
+}
+
+// cycleCheck is the monitoring-cycle liveness probe: unhealthy when two
+// probes at least two cycle periods apart see the same cycle count.
+func cycleCheck(svc *swwd.Service) export.CheckFunc {
+	w := svc.Watchdog()
+	var mu sync.Mutex
+	var lastCycle uint64
+	var lastSeen time.Time
+	return func() export.Check {
+		cycle, ds := w.CycleCount(), svc.Stats()
+		mu.Lock()
+		defer mu.Unlock()
+		now := time.Now()
+		if lastSeen.IsZero() || cycle != lastCycle {
+			lastCycle, lastSeen = cycle, now
+		}
+		return export.Check{
+			Name:    "cycle",
+			Healthy: now.Sub(lastSeen) < 2*w.CyclePeriod(),
+			Detail:  fmt.Sprintf("cycle=%d ticks=%d overruns=%d", cycle, ds.Ticks, ds.Overruns),
+		}
+	}
+}
+
+// shipDeltas ships the server's ingest counter deltas to the WAL every
+// period, so replay can integrate the wire counters over any time
+// window, until the returned stop function is called.
+func shipDeltas(srv *ingest.Server, hist *wal.WAL, period time.Duration) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(period)
+		defer tick.Stop()
+		prev := srv.Stats()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+			}
+			cur := srv.Stats()
+			if d := statsToDelta(cur.Delta(prev)); !d.IsZero() {
+				hist.AppendDelta(d)
+			}
+			prev = cur
+		}
+	}()
+	return func() { close(quit); <-done }
 }
 
 // statsToDelta maps an ingest counter difference onto the WAL's
@@ -416,7 +542,7 @@ func replayWindow(dir string, since, until time.Duration) (*historyWindow, error
 // queryHistory is the offline query mode: replay the WAL, fold the
 // [since, until] window into the Snapshot-equivalent view and print
 // both as JSON, then exit.
-func queryHistory(dir string, since, until time.Duration) error {
+func queryHistory(out io.Writer, dir string, since, until time.Duration) error {
 	if dir == "" {
 		return fmt.Errorf("-since/-until require -wal-dir")
 	}
@@ -424,7 +550,7 @@ func queryHistory(dir string, since, until time.Duration) error {
 	if err != nil {
 		return err
 	}
-	out := struct {
+	res := struct {
 		Dir          string `json:"dir"`
 		Segments     int    `json:"segments"`
 		TornBytes    int64  `json:"torn_bytes"`
@@ -436,12 +562,12 @@ func queryHistory(dir string, since, until time.Duration) error {
 		} `json:"window"`
 		View wal.View `json:"view"`
 	}{Dir: dir, Segments: hw.all.Segments, TornBytes: hw.all.TornBytes, TotalRecords: len(hw.all.Records), View: hw.view}
-	out.Window.SinceNs = hw.sinceNs
-	out.Window.UntilNs = hw.untilNs
-	out.Window.Records = len(hw.records)
-	enc := json.NewEncoder(os.Stdout)
+	res.Window.SinceNs = hw.sinceNs
+	res.Window.UntilNs = hw.untilNs
+	res.Window.Records = len(hw.records)
+	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return enc.Encode(res)
 }
 
 // historyHandler serves the /history endpoint: a read-only WAL replay
@@ -482,44 +608,15 @@ func historyHandler(dir string) http.HandlerFunc {
 	}
 }
 
-// healthFor assembles the /healthz probe set: WAL writer liveness and
-// fsync age, push-sink delivery and backlog, ingest listeners.
-func healthFor(fl *fleet.Fleet, hist *wal.WAL, push *export.Pusher, fsync, pushEvery time.Duration) *export.Health {
-	h := &export.Health{}
-	h.Register(func() export.Check {
-		st := fl.Server.Stats()
-		return export.Check{
-			Name:    "ingest",
-			Healthy: st.Listeners > 0,
-			Detail:  fmt.Sprintf("listeners=%d nodes=%d", st.Listeners, st.Nodes),
-		}
-	})
-	if hist != nil {
-		stale := 4 * fsync
-		if stale < 2*time.Second {
-			stale = 2 * time.Second
-		}
-		h.Register(func() export.Check {
-			st := hist.Stats()
-			detail := fmt.Sprintf("synced_seq=%d ring_depth=%d write_errors=%d", st.SyncedSeq, st.RingDepth, st.WriteErrors)
-			if st.LastSyncNs > 0 {
-				detail += fmt.Sprintf(" fsync_age=%v", time.Duration(time.Now().UnixNano()-st.LastSyncNs).Round(time.Millisecond))
-			}
-			return export.Check{Name: "wal", Healthy: hist.Healthy(stale), Detail: detail}
-		})
+// load opens the spec file at path and parses it with parse.
+func load[T any](path string, parse func(io.Reader) (T, error)) (T, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		var zero T
+		return zero, err
 	}
-	if push != nil {
-		stale := 4 * pushEvery
-		h.Register(func() export.Check {
-			st := push.Stats()
-			return export.Check{
-				Name:    "push",
-				Healthy: push.Healthy(stale),
-				Detail:  fmt.Sprintf("delivered=%d dropped=%d backlog=%d", st.Delivered, st.Dropped, st.Backlog),
-			}
-		})
-	}
-	return h
+	defer f.Close()
+	return parse(f)
 }
 
 // treatmentConfig derives the fleet treatment configuration from the
@@ -530,12 +627,7 @@ func treatmentConfig(specPath, deps string, recovery int, restart bool, nodes in
 		return nil, fmt.Errorf("-treat-spec and -treat-deps are mutually exclusive")
 	}
 	if specPath != "" {
-		f, err := os.Open(specPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		ts, err := swwd.LoadTreatment(f)
+		ts, err := load(specPath, swwd.LoadTreatment)
 		if err != nil {
 			return nil, err
 		}
@@ -569,12 +661,8 @@ func calibrationConfig(on bool, specPath string, window int, margin float64, pro
 	}
 	spec := &swwd.CalibrationSpec{WindowCycles: window, Margin: margin, PromoteAfter: promoteAfter}
 	if specPath != "" {
-		f, err := os.Open(specPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if spec, err = swwd.LoadCalibration(f); err != nil {
+		var err error
+		if spec, err = load(specPath, swwd.LoadCalibration); err != nil {
 			return nil, err
 		}
 	}

@@ -76,7 +76,7 @@ type WatchdogSpec struct {
 	ECUFaultyAppCount    int  `json:"ecu_faulty_app_count,omitempty"`
 	// JournalSize is the fault-event journal capacity in entries,
 	// rounded up to a power of two (0 = default 256, negative =
-	// disabled; see WithJournalSize).
+	// disabled, at most 1<<20; see WithJournalSize).
 	JournalSize int `json:"journal_size,omitempty"`
 }
 

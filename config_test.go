@@ -151,6 +151,9 @@ func TestBuildErrors(t *testing.T) {
 		"bad hypothesis": `{"apps":[{"name":"a","tasks":[
 			{"name":"t","priority":1,"runnables":[{"name":"r","exec_time":"1ms",
 			 "hypothesis":{"aliveness_cycles":5}}]}]}]}`,
+		"journal too large": `{"apps":[{"name":"a","tasks":[
+			{"name":"t","priority":1,"runnables":[{"name":"r","exec_time":"1ms"}]}]}],
+			"watchdog":{"journal_size":9223372036854775807}}`,
 	}
 	for name, body := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -346,4 +349,57 @@ func TestCalibrationSpecErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzLoadSpec feeds arbitrary bytes to the three operator-facing spec
+// loaders and what each result builds: LoadSpec→Build,
+// LoadTreatment→Treatment and LoadCalibration→Params. None may panic or
+// hang; a malformed document must come back as an error.
+func FuzzLoadSpec(f *testing.F) {
+	// The one-runnable spec of the spec-mode CI smoke step.
+	f.Add([]byte(`{
+  "apps": [{"name": "Smoke", "criticality": "safety-critical", "tasks": [{
+    "name": "SmokeTask", "priority": 10,
+    "runnables": [{"name": "Sensor", "exec_time": "100us",
+      "hypothesis": {"aliveness_cycles": 10, "min_heartbeats": 1,
+                     "arrival_cycles": 10, "max_arrivals": 100}}]
+  }]}],
+  "watchdog": {"cycle_period": "10ms"}
+}`))
+	// The flow-checked spec of examples/specfile.
+	f.Add([]byte(`{
+  "apps": [{"name": "BrakeControl", "criticality": "safety-critical", "tasks": [{
+    "name": "BrakeTask", "priority": 10, "flow": true,
+    "runnables": [
+      {"name": "ReadPedal", "exec_time": "100us",
+       "hypothesis": {"aliveness_cycles": 10, "min_heartbeats": 2, "arrival_cycles": 10, "max_arrivals": 30}},
+      {"name": "ComputePressure", "exec_time": "300us",
+       "hypothesis": {"aliveness_cycles": 10, "min_heartbeats": 2, "arrival_cycles": 10, "max_arrivals": 30}},
+      {"name": "ApplyBrake", "exec_time": "100us",
+       "hypothesis": {"aliveness_cycles": 10, "min_heartbeats": 2, "arrival_cycles": 10, "max_arrivals": 30}}]
+  }]}],
+  "watchdog": {"cycle_period": "5ms", "program_flow_threshold": 3}
+}`))
+	// A journal size whose power-of-two rounding used to overflow.
+	f.Add([]byte(`{"apps":[{"name":"a","tasks":[{"name":"t","priority":1,
+		"runnables":[{"name":"r","exec_time":"1ms"}]}]}],
+		"watchdog":{"journal_size":9223372036854775807}}`))
+	f.Add([]byte(validSpec))
+	f.Add([]byte(`{"edges":[{"node":1,"depends_on":0},{"node":2,"depends_on":1}],"recovery_frames":3,"scale_down":"dependents"}`))
+	f.Add([]byte(`{"window_cycles":100,"margin":0.3,"promote_after":2,"canary_fraction":0.25}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if spec, err := LoadSpec(bytes.NewReader(data)); err == nil {
+			if sys, err := spec.Build(nil, nil); err == nil && sys.Watchdog == nil {
+				t.Fatal("Build returned no watchdog and no error")
+			}
+		}
+		if ts, err := LoadTreatment(bytes.NewReader(data)); err == nil {
+			_, _, _ = ts.Treatment(8)
+		}
+		if cs, err := LoadCalibration(bytes.NewReader(data)); err == nil {
+			if _, err := cs.Params(); err != nil && !errors.Is(err, ErrCalibrationSpec) {
+				t.Fatalf("Params error %v does not wrap ErrCalibrationSpec", err)
+			}
+		}
+	})
 }

@@ -167,7 +167,7 @@ func run() error {
 
 	// 5. Post-mortem telemetry: a Snapshot summarizes every runnable's
 	// lifetime beats and per-kind fault counts (the same figures a
-	// swwdmon -metrics endpoint exports), and the fault-event journal
+	// swwdd -metrics endpoint exports), and the fault-event journal
 	// replays each detection with its freeze-framed counters.
 	snap := svc.Snapshot()
 	fmt.Printf("telemetry after %d cycles (%d ticks, %d missed):\n",

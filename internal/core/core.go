@@ -131,8 +131,9 @@ type Config struct {
 	ECUFaultyAppCount int
 	// JournalSize is the fault-event journal capacity in entries, rounded
 	// up to a power of two. Zero selects the default (256); negative
-	// disables the journal entirely. Journal writes happen only on the
-	// detection cold path, never on the healthy beat path.
+	// disables the journal entirely; above 1<<20 New fails. Journal
+	// writes happen only on the detection cold path, never on the
+	// healthy beat path.
 	JournalSize int
 	// JournalSink, when set, receives a copy of every journaled
 	// detection immediately after it lands in the ring, with its Seq
@@ -310,6 +311,9 @@ func New(cfg Config) (*Watchdog, error) {
 	}
 	if cfg.EstimatorWindowCycles < 0 {
 		return nil, errors.New("core: EstimatorWindowCycles must be non-negative")
+	}
+	if cfg.JournalSize > maxJournalSize {
+		return nil, fmt.Errorf("core: JournalSize %d exceeds the maximum of %d entries", cfg.JournalSize, maxJournalSize)
 	}
 	n := cfg.Model.NumRunnables()
 	w := &Watchdog{

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -121,6 +122,14 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Model: m, Clock: sim.NewManualClock(),
 		Thresholds: Thresholds{Aliveness: -1, ArrivalRate: 1, ProgramFlow: 1}}); err == nil {
 		t.Error("negative threshold accepted")
+	}
+	for _, size := range []int{maxJournalSize + 1, math.MaxInt} {
+		if _, err := New(Config{Model: m, Clock: sim.NewManualClock(), JournalSize: size}); err == nil {
+			t.Errorf("JournalSize %d accepted", size)
+		}
+	}
+	if _, err := New(Config{Model: m, Clock: sim.NewManualClock(), JournalSize: maxJournalSize}); err != nil {
+		t.Errorf("JournalSize %d (the maximum): %v", maxJournalSize, err)
 	}
 	w, err := New(Config{Model: m, Clock: sim.NewManualClock()})
 	if err != nil {

@@ -26,6 +26,12 @@ import (
 // scenarios produce a handful of detections per injected fault).
 const defaultJournalSize = 256
 
+// maxJournalSize bounds Config.JournalSize: 1<<20 entries × ~130 B ≈
+// 130 MiB, far past any fault burst. New rejects larger sizes, which
+// would otherwise ask for a multi-GB ring or overflow the power-of-two
+// rounding in newJournal.
+const maxJournalSize = 1 << 20
+
 // JournalEntry is one recorded detection with its freeze-frame.
 type JournalEntry struct {
 	// Seq is the entry's position in the lifetime detection sequence,

@@ -7,8 +7,8 @@ import (
 	"sync"
 )
 
-// This file implements the /healthz readiness surface shared by swwdd
-// and swwdmon: named probe functions registered by each subsystem (WAL
+// This file implements swwdd's /healthz readiness surface: named probe
+// functions registered by each subsystem (monitoring-cycle advance, WAL
 // writer liveness, last-fsync age, push-sink backlog, ingest listeners)
 // are evaluated per request and rendered as JSON. The endpoint answers
 // 200 when every probe passes and 503 otherwise, so an orchestrator's

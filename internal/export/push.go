@@ -164,8 +164,9 @@ func (p *Pusher) Stats() PushStats {
 }
 
 // Healthy reports whether the sink keeps up: a delivery succeeded
-// within staleAfter (or none was due yet) and the backlog is not full.
-func (p *Pusher) Healthy(staleAfter time.Duration) bool {
+// within four push intervals (or none was due yet) and the backlog is
+// not full.
+func (p *Pusher) Healthy() bool {
 	if len(p.queue) == cap(p.queue) {
 		return false
 	}
@@ -175,7 +176,7 @@ func (p *Pusher) Healthy(staleAfter time.Duration) bool {
 		// overdue, judged by whether anything has been dropped.
 		return p.dropped.Load() == 0
 	}
-	return time.Now().UnixNano()-last < int64(staleAfter)
+	return time.Now().UnixNano()-last < int64(4*p.cfg.Interval)
 }
 
 // collector renders one payload per interval and enqueues it, evicting

@@ -56,7 +56,7 @@ func TestPushDelivers(t *testing.T) {
 	if st.Errors != 0 || st.Dropped != 0 {
 		t.Fatalf("unexpected errors/drops: %+v", st)
 	}
-	if !p.Healthy(time.Second) {
+	if !p.Healthy() {
 		t.Fatal("healthy sink reports unhealthy")
 	}
 	mu.Lock()
@@ -185,8 +185,30 @@ func TestPushBacklogEvictsOldest(t *testing.T) {
 	if got := string(<-p.queue); got != "d" {
 		t.Fatalf("next payload %q, want %q", got, "d")
 	}
-	if p.Healthy(time.Second) && p.Stats().Dropped > 0 {
+	if p.Healthy() && p.Stats().Dropped > 0 {
 		t.Fatal("sink that dropped before first delivery reports healthy")
+	}
+}
+
+// TestPushHealthyDefaultInterval pins the probe's staleness to the
+// pusher's own effective cadence: built with Interval 0 (the default
+// cadence), a fresh delivery is healthy and one older than four default
+// intervals is not.
+func TestPushHealthyDefaultInterval(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	defer srv.Close()
+	collect, _ := stubCollector()
+	p, err := NewPusher(PushConfig{URL: srv.URL, Collect: collect, Interval: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.deliver([]byte("swwd_test_payload 1\n"))
+	if st := p.Stats(); st.Delivered != 1 || !p.Healthy() {
+		t.Fatalf("after one delivery: Healthy() = %v, stats %+v; want healthy", p.Healthy(), st)
+	}
+	p.lastPush.Store(time.Now().Add(-4*DefaultPushInterval - time.Second).UnixNano())
+	if p.Healthy() {
+		t.Fatal("delivery older than four default intervals reports healthy")
 	}
 }
 

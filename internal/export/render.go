@@ -5,7 +5,7 @@
 // strconv.Append*, so a warm buffer renders with no allocation. The
 // golden files in testdata pin the output byte for byte; the README
 // metric reference is generated from the same tables. Exporter serves
-// the exposition on /metrics for both cmd/swwdd and cmd/swwdmon and
+// the exposition on /metrics for both modes of cmd/swwdd and
 // feeds the push client (Pusher), which retries with backoff and counts
 // what it drops.
 package export

@@ -397,13 +397,15 @@ func (w *WAL) Stats() Stats {
 	}
 }
 
-// Healthy reports whether the writer goroutine has shown liveness
-// within staleAfter and has not hit a write error. The /healthz probes
-// call it with a few sync intervals of slack.
-func (w *WAL) Healthy(staleAfter time.Duration) bool {
+// Healthy reports whether the writer goroutine has not hit a write
+// error and has shown liveness within max(4 sync intervals, 2 s): the
+// writer beats at least once per sync interval, and the floor keeps a
+// sub-second cadence from flapping on one slow fsync.
+func (w *WAL) Healthy() bool {
 	if w.closed.Load() || w.writeErrs.Load() > 0 {
 		return false
 	}
+	staleAfter := max(4*w.opt.syncInterval, 2*time.Second)
 	return time.Now().UnixNano()-w.beatNs.Load() < int64(staleAfter)
 }
 

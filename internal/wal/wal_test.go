@@ -1,6 +1,9 @@
 package wal
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -90,6 +93,48 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	if _, err := decodeRecord(bad, &out); err != ErrCorrupt {
 		t.Fatalf("oversized length: got %v", err)
 	}
+}
+
+// FuzzWALRecordDecode feeds arbitrary bytes to decodeRecord. It must
+// never panic, and must return an error or a frame length in
+// (0, len(data)]. With fixCRC the CRC is recomputed over the (possibly
+// mutated) body first, so mutations reach the payload parser instead of
+// stopping at the checksum. Every record that decodes re-encodes to a
+// frame that decodes to an identical Record.
+func FuzzWALRecordDecode(f *testing.F) {
+	for _, r := range []Record{
+		{Seq: 1, TimeNs: 1111, Kind: KindDetection, Det: det(42)},
+		{Seq: 2, TimeNs: 2222, Kind: KindAction, Act: Action{Kind: 3, Node: 9, Cause: 4, SimTimeNs: 77, ExecErr: true}},
+		{Seq: 3, TimeNs: 3333, Kind: KindDelta, Delta: Delta{Frames: 10, Bytes: 999, Accepted: 9, CommandStaleAcks: 5}},
+	} {
+		f.Add(appendRecord(nil, &r), true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, fixCRC bool) {
+		data = append([]byte(nil), data...)
+		if fixCRC && len(data) >= frameOverhead {
+			if n := uint64(binary.LittleEndian.Uint32(data)); n <= uint64(len(data)-frameOverhead) {
+				body := data[frameOverhead : frameOverhead+int(n)]
+				binary.LittleEndian.PutUint32(data[4:], crc32.Checksum(body, castagnoli))
+			}
+		}
+		var r Record
+		n, err := decodeRecord(data, &r)
+		if err != nil {
+			if !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decode error %v is neither ErrTorn nor ErrCorrupt", err)
+			}
+			return
+		}
+		if n <= 0 || n > len(data) {
+			t.Fatalf("decoded frame length %d of %d bytes", n, len(data))
+		}
+		enc := appendRecord(nil, &r)
+		var again Record
+		m, err := decodeRecord(enc, &again)
+		if err != nil || m != len(enc) || again != r {
+			t.Fatalf("re-encoded record does not round-trip: n=%d/%d err=%v\n got %+v\nwant %+v", m, len(enc), err, again, r)
+		}
+	})
 }
 
 func TestRingHandOff(t *testing.T) {
@@ -518,5 +563,34 @@ func TestWALFilesAreSegmentNamed(t *testing.T) {
 	}
 	if len(h.Records) != 1 {
 		t.Fatalf("replay with foreign file: %d records", len(h.Records))
+	}
+}
+
+// TestWALHealthyStaleness pins the liveness window to the WAL's own
+// sync cadence: max(4 sync intervals, 2 s). A writer last seen 3 s ago
+// is stale at sub-second cadences (and with fsync-every-batch) but not
+// at a 1 s cadence; a write error is unhealthy however fresh the beat.
+func TestWALHealthyStaleness(t *testing.T) {
+	for _, tc := range []struct {
+		sync    time.Duration
+		age     time.Duration
+		healthy bool
+	}{
+		{0, time.Second, true},
+		{0, 3 * time.Second, false},
+		{100 * time.Millisecond, time.Second, true},
+		{100 * time.Millisecond, 3 * time.Second, false},
+		{time.Second, 3 * time.Second, true},
+		{time.Second, 5 * time.Second, false},
+	} {
+		w := &WAL{opt: options{syncInterval: tc.sync}}
+		w.beatNs.Store(time.Now().Add(-tc.age).UnixNano())
+		if got := w.Healthy(); got != tc.healthy {
+			t.Errorf("sync %v, writer seen %v ago: Healthy() = %v, want %v", tc.sync, tc.age, got, tc.healthy)
+		}
+		w.writeErrs.Add(1)
+		if w.Healthy() {
+			t.Errorf("sync %v: Healthy() after a write error", tc.sync)
+		}
 	}
 }

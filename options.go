@@ -63,7 +63,8 @@ func WithECUFaultyAppCount(n int) Option {
 }
 
 // WithJournalSize sets the fault-event journal capacity in entries
-// (rounded up to a power of two). Zero keeps the default of 256. The
+// (rounded up to a power of two, at most 1<<20; construction fails
+// above that). Zero keeps the default of 256. The
 // journal records every detection with a freeze-frame of the runnable's
 // counters; when full, the oldest entry is overwritten and the drop
 // counter advances. Journal writes happen only on the detection cold
