@@ -9,12 +9,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"swwd/internal/export"
+	"swwd/internal/ingest"
 	"swwd/internal/wal"
 )
 
@@ -156,5 +158,39 @@ func TestSpecMode(t *testing.T) {
 	}
 	if code != http.StatusServiceUnavailable || len(rep.Checks) != 1 || rep.Checks[0].Name != "cycle" || rep.Checks[0].Healthy {
 		t.Fatalf("stopped /healthz = %d %s, want 503 with the cycle check unhealthy", code, body)
+	}
+}
+
+// TestStatsToDeltaCoversEveryCounter guards the daemon's WAL delta
+// mapping: every counter (uint64) field of ingest.Stats must land in the
+// wal.Delta field of the same name, and every Delta field must be fed.
+// Each counter gets a distinct value, so a field mapped onto the wrong
+// name fails too.
+func TestStatsToDeltaCoversEveryCounter(t *testing.T) {
+	var st ingest.Stats
+	sv := reflect.ValueOf(&st).Elem()
+	counters := map[string]uint64{}
+	for i := 0; i < sv.NumField(); i++ {
+		if f := sv.Field(i); f.Kind() == reflect.Uint64 {
+			v := uint64(i + 1)
+			f.SetUint(v)
+			counters[sv.Type().Field(i).Name] = v
+		}
+	}
+	d := reflect.ValueOf(statsToDelta(st))
+	for name, want := range counters {
+		f := d.FieldByName(name)
+		if !f.IsValid() {
+			t.Errorf("ingest.Stats.%s has no wal.Delta field of that name", name)
+			continue
+		}
+		if got := f.Uint(); got != want {
+			t.Errorf("wal.Delta.%s = %d, want %d (ingest.Stats.%s)", name, got, want, name)
+		}
+	}
+	for i := 0; i < d.NumField(); i++ {
+		if name := d.Type().Field(i).Name; counters[name] == 0 {
+			t.Errorf("wal.Delta.%s has no ingest.Stats counter of that name", name)
+		}
 	}
 }

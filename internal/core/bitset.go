@@ -60,8 +60,14 @@ func (b *bitset) contains(id int) bool {
 	return b.words[uint(id)>>6]&(1<<(uint(id)&63)) != 0
 }
 
-// len reports the population count.
-func (b *bitset) len() int { return b.n }
+// len reports the population count; a nil bitset (a bucket never
+// allocated) is empty.
+func (b *bitset) len() int {
+	if b == nil {
+		return 0
+	}
+	return b.n
+}
 
 // drainInto appends all members in ascending order to dst, clears the
 // set, and returns the extended slice. Iteration walks only summary words

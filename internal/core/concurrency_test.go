@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,8 +14,8 @@ import (
 // buildConcurrencyFixture builds a model with nTasks tasks of
 // runnablesPerTask runnables each, a full hypothesis on every runnable,
 // every runnable active, and the straight-line flow sequence installed per
-// task.
-func buildConcurrencyFixture(t testing.TB, nTasks, runnablesPerTask int) (*Watchdog, []runnable.ID, []runnable.TaskID) {
+// task. mutate, when given, adjusts the Config before New.
+func buildConcurrencyFixture(t testing.TB, nTasks, runnablesPerTask int, mutate ...func(*Config)) (*Watchdog, []runnable.ID, []runnable.TaskID) {
 	t.Helper()
 	m := runnable.NewModel()
 	app, err := m.AddApp("stress", runnable.SafetyCritical)
@@ -40,11 +41,15 @@ func buildConcurrencyFixture(t testing.TB, nTasks, runnablesPerTask int) (*Watch
 	if err := m.Freeze(); err != nil {
 		t.Fatalf("Freeze: %v", err)
 	}
-	w, err := New(Config{
+	cfg := Config{
 		Model: m, Clock: sim.NewManualClock(),
 		EagerArrivalCheck: true, // exercise the eager cold path too
 		JournalSize:       16,   // tiny ring so the stress run wraps it constantly
-	})
+	}
+	for _, fn := range mutate {
+		fn(&cfg)
+	}
+	w, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -221,6 +226,91 @@ func TestConcurrentBeatCycle_Race(t *testing.T) {
 	}
 	if st.Written > uint64(st.Cap) && st.Dropped == 0 {
 		t.Fatalf("journal wrapped (%d written into %d slots) but dropped nothing", st.Written, st.Cap)
+	}
+}
+
+// TestConcurrentLockContract_Race races every reader and writer of the
+// sweep state guarded by the scheduler mutex against Cycle and live
+// heartbeats: SnapshotInto and CounterSnapshot, program-flow violations
+// and eager arrival detections (whose journal freeze-frames read the
+// state), the estimator sampler, and Activate/SetHypothesis with
+// interned values. Run it under -race.
+func TestConcurrentLockContract_Race(t *testing.T) {
+	const iterations = 1500
+	w, rids, _ := buildConcurrencyFixture(t, 4, 4, func(c *Config) { c.EstimatorWindowCycles = 3 })
+	var journaled atomic.Uint64
+	w.SetJournalSink(func(JournalEntry) { journaled.Add(1) })
+	monitors := make([]*Monitor, len(rids))
+	for i, rid := range rids {
+		var err error
+		if monitors[i], err = w.Register(rid); err != nil {
+			t.Fatalf("Register(%d): %v", rid, err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	run := func(fn func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < iterations; i++ {
+				fn(i)
+			}
+		}()
+	}
+	run(func(int) { w.Cycle() })
+	// Healthy beats in sequence order.
+	run(func(i int) { monitors[i%len(monitors)].Beat() })
+	// Program-flow violations: a runnable following itself is not in
+	// any task's sequence, and a frame replays records out of order.
+	idx := []uint32{3, 1, 2, 0}
+	run(func(i int) {
+		rid := rids[i%len(rids)]
+		w.Heartbeat(rid)
+		w.Heartbeat(rid)
+		if i%8 == 0 {
+			w.FlowEventN(rids, idx)
+		}
+	})
+	// Eager arrival detections: one batch past MaxArrivals trips it.
+	run(func(i int) {
+		if i%4 == 0 {
+			monitors[(i/4)%len(monitors)].BeatN(100)
+		}
+	})
+	// Readers of the sweep state.
+	run(func(i int) {
+		var snap Snapshot
+		if i%16 == 0 {
+			w.SnapshotInto(&snap)
+		}
+		_, _ = w.CounterSnapshot(rids[i%len(rids)])
+	})
+	// Configuration: re-installs alternate two interned values.
+	hyps := []Hypothesis{
+		{AlivenessCycles: 4, MinHeartbeats: 1, ArrivalCycles: 4, MaxArrivals: 64},
+		{AlivenessCycles: 3, MinHeartbeats: 1, ArrivalCycles: 3, MaxArrivals: 32},
+	}
+	run(func(i int) {
+		rid := rids[i%len(rids)]
+		_ = w.SetHypothesis(rid, hyps[(i/len(rids))%2])
+		if i%5 == 0 {
+			_ = w.Deactivate(rid)
+		} else {
+			_ = w.Activate(rid)
+		}
+	})
+	close(start)
+	wg.Wait()
+
+	r := w.Results()
+	if r.ProgramFlow == 0 || r.ArrivalRate == 0 {
+		t.Fatalf("stress raised no flow or arrival detection: %+v", r)
+	}
+	if journaled.Load() == 0 {
+		t.Fatal("journal sink saw no detection")
 	}
 }
 

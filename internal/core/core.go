@@ -137,12 +137,13 @@ type Config struct {
 	JournalSize int
 	// JournalSink, when set, receives a copy of every journaled
 	// detection immediately after it lands in the ring, with its Seq
-	// stamped. Invoked on the detection cold path while the watchdog
-	// mutex is held, so implementations MUST be non-blocking and must
-	// not call back into the watchdog — hand the entry to a lock-free
-	// ring or drop it (the WAL shipper does exactly that). Ignored when
-	// the journal is disabled (JournalSize < 0). Replaceable at runtime
-	// via SetJournalSink.
+	// stamped. Invoked on the detection cold path while the scheduler
+	// mutex and the watchdog mutex are held, so implementations MUST be
+	// non-blocking and must not call back into the watchdog — not even
+	// CounterSnapshot or SnapshotInto, which take the scheduler mutex.
+	// Hand the entry to a lock-free ring or drop it (the WAL shipper
+	// does exactly that). Ignored when the journal is disabled
+	// (JournalSize < 0). Replaceable at runtime via SetJournalSink.
 	JournalSink func(JournalEntry)
 	// MetricsSink, when set, receives a telemetry snapshot every
 	// MetricsEveryCycles monitoring cycles, invoked on the goroutine that
@@ -231,9 +232,11 @@ type Watchdog struct {
 	preds  []predReg
 	cycle  atomic.Uint64
 
-	// sched is the due-cycle timer wheel driving the Cycle sweep; nil
-	// when Config.legacySweep selects the reference full-table walk. Its
-	// mutex is ordered before mu (see wheel.go).
+	// sched is the due-cycle timer wheel driving the Cycle sweep. Its
+	// mutex guards every runnable's sweep state and is ordered before mu
+	// (see wheel.go). With Config.legacySweep the reference full-table
+	// walk runs instead and the wheel stays empty, but the mutex guards
+	// the same state.
 	sched *scheduler
 
 	// Cold state, guarded by mu: detections, error-indication vectors and
@@ -249,6 +252,12 @@ type Watchdog struct {
 	// journalSink mirrors Config.JournalSink; guarded by mu (its only
 	// call site, journalLocked, already holds it).
 	journalSink func(JournalEntry)
+	// hyps interns installed hypotheses so runnables with equal values
+	// share one pointer; lastHyp is the most recent one, which answers
+	// the common run of identical SetHypothesis calls without a map
+	// lookup. Both guarded by mu.
+	hyps    map[Hypothesis]*Hypothesis
+	lastHyp *Hypothesis
 
 	// Telemetry: the Cycle-duration histogram (atomic, written once per
 	// cycle) and the reused MetricsSink snapshot buffer.
@@ -341,15 +350,15 @@ func New(cfg Config) (*Watchdog, error) {
 		w.journalSink = cfg.JournalSink
 	}
 	disabled := &Hypothesis{}
+	w.hyps = map[Hypothesis]*Hypothesis{*disabled: disabled}
+	w.lastHyp = disabled
 	for i := range w.hot {
 		w.hot[i].hyp.Store(disabled)
 		w.hot[i].eagerLimit.Store(eagerDisabled)
 		w.taskOf[i] = cfg.Model.TaskOf(runnable.ID(i))
 		w.hot[i].tid = w.taskOf[i]
 	}
-	if !cfg.legacySweep {
-		w.sched = newScheduler(n, cfg.wheelSize)
-	}
+	w.sched = newScheduler(w.hot, cfg.wheelSize)
 	w.flow.Store(newFlowTable(n))
 	for i := range w.preds {
 		w.preds[i].last.Store(int64(runnable.NoID))
@@ -395,16 +404,39 @@ func (w *Watchdog) SetHypothesis(rid runnable.ID, h Hypothesis) error {
 		// is preserved, so aliveness supervision sees no gap.
 		hs.closeArrival()
 	}
-	hyp := h // private copy; the pointer is published to the hot path
-	hs.hyp.Store(&hyp)
+	hs.hyp.Store(w.internLocked(h))
 	hs.eagerLimit.Store(eagerLimitFor(w.cfg.EagerArrivalCheck, h))
-	if w.sched != nil {
+	if !w.cfg.legacySweep {
 		// Re-derive the deadlines under the new hypothesis, preserving
 		// the in-flight windows' elapsed cycles (the reference sweep does
 		// not reset counters on a hypothesis change).
 		w.reschedPreserveLocked(rid)
 	}
 	return nil
+}
+
+// maxInternedHyps bounds the intern table. A calibrated fleet may cycle
+// through many distinct hypotheses over its life; past the bound a new
+// value gets a private copy instead of a table entry.
+const maxInternedHyps = 4096
+
+// internLocked returns the shared pointer for h, adding it to the intern
+// table on first use. Installed hypotheses are never written through
+// their pointer, so sharing one among runnables is safe. Callers hold
+// w.mu.
+func (w *Watchdog) internLocked(h Hypothesis) *Hypothesis {
+	if p := w.lastHyp; *p == h {
+		return p
+	}
+	p, ok := w.hyps[h]
+	if !ok {
+		p = &h
+		if len(w.hyps) < maxInternedHyps {
+			w.hyps[h] = p
+		}
+	}
+	w.lastHyp = p
+	return p
 }
 
 // Hypothesis reports the installed fault hypothesis of a runnable.
@@ -441,7 +473,7 @@ func (w *Watchdog) setActive(rid runnable.ID, active bool) error {
 		hs.active.Store(0)
 	}
 	hs.resetCounters()
-	if w.sched != nil {
+	if !w.cfg.legacySweep {
 		w.reschedFreshLocked(rid)
 	}
 	return nil
@@ -693,9 +725,9 @@ func (w *Watchdog) eagerArrival(rid runnable.ID, hs *hotState, v uint64) {
 	if !hs.acArc.CompareAndSwap(v, v&^uint64(1<<32-1)) {
 		return // another heartbeat or a Cycle sweep already closed the window
 	}
-	hs.ccar.Store(0)
+	hs.ccar = 0
 	hyp := hs.hyp.Load()
-	if w.sched != nil {
+	if !w.cfg.legacySweep {
 		// The mid-period ARC reset restarts the arrival window; move its
 		// deadline accordingly.
 		w.reschedArrivalRestartLocked(rid, hyp)
@@ -717,8 +749,11 @@ func (w *Watchdog) checkFlow(ft *flowTable, rid runnable.ID, tid runnable.TaskID
 }
 
 // reportFlow reports that rid followed pred in task tid although the
-// look-up table does not allow it.
+// look-up table does not allow it. It takes sched.mu before w.mu, like
+// every detection, so the journal's freeze-frame reads the runnable's
+// sweep state under its lock.
 func (w *Watchdog) reportFlow(pred, rid runnable.ID, tid runnable.TaskID) {
+	defer w.lockSched()()
 	w.mu.Lock()
 	ts := &w.ts[tid]
 	ts.lastFlowCycle = w.cycle.Load()
@@ -863,7 +898,7 @@ func (w *Watchdog) ClearTask(tid runnable.TaskID) error {
 	for _, rid := range t.Runnables {
 		w.hot[rid].resetCounters()
 		w.errv[rid] = [3]uint64{}
-		if w.sched != nil {
+		if !w.cfg.legacySweep {
 			w.reschedFreshLocked(rid)
 		}
 	}
@@ -893,7 +928,7 @@ func (w *Watchdog) SuspendTaskMonitoring(tid runnable.TaskID) error {
 			ts.suspendedAS = append(ts.suspendedAS, rid)
 			hs.active.Store(0)
 			hs.resetCounters()
-			if w.sched != nil {
+			if !w.cfg.legacySweep {
 				w.reschedFreshLocked(rid)
 			}
 		}
@@ -915,7 +950,7 @@ func (w *Watchdog) ResumeTaskMonitoring(tid runnable.TaskID) error {
 		hs := &w.hot[rid]
 		hs.active.Store(1)
 		hs.resetCounters()
-		if w.sched != nil {
+		if !w.cfg.legacySweep {
 			w.reschedFreshLocked(rid)
 		}
 	}
@@ -931,61 +966,64 @@ func (w *Watchdog) ClearAll() {
 		_ = w.ResumeTaskMonitoring(runnable.TaskID(tid))
 		_ = w.ClearTask(runnable.TaskID(tid))
 	}
-	if s := w.sched; s != nil {
-		// Bucket slots are keyed by absolute cycle numbers: rewinding the
-		// counter invalidates every indexed deadline, so rebuild the wheel
-		// from the (freshly reset) per-runnable state.
-		s.mu.Lock()
-		w.cycle.Store(0)
-		s.resetAll()
-		for i := range w.hot {
-			w.reschedFreshLocked(runnable.ID(i))
-		}
-		// Shadow candidates survive the reset: reopen their windows at
-		// cycle zero from the (monotonic) lifetime beat counts.
-		for rid, st := range w.shadows {
-			st.startBeats = w.hot[rid].lifetimeBeats()
-			s.schedule(int(rid), kindShadow, st.window(), 0)
-		}
-		s.mu.Unlock()
+	s := w.sched
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w.cycle.Store(0)
+	if w.cfg.legacySweep {
 		return
 	}
-	w.cycle.Store(0)
+	// Bucket slots are keyed by absolute cycle numbers: rewinding the
+	// counter invalidates every indexed deadline, so rebuild the wheel
+	// from the (freshly reset) per-runnable state.
+	s.resetAll()
+	for i := range w.hot {
+		w.reschedFreshLocked(runnable.ID(i))
+	}
+	// Shadow candidates survive the reset: reopen their windows at cycle
+	// zero from the (monotonic) lifetime beat counts.
+	for rid, st := range w.shadows {
+		st.startBeats = w.hot[rid].lifetimeBeats()
+		s.schedule(int(rid), kindShadow, st.window(), 0)
+	}
 }
 
 // CycleCount reports how many monitoring cycles have elapsed.
 func (w *Watchdog) CycleCount() uint64 { return w.cycle.Load() }
 
 // CounterSnapshot reports the live heartbeat-monitoring counters of a
-// runnable — the series plotted in Fig. 5. Under concurrent heartbeats
-// the four counters are individually, not jointly, consistent.
+// runnable — the series plotted in Fig. 5. It takes the scheduler mutex
+// (so it must not be called from a Sink or journal sink callback); CCA
+// and CCAR are then consistent with the sweep, while AC and ARC can
+// still move under concurrent heartbeats.
 func (w *Watchdog) CounterSnapshot(rid runnable.ID) (Counters, error) {
 	if err := w.checkRunnable(rid); err != nil {
 		return Counters{}, err
 	}
-	return w.counters(rid), nil
+	defer w.lockSched()()
+	return w.countersLocked(rid), nil
 }
 
-// counters is the lock-free read behind CounterSnapshot, shared with the
-// telemetry Snapshot and the journal's freeze-frames. rid must be valid.
-func (w *Watchdog) counters(rid runnable.ID) Counters {
+// countersLocked is the read behind CounterSnapshot, shared with the
+// telemetry Snapshot and the journal's freeze-frames. rid must be valid;
+// callers hold sched.mu.
+func (w *Watchdog) countersLocked(rid runnable.ID) Counters {
 	hs := &w.hot[rid]
+	acArc := hs.acArc.Load()
 	c := Counters{
 		Active: hs.active.Load() != 0,
-		AC:     int(hs.loadAC()),
-		ARC:    int(hs.loadARC()),
+		AC:     int(uint32(acArc >> 32)),
+		ARC:    int(uint32(acArc)),
 	}
-	if s := w.sched; s != nil {
-		// The wheel sweep no longer increments CCA/CCAR every cycle; the
-		// values are derived lock-free from the window anchors instead.
-		now := w.cycle.Load()
-		r := &s.rs[rid]
-		c.CCA = int(uint32(anchorElapsed(r.aliveAnchor.Load(), now)))
-		c.CCAR = int(uint32(anchorElapsed(r.arrAnchor.Load(), now)))
-	} else {
-		c.CCA = int(hs.cca.Load())
-		c.CCAR = int(hs.ccar.Load())
+	if w.cfg.legacySweep {
+		c.CCA, c.CCAR = int(hs.cca), int(hs.ccar)
+		return c
 	}
+	// The wheel sweep does not increment CCA/CCAR every cycle; the values
+	// are derived from the window anchors instead.
+	now := w.cycle.Load()
+	c.CCA = int(uint32(anchorElapsed(hs.aliveAnchor, now)))
+	c.CCAR = int(uint32(anchorElapsed(hs.arrAnchor, now)))
 	return c
 }
 

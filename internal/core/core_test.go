@@ -823,6 +823,53 @@ func TestHypothesisAccessor(t *testing.T) {
 	}
 }
 
+// TestHypothesisInterning checks that runnables installed with equal
+// hypotheses share one pointer (also when another value was installed
+// in between), that Hypothesis still reports each runnable's value, and
+// that changing one runnable's hypothesis never changes another's.
+func TestHypothesisInterning(t *testing.T) {
+	f := newFixture(t, nil)
+	x := Hypothesis{AlivenessCycles: 5, MinHeartbeats: 1}
+	y := Hypothesis{AlivenessCycles: 5, MinHeartbeats: 2, ArrivalCycles: 5, MaxArrivals: 9}
+	for _, set := range []struct {
+		rid runnable.ID
+		h   Hypothesis
+	}{{f.a, x}, {f.b, y}, {f.c, x}} {
+		if err := f.w.SetHypothesis(set.rid, set.h); err != nil {
+			t.Fatalf("SetHypothesis(%d): %v", set.rid, err)
+		}
+	}
+	ptr := func(rid runnable.ID) *Hypothesis { return f.w.hot[rid].hyp.Load() }
+	if ptr(f.a) != ptr(f.c) {
+		t.Fatalf("equal hypotheses on runnables %d and %d are not shared", f.a, f.c)
+	}
+	if ptr(f.a) == ptr(f.b) {
+		t.Fatalf("different hypotheses on runnables %d and %d share a pointer", f.a, f.b)
+	}
+	for rid, want := range map[runnable.ID]Hypothesis{f.a: x, f.b: y, f.c: x} {
+		if got, err := f.w.Hypothesis(rid); err != nil || got != want {
+			t.Fatalf("Hypothesis(%d) = %+v, %v; want %+v", rid, got, err, want)
+		}
+	}
+	// Re-installing a runnable's hypothesis leaves the runnables that
+	// shared its old value alone.
+	z := Hypothesis{AlivenessCycles: 3, MinHeartbeats: 1}
+	if err := f.w.SetHypothesis(f.a, z); err != nil {
+		t.Fatalf("SetHypothesis: %v", err)
+	}
+	for rid, want := range map[runnable.ID]Hypothesis{f.a: z, f.b: y, f.c: x} {
+		if got, _ := f.w.Hypothesis(rid); got != want {
+			t.Fatalf("after changing runnable %d: Hypothesis(%d) = %+v, want %+v", f.a, rid, got, want)
+		}
+	}
+	if err := f.w.SetHypothesis(f.b, x); err != nil {
+		t.Fatalf("SetHypothesis: %v", err)
+	}
+	if ptr(f.b) != ptr(f.c) {
+		t.Fatalf("runnable %d re-installed with a shared value does not share it", f.b)
+	}
+}
+
 func TestSharedTaskAffectsBothApps(t *testing.T) {
 	// Two applications share one task (§1). A fault in A's runnable is
 	// attributed to A's runnable specifically, but the corrupted task

@@ -13,11 +13,13 @@ import (
 // a heartbeat from a healthy runnable must cost a handful of uncontended
 // atomic operations, never a global lock. The layout follows three rules:
 //
-//   - Per-runnable counters (AC, ARC, CCA, CCAR) and the Activation Status
-//     live in a cache-line-padded hotState so heartbeats from different
-//     runnables never write the same cache line (no false sharing). AC and
-//     ARC share one 64-bit word, so recording a heartbeat in both is a
-//     single atomic add.
+//   - Per-runnable counters (AC, ARC) and the Activation Status live in a
+//     cache-line-padded hotState so heartbeats from different runnables
+//     never write the same cache line (no false sharing). AC and ARC share
+//     one 64-bit word, so recording a heartbeat in both is a single atomic
+//     add. The same padded line also carries the runnable's sweep state
+//     (window anchors, wheel deadlines, lifetime-beat bank), which the
+//     beat path never reads.
 //   - The program-flow look-up table is an immutable snapshot swapped with
 //     an atomic pointer (copy-on-write on the rare AddFlowPair), so the
 //     per-beat flow check is two loads, a bit test and a scan of the
@@ -33,9 +35,11 @@ import (
 //     seed's entire hot path, so the shards degenerated to one lock-free
 //     register per task — perfect sharding.)
 //
-// The cold path — detections, the TSI unit, configuration — stays behind
-// the watchdog's single mutex; it runs only when something is wrong or
-// being reconfigured.
+// The cold path stays behind two mutexes, taken in this order: sched.mu
+// guards the sweep state (the wheel and every runnable's window
+// bookkeeping), w.mu the detections, the TSI unit and the journal. Both
+// run once per due window or when something is wrong or being
+// reconfigured, never per healthy beat.
 
 // cacheLineSize is the assumed coherence granularity. Padding to two lines
 // also defeats the adjacent-line prefetcher on common x86 parts.
@@ -45,48 +49,49 @@ const cacheLineSize = 64
 // pays a single always-false compare when the eager check is off.
 const eagerDisabled = math.MaxUint32
 
-// hotState is the lock-free heartbeat-monitoring state of one runnable
-// (§3.3): the Aliveness Counter, Arrival Rate Counter, the two cycle
-// counters and the Activation Status bit, all updated with atomics.
+// hotState is the heartbeat-monitoring state of one runnable (§3.3):
+// the Aliveness Counter, Arrival Rate Counter and Activation Status the
+// beat path updates with atomics, and the runnable's sweep state
+// (runnableSched, see wheel.go) that only lock holders touch.
 //
 // Ownership discipline:
 //
 //   - acArc packs AC (high 32 bits) and ARC (low 32 bits) into one word,
 //     so the hot path records a heartbeat in both counters with a single
-//     atomic add. Window closes clear one half with a CAS loop (cold,
-//     once per expired window). The packing is sound because both halves
-//     reset every few monitoring cycles; a window would need 2^32 beats
-//     for ARC to carry into AC.
+//     atomic add. Window closes clear one half with a CAS loop, or swap
+//     the whole word when both windows close at once (cold, once per
+//     expired window). The packing is sound because both halves reset
+//     every few monitoring cycles; a window would need 2^32 beats for
+//     ARC to carry into AC.
 //   - active gates the counters; it is written by Activate/Deactivate and
 //     the treatment paths (cold).
-//   - cca and ccar are written only by Cycle and by counter resets; the
-//     hot path never touches them.
 //   - eagerLimit caches the immediate arrival-rate trip point
 //     (MaxArrivals when armed, eagerDisabled otherwise) so the hot path
 //     needs no hypothesis load.
 //   - hyp is the installed fault hypothesis, replaced wholesale by
-//     SetHypothesis; Cycle reads it once per runnable per sweep.
+//     SetHypothesis (equal values share one interned pointer); the sweep
+//     reads it once per due runnable.
 //   - tid is the hosting task, precomputed at construction and immutable
 //     thereafter; keeping it on the runnable's own cache line saves the
 //     compat wrapper a second slice load.
-//   - beatsAcc is the banked half of the lifetime heartbeat counter
-//     feeding the telemetry Snapshot. The hot path never touches it:
-//     every beat already lands in AC, so whenever AC is about to be
-//     consumed (a window close) or discarded (a counter reset), the cold
-//     path folds the outgoing AC into beatsAcc first. Lifetime beats are
-//     then beatsAcc + live AC — the cumulative "beats seen while active"
-//     series at zero added cost per beat.
+//   - the embedded runnableSched — the lifetime-beat bank, the window
+//     anchors, the wheel deadlines and the reference walk's CCA/CCAR —
+//     holds plain fields guarded by sched.mu. Every writer (the sweep,
+//     activation changes, fault treatment, eager arrival detection)
+//     already holds that lock, and every reader takes it, so closing a
+//     window costs the one atomic that clears AC/ARC and nothing more.
+//
+// The beat path reads only the first 32 bytes; the sweep's fields for
+// an aliveness close follow on the same cache line.
 type hotState struct {
 	acArc      atomic.Uint64
-	beatsAcc   atomic.Uint64
 	active     atomic.Uint32
-	cca        atomic.Uint32
-	ccar       atomic.Uint32
 	eagerLimit atomic.Uint32
 	hyp        atomic.Pointer[Hypothesis]
 	tid        runnable.TaskID
+	runnableSched
 
-	_ [2*cacheLineSize - 48]byte
+	_ [2*cacheLineSize - 96]byte
 }
 
 // addBeat records one heartbeat in AC and ARC with a single atomic add
@@ -96,32 +101,25 @@ func (h *hotState) addBeat() uint64 { return h.acArc.Add(1<<32 | 1) }
 // loadAC returns the current Aliveness Counter.
 func (h *hotState) loadAC() uint32 { return uint32(h.acArc.Load() >> 32) }
 
-// loadARC returns the current Arrival Rate Counter.
-func (h *hotState) loadARC() uint32 { return uint32(h.acArc.Load()) }
-
 // closeAliveness atomically zeroes AC, preserving ARC, and returns the
-// closed window's AC. Concurrent heartbeats land in either the closing or
-// the fresh window, exactly as with a dedicated counter swap. The closed
-// window's beats are banked into the lifetime counter here, so the
-// telemetry series never loses them to the reset.
-func (h *hotState) closeAliveness() uint32 {
+// word it replaced. Concurrent heartbeats land in either the closing or
+// the fresh window, exactly as with a dedicated counter swap.
+func (h *hotState) closeAliveness() uint64 {
 	for {
 		old := h.acArc.Load()
 		if h.acArc.CompareAndSwap(old, old&(1<<32-1)) {
-			ac := uint32(old >> 32)
-			h.bankBeats(ac)
-			return ac
+			return old
 		}
 	}
 }
 
 // closeArrival atomically zeroes ARC, preserving AC, and returns the
-// closed window's ARC.
-func (h *hotState) closeArrival() uint32 {
+// word it replaced.
+func (h *hotState) closeArrival() uint64 {
 	for {
 		old := h.acArc.Load()
 		if h.acArc.CompareAndSwap(old, old&^uint64(1<<32-1)) {
-			return uint32(old)
+			return old
 		}
 	}
 }
@@ -131,29 +129,19 @@ func (h *hotState) closeArrival() uint32 {
 // changes and fault treatment). The discarded AC is banked into the
 // lifetime beat counter first so the telemetry series survives resets.
 // A beat racing the reset lands on either side of it, exactly as the
-// monitoring semantics already allow.
+// monitoring semantics already allow. Requires sched.mu.
 func (h *hotState) resetCounters() {
-	h.bankBeats(h.loadAC())
-	h.acArc.Store(0)
-	h.cca.Store(0)
-	h.ccar.Store(0)
-}
-
-// bankBeats folds an AC amount that is about to be consumed or
-// discarded into the lifetime beat accumulator.
-func (h *hotState) bankBeats(ac uint32) {
-	if ac != 0 {
-		h.beatsAcc.Add(uint64(ac))
-	}
+	h.beatsAcc += uint64(uint32(h.acArc.Swap(0) >> 32))
+	h.cca, h.ccar = 0, 0
 }
 
 // lifetimeBeats reports the cumulative heartbeats recorded while the
 // runnable's Activation Status was on: the banked closed windows plus
-// the live AC. The two loads are individually atomic; a window closing
-// between them can transiently under-report by that window, which the
-// next read corrects.
+// the live AC. Every bank happens under sched.mu together with the AC
+// reset it accounts for, so under that lock the sum is exact up to the
+// beats still racing in. Requires sched.mu.
 func (h *hotState) lifetimeBeats() uint64 {
-	return h.beatsAcc.Load() + uint64(h.loadAC())
+	return h.beatsAcc + uint64(h.loadAC())
 }
 
 // eagerLimitFor computes the hot-path arrival trip point for a hypothesis.

@@ -176,8 +176,8 @@ func (w *Watchdog) journalStatsLocked() JournalStats {
 }
 
 // journalLocked appends the freeze-framed detection to the ring, if one
-// is attached. Callers hold w.mu; the counter reads are atomic, so no
-// further locks are taken.
+// is attached. Callers hold sched.mu (the freeze-frame reads the sweep
+// state) and w.mu, the order every detection path takes them in.
 func (w *Watchdog) journalLocked(kind ErrorKind, rid runnable.ID, tid runnable.TaskID, app runnable.AppID,
 	cycle uint64, observed, expected int, pred runnable.ID, correlated bool) {
 	j := w.journal
@@ -196,7 +196,7 @@ func (w *Watchdog) journalLocked(kind ErrorKind, rid runnable.ID, tid runnable.T
 		Expected:       expected,
 		Predecessor:    pred,
 		Correlated:     correlated,
-		Frame:          w.counters(rid),
+		Frame:          w.countersLocked(rid),
 		Beats:          w.hot[rid].lifetimeBeats(),
 		ErrAliveness:   e[0],
 		ErrArrivalRate: e[1],

@@ -129,10 +129,12 @@ type StateEvent struct {
 }
 
 // Sink receives watchdog output; the Fault Management Framework implements
-// it. Callbacks run with the watchdog's internal lock held, so
-// implementations must not call back into the Watchdog synchronously —
-// defer any reaction (treatment, ClearTask) through a simulation event or
-// a separate goroutine.
+// it. Callbacks run with the watchdog's internal locks held — the
+// scheduler mutex and the cold-path mutex — so implementations must not
+// call back into the Watchdog synchronously: not CounterSnapshot or
+// SnapshotInto (both take the scheduler mutex), not treatment such as
+// Deactivate or ClearTask. Defer any reaction through a simulation event
+// or a separate goroutine.
 type Sink interface {
 	// Fault delivers one detected error.
 	Fault(Report)

@@ -93,10 +93,10 @@ func (w *Watchdog) SetShadow(rid runnable.ID, h Hypothesis) error {
 		return fmt.Errorf("core: SetShadow(%d): shadow evaluation needs one window, got %d/%d cycles",
 			rid, h.AlivenessCycles, h.ArrivalCycles)
 	}
-	s := w.sched
-	if s == nil {
+	if w.cfg.legacySweep {
 		return errors.New("core: shadow evaluation requires the wheel sweep, not the reference walk")
 	}
+	s := w.sched
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if w.shadows == nil {
@@ -117,10 +117,10 @@ func (w *Watchdog) ClearShadow(rid runnable.ID) error {
 	if err := w.checkRunnable(rid); err != nil {
 		return err
 	}
-	s := w.sched
-	if s == nil {
+	if w.cfg.legacySweep {
 		return nil
 	}
+	s := w.sched
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := w.shadows[rid]; ok {
@@ -135,10 +135,10 @@ func (w *Watchdog) ShadowVerdict(rid runnable.ID) (ShadowStats, error) {
 	if err := w.checkRunnable(rid); err != nil {
 		return ShadowStats{}, err
 	}
-	s := w.sched
-	if s == nil {
+	if w.cfg.legacySweep {
 		return ShadowStats{}, fmt.Errorf("core: ShadowVerdict(%d): %w", rid, errNoShadow)
 	}
+	s := w.sched
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := w.shadows[rid]
@@ -157,10 +157,10 @@ func (w *Watchdog) ShadowVerdict(rid runnable.ID) (ShadowStats, error) {
 // Shadows lists every installed shadow hypothesis and its verdict, in
 // ascending runnable order.
 func (w *Watchdog) Shadows() []ShadowReport {
-	s := w.sched
-	if s == nil {
+	if w.cfg.legacySweep {
 		return nil
 	}
+	s := w.sched
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(w.shadows) == 0 {
@@ -191,11 +191,12 @@ func (w *Watchdog) Shadows() []ShadowReport {
 func (w *Watchdog) sweepShadows(c uint64) {
 	s := w.sched
 	for _, rid := range s.dueShadow {
+		hs := &w.hot[rid]
+		hs.shadowDue, hs.shadowLoc = 0, locNone // drained: consumed
 		st := w.shadows[runnable.ID(rid)]
 		if st == nil {
 			continue // defensive: due bit without state
 		}
-		hs := &w.hot[rid]
 		cur := hs.lifetimeBeats()
 		if hs.active.Load() != 0 {
 			beats := cur - st.startBeats
@@ -227,15 +228,28 @@ func (w *Watchdog) Estimator() *calib.Estimator { return w.est }
 // maybeSampleEstimator feeds one observation window to the estimator
 // every EstimatorWindowCycles cycles: per-runnable lifetime-beat deltas
 // since the previous sample, with inactive runnables excluded. Runs on
-// the Cycle caller's goroutine after the sweep's locks are released,
-// like maybeEmitMetrics; estMu serializes concurrent Cycle callers so
-// the deltas stay consistent.
+// the Cycle caller's goroutine after the sweep released its locks, like
+// maybeEmitMetrics; estMu serializes concurrent Cycle callers so the
+// deltas stay consistent. The counts are read under one acquisition of
+// sched.mu (the lifetime-beat bank is guarded by it) and handed to the
+// estimator after it is released.
 func (w *Watchdog) maybeSampleEstimator(c uint64) {
 	if w.est == nil || c%w.estEvery != 0 {
 		return
 	}
 	w.estMu.Lock()
 	defer w.estMu.Unlock()
+	if !w.sampleCounts() {
+		return
+	}
+	w.est.SampleWindows(w.estCounts)
+}
+
+// sampleCounts reads the lifetime beat counts into estLast and, after
+// the first call, their deltas into estCounts, under sched.mu. It
+// reports whether estCounts holds a window. Callers hold estMu.
+func (w *Watchdog) sampleCounts() bool {
+	defer w.lockSched()()
 	if !w.estPrimed {
 		// The first boundary only primes the per-runnable baselines: the
 		// window behind it has no known left edge (beats may predate the
@@ -245,7 +259,7 @@ func (w *Watchdog) maybeSampleEstimator(c uint64) {
 			w.estLast[i] = w.hot[i].lifetimeBeats()
 		}
 		w.estPrimed = true
-		return
+		return false
 	}
 	for i := range w.hot {
 		hs := &w.hot[i]
@@ -258,5 +272,5 @@ func (w *Watchdog) maybeSampleEstimator(c uint64) {
 			w.estCounts[i] = delta
 		}
 	}
-	w.est.SampleWindows(w.estCounts)
+	return true
 }

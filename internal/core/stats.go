@@ -14,11 +14,12 @@ import (
 // The lifetime beat series is derived by banking each closing window's
 // AC into a per-runnable accumulator on the (cold) sweep and reset
 // paths, and every other figure comes from state the watchdog already
-// maintains. Reading a snapshot is cold: the per-runnable counters are plain
-// atomic loads, and one short acquisition of the cold-path mutex copies
-// the error-indication vectors, results and journal accounting
-// consistently. SnapshotInto reuses the caller's buffers, so a metrics
-// scraper settles into zero allocations per scrape.
+// maintains. Reading a snapshot is cold: one acquisition of the scheduler
+// mutex copies the per-runnable counters and beat banks, and one short
+// acquisition of the cold-path mutex copies the error-indication
+// vectors, results and journal accounting consistently. SnapshotInto
+// reuses the caller's buffers, so a metrics scraper settles into zero
+// allocations per scrape.
 
 // RunnableStats is the telemetry of one runnable.
 type RunnableStats struct {
@@ -83,10 +84,12 @@ func (w *Watchdog) Snapshot() Snapshot {
 // SnapshotInto fills s with the current telemetry, reusing s.Runnables
 // when it has capacity: scraping with a retained Snapshot is
 // allocation-free after the first call. The per-runnable counters are
-// individually consistent atomic reads; the fault tallies, results, ECU
-// state and journal accounting are copied jointly under one short
-// cold-path lock. Safe for concurrent use with beats, cycles and
-// configuration changes.
+// copied under one acquisition of the scheduler mutex, so no sweep runs
+// in between; the fault tallies, results, ECU state and journal
+// accounting are then copied jointly under one short cold-path lock.
+// Safe for concurrent use with beats, cycles and configuration changes,
+// but not from a Sink or journal sink callback, which runs under the
+// scheduler mutex.
 func (w *Watchdog) SnapshotInto(s *Snapshot) {
 	n := len(w.hot)
 	if cap(s.Runnables) < n {
@@ -94,16 +97,18 @@ func (w *Watchdog) SnapshotInto(s *Snapshot) {
 	}
 	s.Runnables = s.Runnables[:n]
 
-	s.Cycle = w.cycle.Load()
 	s.Driver = DriverStats{}
+	w.sched.mu.Lock()
+	s.Cycle = w.cycle.Load()
 	for i := range w.hot {
 		rs := &s.Runnables[i]
-		c := w.counters(runnable.ID(i))
+		c := w.countersLocked(runnable.ID(i))
 		rs.ID = runnable.ID(i)
 		rs.Active = c.Active
 		rs.AC, rs.ARC, rs.CCA, rs.CCAR = c.AC, c.ARC, c.CCA, c.CCAR
-		rs.Beats = w.hot[i].lifetimeBeats()
+		rs.Beats = w.hot[i].beatsAcc + uint64(c.AC)
 	}
+	w.sched.mu.Unlock()
 
 	w.mu.Lock()
 	for i := range s.Runnables {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"time"
 
 	"swwd/internal/runnable"
@@ -28,10 +29,11 @@ type detection struct {
 // The sweep is deadline-driven: only runnables whose aliveness or
 // arrival window expires on this very cycle are visited — O(due work)
 // via the timer wheel's bitmap buckets instead of the retired O(N) walk
-// over every padded counter line. Expiring windows are closed with
-// atomic swaps so concurrent heartbeats land in either the closing or
-// the next window; detections are batched and reported under one
-// acquisition of the cold-path mutex per cycle.
+// over every padded counter line. Expiring windows are closed with one
+// atomic on the packed counter word so concurrent heartbeats land in
+// either the closing or the next window; the rest of the window
+// bookkeeping is plain stores under sched.mu, and detections are batched
+// and reported under one acquisition of the cold-path mutex per cycle.
 //
 // Telemetry: every Cycle is timed into the sweep-duration histogram
 // (two monotonic clock reads per cycle, amortized over a whole
@@ -40,7 +42,7 @@ type detection struct {
 func (w *Watchdog) Cycle() {
 	start := time.Now()
 	var c uint64
-	if w.sched == nil {
+	if w.cfg.legacySweep {
 		c = w.cycleLegacy()
 	} else {
 		c = w.cycleWheel()
@@ -59,52 +61,14 @@ func (w *Watchdog) cycleWheel() uint64 {
 		s.migrate(c)
 	}
 	b := &s.buckets[c&s.mask]
-	na, nr, ns := 0, 0, 0
-	if b.alive != nil {
-		na = b.alive.len()
-	}
-	if b.arr != nil {
-		nr = b.arr.len()
-	}
-	if b.shadow != nil {
-		ns = b.shadow.len()
-	}
-	if na == 0 && nr == 0 && ns == 0 {
-		s.mu.Unlock()
-		return c
-	}
-	s.dueAlive = s.dueAlive[:0]
-	s.dueArr = s.dueArr[:0]
-	s.dueShadow = s.dueShadow[:0]
-	if na > 0 {
-		s.dueAlive = b.alive.drainInto(s.dueAlive)
-	}
-	if nr > 0 {
-		s.dueArr = b.arr.drainInto(s.dueArr)
-	}
-	if ns > 0 {
-		s.dueShadow = b.shadow.drainInto(s.dueShadow)
-	}
-	// The drained deadlines are consumed: mark them unscheduled before
-	// processing so the per-item reschedule starts from a clean slate.
-	for _, rid := range s.dueAlive {
-		r := &s.rs[rid]
-		r.aliveDue, r.aliveLoc = 0, locNone
-	}
-	for _, rid := range s.dueArr {
-		r := &s.rs[rid]
-		r.arrDue, r.arrLoc = 0, locNone
-	}
-	for _, rid := range s.dueShadow {
-		r := &s.rs[rid]
-		r.shadowDue, r.shadowLoc = 0, locNone
-	}
-	s.items = mergeDue(s.items[:0], s.dueAlive, s.dueArr)
 	s.batch = s.batch[:0]
-	w.sweepDue(c)
-	if len(s.dueShadow) > 0 {
+	if b.alive.len() > 0 || b.arr.len() > 0 {
+		w.sweepDue(c, b.alive, b.arr)
+	}
+	if b.shadow.len() > 0 {
 		// Shadow windows are judged after the active ones closed, still
 		// under s.mu: due-cycle work inside the same sweep, never a fault.
+		s.dueShadow = b.shadow.drainInto(s.dueShadow[:0])
 		w.sweepShadows(c)
 	}
 	if len(s.batch) > 0 {
@@ -118,42 +82,101 @@ func (w *Watchdog) cycleWheel() uint64 {
 	return c
 }
 
-// sweepDue processes the due items inline: close expiring windows,
-// collect detections, restart and re-index the windows. Holds s.mu.
-func (w *Watchdog) sweepDue(c uint64) {
+// sweepDue closes the windows due on cycle c in a single pass over the
+// union of the bucket's aliveness and arrival bitsets (either may be
+// nil), one word at a time, draining both as it goes. Runnables are
+// visited in ascending order and a runnable's aliveness window is
+// judged before its arrival window, so detections come out in exactly
+// the order of the reference walk. Holds s.mu.
+func (w *Watchdog) sweepDue(c uint64, alive, arr *bitset) {
 	s := w.sched
-	for _, it := range s.items {
-		rid := int(it.rid)
-		hs := &w.hot[rid]
-		if hs.active.Load() == 0 {
-			continue // defensive: deactivation unschedules under s.mu
+	if alive == nil {
+		alive = s.none
+	}
+	if arr == nil {
+		arr = s.none
+	}
+	for si, sa := range alive.summary {
+		sr := arr.summary[si]
+		if sa|sr == 0 {
+			continue
 		}
-		hyp := hs.hyp.Load()
-		if it.alive && hyp.AlivenessCycles > 0 {
-			ac := hs.closeAliveness()
-			if int(ac) < hyp.MinHeartbeats {
-				s.batch = append(s.batch, detection{AlivenessError, runnable.ID(rid), int(ac), hyp.MinHeartbeats})
+		alive.summary[si], arr.summary[si] = 0, 0
+		for sw := sa | sr; sw != 0; sw &= sw - 1 {
+			wi := si<<6 + bits.TrailingZeros64(sw)
+			pa, pr := alive.words[wi], arr.words[wi]
+			alive.words[wi], arr.words[wi] = 0, 0
+			for pw := pa | pr; pw != 0; pw &= pw - 1 {
+				bit := bits.TrailingZeros64(pw)
+				m := uint64(1) << bit
+				w.closeDue(c, wi<<6+bit, pa&m != 0, pr&m != 0)
 			}
-			s.rs[rid].aliveAnchor.Store(c)
-			s.schedule(rid, kindAlive, c+uint64(hyp.AlivenessCycles), c)
 		}
-		if it.arr && hyp.ArrivalCycles > 0 {
-			arc := hs.closeArrival()
-			if int(arc) > hyp.MaxArrivals {
-				s.batch = append(s.batch, detection{ArrivalRateError, runnable.ID(rid), int(arc), hyp.MaxArrivals})
-			}
-			s.rs[rid].arrAnchor.Store(c)
-			s.schedule(rid, kindArr, c+uint64(hyp.ArrivalCycles), c)
+	}
+	alive.n, arr.n = 0, 0
+}
+
+// closeDue closes the due windows of one runnable: the aliveness window
+// when alive, the arrival window when arr. The packed counter word is
+// cleared with one atomic — a swap when both windows close — and the
+// bank, anchors and deadlines are plain stores under s.mu. Detections
+// are appended to the cycle's batch, aliveness first.
+func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool) {
+	s := w.sched
+	hs := &w.hot[rid]
+	// The drained deadlines are consumed: mark them unscheduled before
+	// rescheduling from a clean slate.
+	if alive {
+		hs.aliveDue, hs.aliveLoc = 0, locNone
+	}
+	if arr {
+		hs.arrDue, hs.arrLoc = 0, locNone
+	}
+	if hs.active.Load() == 0 {
+		return // defensive: deactivation unschedules under s.mu
+	}
+	hyp := hs.hyp.Load()
+	alive = alive && hyp.AlivenessCycles > 0
+	arr = arr && hyp.ArrivalCycles > 0
+	var old uint64
+	switch {
+	case alive && arr:
+		old = hs.acArc.Swap(0)
+	case alive:
+		old = hs.closeAliveness()
+	case arr:
+		old = hs.closeArrival()
+	default:
+		return
+	}
+	if alive {
+		ac := uint32(old >> 32)
+		hs.beatsAcc += uint64(ac)
+		if int(ac) < hyp.MinHeartbeats {
+			s.batch = append(s.batch, detection{AlivenessError, runnable.ID(rid), int(ac), hyp.MinHeartbeats})
 		}
+		hs.aliveAnchor = c
+		s.schedule(rid, kindAlive, c+uint64(hyp.AlivenessCycles), c)
+	}
+	if arr {
+		arc := uint32(old)
+		if int(arc) > hyp.MaxArrivals {
+			s.batch = append(s.batch, detection{ArrivalRateError, runnable.ID(rid), int(arc), hyp.MaxArrivals})
+		}
+		hs.arrAnchor = c
+		s.schedule(rid, kindArr, c+uint64(hyp.ArrivalCycles), c)
 	}
 }
 
 // cycleLegacy is the retired full-table sweep (Config.legacySweep): one
 // pass over every runnable's padded counter line per cycle, per-cycle
-// CCA/CCAR increments, one w.mu acquisition per fault. Kept as the
-// reference implementation the equivalence tests replay against and as
-// the "before" side of BenchmarkCycleSweep.
+// CCA/CCAR increments, one w.mu acquisition per fault. It holds sched.mu
+// for the walk, as the wheel sweep does, since the bank and the cycle
+// counters it writes are guarded by that lock. Kept as the reference
+// implementation the equivalence tests replay against and as the
+// "before" side of BenchmarkCycleSweep.
 func (w *Watchdog) cycleLegacy() uint64 {
+	defer w.lockSched()()
 	c := w.cycle.Add(1)
 	for i := range w.hot {
 		hs := &w.hot[i]
@@ -162,9 +185,10 @@ func (w *Watchdog) cycleLegacy() uint64 {
 		}
 		hyp := hs.hyp.Load()
 		if hyp.AlivenessCycles > 0 {
-			if hs.cca.Add(1) >= uint32(hyp.AlivenessCycles) {
-				ac := hs.closeAliveness()
-				hs.cca.Store(0)
+			if hs.cca++; hs.cca >= uint32(hyp.AlivenessCycles) {
+				ac := uint32(hs.closeAliveness() >> 32)
+				hs.beatsAcc += uint64(ac)
+				hs.cca = 0
 				if int(ac) < hyp.MinHeartbeats {
 					w.mu.Lock()
 					w.detectLocked(AlivenessError, runnable.ID(i), int(ac), hyp.MinHeartbeats, runnable.NoID)
@@ -173,9 +197,9 @@ func (w *Watchdog) cycleLegacy() uint64 {
 			}
 		}
 		if hyp.ArrivalCycles > 0 {
-			if hs.ccar.Add(1) >= uint32(hyp.ArrivalCycles) {
-				arc := hs.closeArrival()
-				hs.ccar.Store(0)
+			if hs.ccar++; hs.ccar >= uint32(hyp.ArrivalCycles) {
+				arc := uint32(hs.closeArrival())
+				hs.ccar = 0
 				if int(arc) > hyp.MaxArrivals {
 					w.mu.Lock()
 					w.detectLocked(ArrivalRateError, runnable.ID(i), int(arc), hyp.MaxArrivals, runnable.NoID)
@@ -187,14 +211,11 @@ func (w *Watchdog) cycleLegacy() uint64 {
 	return c
 }
 
-// lockSched acquires the scheduler mutex when the wheel sweep is active
-// and returns the matching unlock. Lock order: sched.mu before w.mu.
+// lockSched acquires the scheduler mutex and returns the matching
+// unlock. Lock order: sched.mu before w.mu.
 func (w *Watchdog) lockSched() func() {
-	if s := w.sched; s != nil {
-		s.mu.Lock()
-		return s.mu.Unlock
-	}
-	return func() {}
+	w.sched.mu.Lock()
+	return w.sched.mu.Unlock
 }
 
 // reschedFreshLocked re-derives both deadlines of a runnable after its
@@ -210,18 +231,17 @@ func (w *Watchdog) reschedFreshLocked(rid runnable.ID) {
 	hs := &w.hot[i]
 	hyp := hs.hyp.Load()
 	active := hs.active.Load() != 0
-	r := &s.rs[i]
 	if active && hyp.AlivenessCycles > 0 {
-		r.aliveAnchor.Store(c)
+		hs.aliveAnchor = c
 		s.schedule(i, kindAlive, c+uint64(hyp.AlivenessCycles), c)
 	} else {
-		r.aliveAnchor.Store(frozenFlag)
+		hs.aliveAnchor = frozenFlag
 	}
 	if active && hyp.ArrivalCycles > 0 {
-		r.arrAnchor.Store(c)
+		hs.arrAnchor = c
 		s.schedule(i, kindArr, c+uint64(hyp.ArrivalCycles), c)
 	} else {
-		r.arrAnchor.Store(frozenFlag)
+		hs.arrAnchor = frozenFlag
 	}
 }
 
@@ -238,9 +258,8 @@ func (w *Watchdog) reschedPreserveLocked(rid runnable.ID) {
 	hs := &w.hot[i]
 	hyp := hs.hyp.Load()
 	active := hs.active.Load() != 0
-	r := &s.rs[i]
 
-	elapsed := anchorElapsed(r.aliveAnchor.Load(), c)
+	elapsed := anchorElapsed(hs.aliveAnchor, c)
 	if elapsed > c {
 		elapsed = c // defensive: anchors never precede cycle zero
 	}
@@ -251,13 +270,13 @@ func (w *Watchdog) reschedPreserveLocked(rid runnable.ID) {
 		if due <= c {
 			due = c + 1
 		}
-		r.aliveAnchor.Store(start)
+		hs.aliveAnchor = start
 		s.schedule(i, kindAlive, due, c)
 	} else {
-		r.aliveAnchor.Store(frozenFlag | elapsed)
+		hs.aliveAnchor = frozenFlag | elapsed
 	}
 
-	elapsed = anchorElapsed(r.arrAnchor.Load(), c)
+	elapsed = anchorElapsed(hs.arrAnchor, c)
 	if elapsed > c {
 		elapsed = c
 	}
@@ -268,10 +287,10 @@ func (w *Watchdog) reschedPreserveLocked(rid runnable.ID) {
 		if due <= c {
 			due = c + 1
 		}
-		r.arrAnchor.Store(start)
+		hs.arrAnchor = start
 		s.schedule(i, kindArr, due, c)
 	} else {
-		r.arrAnchor.Store(frozenFlag | elapsed)
+		hs.arrAnchor = frozenFlag | elapsed
 	}
 }
 
@@ -283,11 +302,11 @@ func (w *Watchdog) reschedArrivalRestartLocked(rid runnable.ID, hyp *Hypothesis)
 	c := w.cycle.Load()
 	i := int(rid)
 	s.unschedule(i, kindArr)
-	r := &s.rs[i]
+	hs := &w.hot[i]
 	if hyp.ArrivalCycles > 0 {
-		r.arrAnchor.Store(c)
+		hs.arrAnchor = c
 		s.schedule(i, kindArr, c+uint64(hyp.ArrivalCycles), c)
 	} else {
-		r.arrAnchor.Store(frozenFlag)
+		hs.arrAnchor = frozenFlag
 	}
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // This file implements the due-cycle timer wheel behind the Cycle sweep.
 //
@@ -71,20 +68,40 @@ func anchorElapsed(a, c uint64) uint64 {
 	return c - a
 }
 
-// runnableSched is the per-runnable deadline state. due/loc are guarded
-// by scheduler.mu; the anchors are atomics so CounterSnapshot can derive
-// CCA/CCAR lock-free (the hot path equivalent of the retired per-cycle
-// counter increments).
+// runnableSched is the per-runnable sweep state, embedded in hotState
+// so each runnable's bookkeeping shares its padded counter lines instead
+// of a second array. Every field is a plain field guarded by sched.mu:
+// the sweep, activation changes, fault treatment and the eager arrival
+// detection write it holding that lock, and CounterSnapshot, the
+// telemetry Snapshot, the estimator sampler and the journal's
+// freeze-frames take the lock to read it.
+//
+//   - beatsAcc banks the lifetime heartbeat count: whenever AC is about
+//     to be consumed (a window close) or discarded (a counter reset), the
+//     outgoing AC is added here first. Lifetime beats are beatsAcc + live
+//     AC — the cumulative "beats seen while active" series at zero cost
+//     per beat.
+//   - aliveAnchor/arrAnchor replace the per-cycle CCA/CCAR increments of
+//     the reference walk: the start cycle of the running window, or a
+//     frozen counter value (see anchorElapsed).
+//   - the *Due/*Loc pairs index the runnable's deadlines in the wheel.
+//   - cca/ccar are the reference walk's cycle counters
+//     (Config.legacySweep); the wheel leaves them at zero.
+//
+// The fields an aliveness close touches come first, so with hotState's
+// leading beat-path words they fill one cache line.
 type runnableSched struct {
-	aliveDue  uint64 // absolute cycle the aliveness window expires; 0 = unscheduled
-	arrDue    uint64
-	shadowDue uint64
-	aliveLoc  uint8
-	arrLoc    uint8
-	shadowLoc uint8
-
-	aliveAnchor atomic.Uint64
-	arrAnchor   atomic.Uint64
+	beatsAcc    uint64
+	aliveAnchor uint64
+	aliveDue    uint64 // absolute cycle the aliveness window expires; 0 = unscheduled
+	aliveLoc    uint8
+	arrLoc      uint8
+	shadowLoc   uint8
+	arrAnchor   uint64
+	arrDue      uint64
+	shadowDue   uint64
+	cca         uint32
+	ccar        uint32
 }
 
 // dueLoc returns the deadline state for kind.
@@ -147,7 +164,10 @@ func (b *wheelBucket) peek(kind int) *bitset {
 	}
 }
 
-// scheduler is the due-cycle index driving the wheel-based sweep.
+// scheduler is the due-cycle index driving the wheel-based sweep. Its
+// mutex also guards every runnable's sweep state (hotState's embedded
+// runnableSched), and the reference walk takes it too, so the lock
+// contract is the same whichever sweep runs.
 type scheduler struct {
 	mu   sync.Mutex
 	size uint64 // bucket count, power of two
@@ -157,24 +177,25 @@ type scheduler struct {
 	overAlive  *bitset // deadlines ≥ size cycles away
 	overArr    *bitset
 	overShadow *bitset
-	rs         []runnableSched
-	n          int // number of runnables
+	hot        []hotState // the watchdog's runnables, for their sweep state
+	n          int        // number of runnables
+	// none stands in for a bucket bitset that was never allocated, so
+	// the sweep walks two bitsets without nil checks. It stays empty.
+	none *bitset
 
 	// Reusable sweep buffers.
-	dueAlive  []uint32
-	dueArr    []uint32
 	dueShadow []uint32
 	migr      []uint32
-	items     []dueItem
 	batch     []detection
 }
 
-// newScheduler builds the wheel for n runnables. size must be a power of
-// two.
-func newScheduler(n int, size uint64) *scheduler {
+// newScheduler builds the wheel over hot's runnables and freezes their
+// counters at zero. size must be a power of two.
+func newScheduler(hot []hotState, size uint64) *scheduler {
 	if size == 0 {
 		size = defaultWheelSize
 	}
+	n := len(hot)
 	s := &scheduler{
 		size:       size,
 		mask:       size - 1,
@@ -182,13 +203,14 @@ func newScheduler(n int, size uint64) *scheduler {
 		overAlive:  newBitset(n),
 		overArr:    newBitset(n),
 		overShadow: newBitset(n),
-		rs:         make([]runnableSched, n),
+		hot:        hot,
 		n:          n,
+		none:       newBitset(n),
 	}
-	for i := range s.rs {
+	for i := range hot {
 		// Everything starts inactive: counters frozen at zero.
-		s.rs[i].aliveAnchor.Store(frozenFlag)
-		s.rs[i].arrAnchor.Store(frozenFlag)
+		hot[i].aliveAnchor = frozenFlag
+		hot[i].arrAnchor = frozenFlag
 	}
 	return s
 }
@@ -216,12 +238,12 @@ func (s *scheduler) schedule(rid, kind int, due, now uint64) {
 		s.overflow(kind).set(rid)
 		loc = locOverflow
 	}
-	s.rs[rid].setDueLoc(kind, due, loc)
+	s.hot[rid].setDueLoc(kind, due, loc)
 }
 
 // unschedule removes a deadline if one is indexed. Callers hold s.mu.
 func (s *scheduler) unschedule(rid, kind int) {
-	r := &s.rs[rid]
+	r := &s.hot[rid]
 	due, loc := r.dueLoc(kind)
 	switch loc {
 	case locBucket:
@@ -246,7 +268,7 @@ func (s *scheduler) migrate(now uint64) {
 		}
 		s.migr = ov.appendMembers(s.migr[:0])
 		for _, rid := range s.migr {
-			r := &s.rs[rid]
+			r := &s.hot[rid]
 			due, _ := r.dueLoc(kind)
 			if due-now >= s.size {
 				continue
@@ -278,45 +300,10 @@ func (s *scheduler) resetAll() {
 	scratch = s.overArr.drainInto(scratch[:0])
 	scratch = s.overShadow.drainInto(scratch[:0])
 	s.migr = scratch[:0]
-	for i := range s.rs {
-		s.rs[i].aliveDue, s.rs[i].aliveLoc = 0, locNone
-		s.rs[i].arrDue, s.rs[i].arrLoc = 0, locNone
-		s.rs[i].shadowDue, s.rs[i].shadowLoc = 0, locNone
+	for i := range s.hot {
+		r := &s.hot[i].runnableSched
+		r.aliveDue, r.aliveLoc = 0, locNone
+		r.arrDue, r.arrLoc = 0, locNone
+		r.shadowDue, r.shadowLoc = 0, locNone
 	}
-}
-
-// dueItem is one runnable with at least one window expiring this cycle.
-type dueItem struct {
-	rid   uint32
-	alive bool
-	arr   bool
-}
-
-// mergeDue merges the two ascending due lists into per-runnable items,
-// preserving ascending runnable order so the sweep reports detections in
-// exactly the order of the reference full-table walk (runnable ascending,
-// aliveness before arrival per runnable).
-func mergeDue(dst []dueItem, alive, arr []uint32) []dueItem {
-	i, j := 0, 0
-	for i < len(alive) && j < len(arr) {
-		switch {
-		case alive[i] < arr[j]:
-			dst = append(dst, dueItem{rid: alive[i], alive: true})
-			i++
-		case alive[i] > arr[j]:
-			dst = append(dst, dueItem{rid: arr[j], arr: true})
-			j++
-		default:
-			dst = append(dst, dueItem{rid: alive[i], alive: true, arr: true})
-			i++
-			j++
-		}
-	}
-	for ; i < len(alive); i++ {
-		dst = append(dst, dueItem{rid: alive[i], alive: true})
-	}
-	for ; j < len(arr); j++ {
-		dst = append(dst, dueItem{rid: arr[j], arr: true})
-	}
-	return dst
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -67,21 +69,90 @@ func TestBitsetBasics(t *testing.T) {
 	}
 }
 
-func TestMergeDue(t *testing.T) {
-	got := mergeDue(nil, []uint32{1, 3, 5}, []uint32{2, 3, 7})
-	want := []dueItem{
-		{rid: 1, alive: true},
-		{rid: 2, arr: true},
-		{rid: 3, alive: true, arr: true},
-		{rid: 5, alive: true},
-		{rid: 7, arr: true},
+// TestSweepDueOrder drives the one-pass sweep over a bitset word that
+// holds both an aliveness and an arrival bit of the same runnables, next
+// to neighbours due for only one kind, plus a runnable in a later word:
+// faults must come out runnable-ascending, aliveness before arrival, and
+// the bucket must be drained.
+func TestSweepDueOrder(t *testing.T) {
+	m := runnable.NewModel()
+	app, _ := m.AddApp("order", runnable.SafetyCritical)
+	task, _ := m.AddTask(app, "T", 1)
+	for i := 0; i < 70; i++ {
+		if _, err := m.AddRunnable(task, fmt.Sprintf("r%d", i), time.Millisecond, runnable.SafetyCritical); err != nil {
+			t.Fatalf("AddRunnable: %v", err)
+		}
 	}
-	if len(got) != len(want) {
-		t.Fatalf("mergeDue = %+v, want %+v", got, want)
+	if err := m.Freeze(); err != nil {
+		t.Fatalf("Freeze: %v", err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("mergeDue[%d] = %+v, want %+v", i, got[i], want[i])
+	sink := &collector{}
+	w, err := New(Config{Model: m, Clock: sim.NewManualClock(), Sink: sink})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	// Two beats per window: below MinHeartbeats 3, above MaxArrivals 1,
+	// so a runnable monitoring both units faults on both.
+	aliveOnly := Hypothesis{AlivenessCycles: 2, MinHeartbeats: 3}
+	arrOnly := Hypothesis{ArrivalCycles: 2, MaxArrivals: 1}
+	both := Hypothesis{AlivenessCycles: 2, MinHeartbeats: 3, ArrivalCycles: 2, MaxArrivals: 1}
+	hyps := map[runnable.ID]Hypothesis{0: aliveOnly, 1: both, 2: arrOnly, 3: both, 4: aliveOnly, 66: both}
+	for rid, h := range hyps {
+		if err := w.SetHypothesis(rid, h); err != nil {
+			t.Fatalf("SetHypothesis(%d): %v", rid, err)
+		}
+		if err := w.Activate(rid); err != nil {
+			t.Fatalf("Activate(%d): %v", rid, err)
+		}
+		w.Heartbeat(rid)
+		w.Heartbeat(rid)
+	}
+	w.Cycle()
+	if len(sink.faults) != 0 {
+		t.Fatalf("faults before the due cycle: %+v", sink.faults)
+	}
+	w.Cycle()
+	type fault struct {
+		rid  runnable.ID
+		kind ErrorKind
+	}
+	want := []fault{
+		{0, AlivenessError},
+		{1, AlivenessError}, {1, ArrivalRateError},
+		{2, ArrivalRateError},
+		{3, AlivenessError}, {3, ArrivalRateError},
+		{4, AlivenessError},
+		{66, AlivenessError}, {66, ArrivalRateError},
+	}
+	var got []fault
+	for _, f := range sink.faults {
+		got = append(got, fault{f.Runnable, f.Kind})
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fault order = %v, want %v", got, want)
+	}
+	b := &w.sched.buckets[2&w.sched.mask]
+	if b.alive.len() != 0 || b.arr.len() != 0 {
+		t.Fatalf("due bucket not drained: alive %d, arr %d", b.alive.len(), b.arr.len())
+	}
+	for _, bs := range []*bitset{b.alive, b.arr} {
+		for i, word := range bs.words {
+			if word != 0 {
+				t.Fatalf("due bucket word %d = %#x after the sweep", i, word)
+			}
+		}
+		for i, word := range bs.summary {
+			if word != 0 {
+				t.Fatalf("due bucket summary word %d = %#x after the sweep", i, word)
+			}
+		}
+	}
+	// Every closed window restarted: its counter is zero and its cycle
+	// counter reads zero on the closing cycle.
+	for rid, h := range hyps {
+		c, _ := w.CounterSnapshot(rid)
+		if (h.AlivenessCycles > 0 && c.AC != 0) || (h.ArrivalCycles > 0 && c.ARC != 0) || c.CCA != 0 || c.CCAR != 0 {
+			t.Fatalf("runnable %d counters after the close = %+v", rid, c)
 		}
 	}
 }

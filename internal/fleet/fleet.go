@@ -11,7 +11,7 @@ package fleet
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 	"time"
 
 	"swwd/internal/core"
@@ -138,21 +138,26 @@ func Build(cfg Config) (f *Fleet, err error) {
 		return nil, err
 	}
 	specs := make([]ingest.NodeSpec, cfg.Nodes)
+	var name []byte // reused across nodes; each string() copies out
 	for n := 0; n < cfg.Nodes; n++ {
-		task, err := model.AddTask(app, fmt.Sprintf("node%04d", n), 1)
+		name = appendNodeName(name[:0], n)
+		base := len(name)
+		task, err := model.AddTask(app, string(name), 1)
 		if err != nil {
 			return nil, err
 		}
 		spec := ingest.NodeSpec{Node: uint32(n), Interval: cfg.Interval,
 			Runnables: make([]runnable.ID, 0, cfg.RunnablesPerNode)}
 		for r := 0; r < cfg.RunnablesPerNode; r++ {
-			rid, err := model.AddRunnable(task, fmt.Sprintf("node%04d/r%d", n, r), time.Millisecond, runnable.SafetyRelevant)
+			name = strconv.AppendInt(append(name[:base], "/r"...), int64(r), 10)
+			rid, err := model.AddRunnable(task, string(name), time.Millisecond, runnable.SafetyRelevant)
 			if err != nil {
 				return nil, err
 			}
 			spec.Runnables = append(spec.Runnables, rid)
 		}
-		link, err := model.AddRunnable(task, fmt.Sprintf("node%04d/link", n), time.Millisecond, runnable.SafetyCritical)
+		name = append(name[:base], "/link"...)
+		link, err := model.AddRunnable(task, string(name), time.Millisecond, runnable.SafetyCritical)
 		if err != nil {
 			return nil, err
 		}
@@ -232,4 +237,15 @@ func Build(cfg Config) (f *Fleet, err error) {
 		}
 	}
 	return f, nil
+}
+
+// appendNodeName appends node n's task name to dst: "node" and n padded
+// with zeros to four digits, byte for byte what fmt's "node%04d" prints
+// for n >= 0.
+func appendNodeName(dst []byte, n int) []byte {
+	dst = append(dst, "node"...)
+	for p := 1000; p > 1 && n < p; p /= 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(n), 10)
 }

@@ -34,6 +34,22 @@ func TestBuildLayout(t *testing.T) {
 	}
 }
 
+// TestAppendNodeName checks the fmt-free node names against fmt's
+// "node%04d" around every padding boundary, and the runnable and link
+// suffixes Build appends to them.
+func TestAppendNodeName(t *testing.T) {
+	for _, n := range []int{0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 123456} {
+		if got, want := string(appendNodeName(nil, n)), fmt.Sprintf("node%04d", n); got != want {
+			t.Errorf("appendNodeName(%d) = %q, want %q", n, got, want)
+		}
+	}
+	// Reusing the buffer leaves no stale bytes behind.
+	buf := appendNodeName(nil, 10000)
+	if got := string(appendNodeName(buf[:0], 7)); got != "node0007" {
+		t.Errorf("appendNodeName into a reused buffer = %q, want %q", got, "node0007")
+	}
+}
+
 // BenchmarkFleetBuild assembles a whole fleet of 4-runnable nodes per
 // op: model, watchdog, hypotheses and server registration. Set-up is
 // linear when ns/node stays flat from 10k to 100k nodes.
