@@ -29,11 +29,11 @@ bench-hotpath:
 
 # Machine-readable benchmark suites under ./bench/ (gitignored): the
 # cycle-sweep + hot-path suite, the telemetry suite, the wire/ingest
-# suite (heartbeat + command codecs), the treatment-engine suite, the
-# multi-socket ingest + fleet set-up suite (BenchmarkFleetBuild reports
-# ns/node at 10k and 100k nodes), the WAL suite (append hand-off +
-# replay throughput) and the calibration suite (estimator sampling,
-# Suggest derivation, beat-path parity). Each suite is one row below:
+# suite (heartbeat + command codecs), the treatment suite (policy
+# engine and live controller), the multi-socket ingest + fleet set-up
+# suite (BenchmarkFleetBuild reports ns/node at 10k and 100k nodes), the
+# WAL suite (append hand-off + replay throughput) and the calibration
+# suite (estimator sampling, Suggest derivation, beat-path parity). Each suite is one row below:
 # <suite>_BENCH is its -bench pattern, <suite>_PKGS its packages, and
 # it lands in bench/BENCH_<suite>.json.
 SUITES := cycle stats wire treat ingest_mt wal calib
@@ -43,7 +43,7 @@ stats_BENCH     := Snapshot|BeatWithStats|Journal
 stats_PKGS      := .
 wire_BENCH      := WireDecode|WireEncode|CommandEncode|CommandDecode|IngestFrame
 wire_PKGS       := ./internal/wire ./internal/ingest
-treat_BENCH     := TreatDecide
+treat_BENCH     := TreatDecide|TreatController
 treat_PKGS      := ./internal/treat
 ingest_mt_BENCH := IngestMT|FleetBuild
 ingest_mt_PKGS  := ./internal/ingest ./internal/fleet

@@ -150,9 +150,9 @@ func BenchmarkCycleSweep(b *testing.B) {
 				w.Cycle()
 			}
 		}
-		// One wheel revolution of due cycles allocates every bucket the
-		// due slot visits, so the timed loop sees the steady state.
-		for i := 0; i < defaultWheelSize; i++ {
+		// Two due cycles put the wheel's recycled bitsets on the free
+		// list, so the timed loop sees the steady state.
+		for i := 0; i < 2; i++ {
 			window()
 			w.Cycle()
 		}

@@ -135,6 +135,11 @@ type StateEvent struct {
 // SnapshotInto (both take the scheduler mutex), not treatment such as
 // Deactivate or ClearTask. Defer any reaction through a simulation event
 // or a separate goroutine.
+//
+// A Fault from the Cycle sweep is delivered as soon as its window is
+// judged, mid-sweep: runnables later in the same cycle have not been
+// judged yet, so their windows may still be open and their counters
+// still hold the closing window's beats.
 type Sink interface {
 	// Fault delivers one detected error.
 	Fault(Report)

@@ -13,14 +13,6 @@ import (
 // and as the "walk" side of BenchmarkCycleSweep (Config.legacySweep, an
 // in-package test hook).
 
-// detection is one deferred fault found by the sweep; detections are
-// batched so w.mu is taken once per cycle, not once per fault.
-type detection struct {
-	kind               ErrorKind
-	rid                runnable.ID
-	observed, expected int
-}
-
 // Cycle advances the time-triggered part of the watchdog by one
 // monitoring cycle (§3.3: counters are "checked shortly before the next
 // period begins" and "reset to zero, if the periods ... expire or an
@@ -32,8 +24,11 @@ type detection struct {
 // over every padded counter line. Expiring windows are closed with one
 // atomic on the packed counter word so concurrent heartbeats land in
 // either the closing or the next window; the rest of the window
-// bookkeeping is plain stores under sched.mu, and detections are batched
-// and reported under one acquisition of the cold-path mutex per cycle.
+// bookkeeping is plain stores under sched.mu. Each detection is
+// reported the moment its window is judged (§3.3: the TSI reports an
+// error indication as the counters are checked), so a fault early in
+// a large sweep reaches the Sink before the later runnables of the
+// same cycle have been visited.
 //
 // Telemetry: every Cycle is timed into the sweep-duration histogram
 // (two monotonic clock reads per cycle, amortized over a whole
@@ -57,11 +52,15 @@ func (w *Watchdog) cycleWheel() uint64 {
 	s := w.sched
 	s.mu.Lock()
 	c := w.cycle.Add(1)
+	// The previous cycle's slot was drained by its sweep, and nothing
+	// can have landed on it since: a deadline scheduled at cycle p lies
+	// in (p, p+size), never on slot p. Its bitsets go back to the free
+	// list before this sweep reschedules anything.
+	s.release(&s.buckets[(c-1)&s.mask])
 	if c&s.mask == 0 {
 		s.migrate(c)
 	}
 	b := &s.buckets[c&s.mask]
-	s.batch = s.batch[:0]
 	if b.alive.len() > 0 || b.arr.len() > 0 {
 		w.sweepDue(c, b.alive, b.arr)
 	}
@@ -71,13 +70,6 @@ func (w *Watchdog) cycleWheel() uint64 {
 		s.dueShadow = b.shadow.drainInto(s.dueShadow[:0])
 		w.sweepShadows(c)
 	}
-	if len(s.batch) > 0 {
-		w.mu.Lock()
-		for _, d := range s.batch {
-			w.detectLocked(d.kind, d.rid, d.observed, d.expected, runnable.NoID)
-		}
-		w.mu.Unlock()
-	}
 	s.mu.Unlock()
 	return c
 }
@@ -86,8 +78,10 @@ func (w *Watchdog) cycleWheel() uint64 {
 // union of the bucket's aliveness and arrival bitsets (either may be
 // nil), one word at a time, draining both as it goes. Runnables are
 // visited in ascending order and a runnable's aliveness window is
-// judged before its arrival window, so detections come out in exactly
-// the order of the reference walk. Holds s.mu.
+// judged before its arrival window, so detections — reported as each
+// window is judged — come out in exactly the order of the reference
+// walk. The drained bitsets stay on their slot until the next Cycle
+// releases them. Holds s.mu.
 func (w *Watchdog) sweepDue(c uint64, alive, arr *bitset) {
 	s := w.sched
 	if alive == nil {
@@ -120,7 +114,10 @@ func (w *Watchdog) sweepDue(c uint64, alive, arr *bitset) {
 // when alive, the arrival window when arr. The packed counter word is
 // cleared with one atomic — a swap when both windows close — and the
 // bank, anchors and deadlines are plain stores under s.mu. Detections
-// are appended to the cycle's batch, aliveness first.
+// are reported on the spot, aliveness first, under one w.mu
+// acquisition nested inside s.mu (the lock order). The Sink runs under
+// both locks and cannot reschedule, so reporting mid-sweep cannot
+// change what the rest of the sweep sees.
 func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool) {
 	s := w.sched
 	hs := &w.hot[rid]
@@ -149,23 +146,31 @@ func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool) {
 	default:
 		return
 	}
+	ac, arc := uint32(old>>32), uint32(old)
 	if alive {
-		ac := uint32(old >> 32)
 		hs.beatsAcc += uint64(ac)
-		if int(ac) < hyp.MinHeartbeats {
-			s.batch = append(s.batch, detection{AlivenessError, runnable.ID(rid), int(ac), hyp.MinHeartbeats})
-		}
 		hs.aliveAnchor = c
 		s.schedule(rid, kindAlive, c+uint64(hyp.AlivenessCycles), c)
 	}
 	if arr {
-		arc := uint32(old)
-		if int(arc) > hyp.MaxArrivals {
-			s.batch = append(s.batch, detection{ArrivalRateError, runnable.ID(rid), int(arc), hyp.MaxArrivals})
-		}
 		hs.arrAnchor = c
 		s.schedule(rid, kindArr, c+uint64(hyp.ArrivalCycles), c)
 	}
+	// Both windows are closed before either is reported, so a journal
+	// freeze-frame shows this runnable's restarted windows.
+	faultAlive := alive && int(ac) < hyp.MinHeartbeats
+	faultArr := arr && int(arc) > hyp.MaxArrivals
+	if !faultAlive && !faultArr {
+		return
+	}
+	w.mu.Lock()
+	if faultAlive {
+		w.detectLocked(AlivenessError, runnable.ID(rid), int(ac), hyp.MinHeartbeats, runnable.NoID)
+	}
+	if faultArr {
+		w.detectLocked(ArrivalRateError, runnable.ID(rid), int(arc), hyp.MaxArrivals, runnable.NoID)
+	}
+	w.mu.Unlock()
 }
 
 // cycleLegacy is the retired full-table sweep (Config.legacySweep): one

@@ -26,8 +26,8 @@ import "sync"
 //
 // All wheel state is guarded by scheduler.mu, which is ordered BEFORE the
 // watchdog's cold-path mutex (sched.mu < w.mu): configuration paths that
-// reschedule deadlines take sched.mu first, and the sweep batch-reports
-// detections under w.mu while still holding sched.mu. The heartbeat hot
+// reschedule deadlines take sched.mu first, and the sweep reports each
+// detection under w.mu while still holding sched.mu. The heartbeat hot
 // path never touches the wheel; the only beat-path entry is the eager
 // arrival cold branch, which restarts the arrival window.
 
@@ -129,16 +129,21 @@ func (r *runnableSched) setDueLoc(kind int, due uint64, loc uint8) {
 }
 
 // wheelBucket holds the deadlines of one wheel slot, one bitmap per kind.
-// Bitsets are allocated lazily: periodic hypotheses cluster on a few
-// slots, so most buckets of a big wheel stay nil.
+// A slot holds a bitset only while deadlines may land on it: get takes
+// one from the scheduler's free list (allocating only when it is
+// empty), and the next Cycle hands the swept slot's drained bitsets
+// back. A periodic fleet whose windows all expire together therefore
+// cycles through a couple of bitsets per kind instead of keeping one on
+// every slot it visits.
 type wheelBucket struct {
 	alive  *bitset
 	arr    *bitset
 	shadow *bitset
 }
 
-// get returns the bucket's bitset for kind, allocating on first use.
-func (b *wheelBucket) get(kind, n int) *bitset {
+// get returns the bucket's bitset for kind, taking an empty one from s's
+// free list, or allocating, when the slot has none.
+func (b *wheelBucket) get(kind int, s *scheduler) *bitset {
 	p := &b.alive
 	switch kind {
 	case kindArr:
@@ -147,7 +152,12 @@ func (b *wheelBucket) get(kind, n int) *bitset {
 		p = &b.shadow
 	}
 	if *p == nil {
-		*p = newBitset(n)
+		if k := len(s.free); k > 0 {
+			*p = s.free[k-1]
+			s.free = s.free[:k-1]
+		} else {
+			*p = newBitset(s.n)
+		}
 	}
 	return *p
 }
@@ -179,14 +189,17 @@ type scheduler struct {
 	overShadow *bitset
 	hot        []hotState // the watchdog's runnables, for their sweep state
 	n          int        // number of runnables
-	// none stands in for a bucket bitset that was never allocated, so
+	// none stands in for a slot that holds no bitset of a kind, so
 	// the sweep walks two bitsets without nil checks. It stays empty.
 	none *bitset
+
+	// free holds empty bitsets handed back by swept slots, for get to
+	// reuse; every bitset of the wheel has the same size.
+	free []*bitset
 
 	// Reusable sweep buffers.
 	dueShadow []uint32
 	migr      []uint32
-	batch     []detection
 }
 
 // newScheduler builds the wheel over hot's runnables and freezes their
@@ -232,7 +245,7 @@ func (s *scheduler) overflow(kind int) *bitset {
 func (s *scheduler) schedule(rid, kind int, due, now uint64) {
 	var loc uint8
 	if due-now < s.size {
-		s.buckets[due&s.mask].get(kind, s.n).set(rid)
+		s.buckets[due&s.mask].get(kind, s).set(rid)
 		loc = locBucket
 	} else {
 		s.overflow(kind).set(rid)
@@ -274,8 +287,19 @@ func (s *scheduler) migrate(now uint64) {
 				continue
 			}
 			ov.clear(int(rid))
-			s.buckets[due&s.mask].get(kind, s.n).set(int(rid))
+			s.buckets[due&s.mask].get(kind, s).set(int(rid))
 			r.setDueLoc(kind, due, locBucket)
+		}
+	}
+}
+
+// release hands a slot's empty bitsets back to the free list; a
+// bitset that still holds a deadline stays on its slot.
+func (s *scheduler) release(b *wheelBucket) {
+	for _, p := range []**bitset{&b.alive, &b.arr, &b.shadow} {
+		if *p != nil && (*p).n == 0 {
+			s.free = append(s.free, *p)
+			*p = nil
 		}
 	}
 }
@@ -286,15 +310,13 @@ func (s *scheduler) migrate(now uint64) {
 func (s *scheduler) resetAll() {
 	scratch := s.migr[:0]
 	for i := range s.buckets {
-		if b := s.buckets[i].alive; b != nil {
-			scratch = b.drainInto(scratch[:0])
+		b := &s.buckets[i]
+		for _, bs := range []*bitset{b.alive, b.arr, b.shadow} {
+			if bs != nil {
+				scratch = bs.drainInto(scratch[:0])
+			}
 		}
-		if b := s.buckets[i].arr; b != nil {
-			scratch = b.drainInto(scratch[:0])
-		}
-		if b := s.buckets[i].shadow; b != nil {
-			scratch = b.drainInto(scratch[:0])
-		}
+		s.release(b)
 	}
 	scratch = s.overAlive.drainInto(scratch[:0])
 	scratch = s.overArr.drainInto(scratch[:0])

@@ -157,6 +157,135 @@ func TestSweepDueOrder(t *testing.T) {
 	}
 }
 
+// streamSink reads runnable 2's live AC when runnable 0's fault arrives:
+// one atomic load, no lock (the sink already runs under both watchdog
+// locks).
+type streamSink struct {
+	collector
+	w     *Watchdog
+	acOf2 []uint32
+}
+
+func (s *streamSink) Fault(r Report) {
+	if r.Runnable == 0 {
+		s.acOf2 = append(s.acOf2, s.w.hot[2].loadAC())
+	}
+	s.collector.Fault(r)
+}
+
+// TestSweepStreamsDetections pins that the sweep reports a detection as
+// soon as it judges the window, before it visits the later runnables of
+// the same cycle: when runnable 0's aliveness fault reaches the sink,
+// runnable 2's window — due on the same cycle — is still open and still
+// holds its beat. A sweep that held detections back until the end would
+// show that window already closed (AC 0).
+func TestSweepStreamsDetections(t *testing.T) {
+	m := runnable.NewModel()
+	app, _ := m.AddApp("stream", runnable.SafetyCritical)
+	task, _ := m.AddTask(app, "T", 1)
+	for i := 0; i < 3; i++ {
+		if _, err := m.AddRunnable(task, fmt.Sprintf("r%d", i), time.Millisecond, runnable.SafetyCritical); err != nil {
+			t.Fatalf("AddRunnable: %v", err)
+		}
+	}
+	if err := m.Freeze(); err != nil {
+		t.Fatalf("Freeze: %v", err)
+	}
+	sink := &streamSink{}
+	w, err := New(Config{Model: m, Clock: sim.NewManualClock(), Sink: sink})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	sink.w = w
+	for rid := runnable.ID(0); rid < 3; rid++ {
+		if err := w.SetHypothesis(rid, Hypothesis{AlivenessCycles: 2, MinHeartbeats: 1}); err != nil {
+			t.Fatalf("SetHypothesis(%d): %v", rid, err)
+		}
+		if err := w.Activate(rid); err != nil {
+			t.Fatalf("Activate(%d): %v", rid, err)
+		}
+	}
+	w.Heartbeat(1)
+	w.Heartbeat(2) // runnable 0 misses its beat
+	w.Cycle()
+	w.Cycle() // all three windows are due
+	if len(sink.faults) != 1 || sink.faults[0].Runnable != 0 || sink.faults[0].Kind != AlivenessError {
+		t.Fatalf("faults = %+v, want one aliveness fault of runnable 0", sink.faults)
+	}
+	if !slices.Equal(sink.acOf2, []uint32{1}) {
+		t.Fatalf("runnable 2's AC seen by the sink = %v, want [1]: the detection was held until the sweep ended", sink.acOf2)
+	}
+	if c, _ := w.CounterSnapshot(2); c.AC != 0 {
+		t.Fatalf("runnable 2's AC after the sweep = %d, want 0", c.AC)
+	}
+}
+
+// TestWheelRecyclesBitsets runs an aligned fleet — every window on the
+// same phase, the 30-cycle period of the fleet's link hypotheses — over
+// two wheel revolutions. The due slot moves round the wheel, but drained
+// bitsets go back to the free list, so the wheel keeps a couple of
+// bitsets per kind rather than one on every slot the deadlines visit.
+func TestWheelRecyclesBitsets(t *testing.T) {
+	const n, period = 200, 30
+	m := runnable.NewModel()
+	app, _ := m.AddApp("fleet", runnable.SafetyRelevant)
+	task, _ := m.AddTask(app, "T", 1)
+	for i := 0; i < n; i++ {
+		if _, err := m.AddRunnable(task, fmt.Sprintf("r%d", i), time.Millisecond, runnable.SafetyRelevant); err != nil {
+			t.Fatalf("AddRunnable: %v", err)
+		}
+	}
+	if err := m.Freeze(); err != nil {
+		t.Fatalf("Freeze: %v", err)
+	}
+	sink := &collector{}
+	w, err := New(Config{Model: m, Clock: sim.NewManualClock(), Sink: sink})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	hyp := Hypothesis{AlivenessCycles: period, MinHeartbeats: 1, ArrivalCycles: period, MaxArrivals: 2 * period}
+	for rid := runnable.ID(0); rid < n; rid++ {
+		if err := w.SetHypothesis(rid, hyp); err != nil {
+			t.Fatalf("SetHypothesis(%d): %v", rid, err)
+		}
+		if err := w.Activate(rid); err != nil {
+			t.Fatalf("Activate(%d): %v", rid, err)
+		}
+	}
+	s := w.sched
+	seen := map[*bitset]bool{}
+	for c := 0; c < 2*defaultWheelSize; c++ {
+		for rid := runnable.ID(0); rid < n; rid++ {
+			w.Heartbeat(rid)
+		}
+		w.Cycle()
+		held := [3]int{}
+		for i := range s.buckets {
+			for kind := kindAlive; kind <= kindShadow; kind++ {
+				if bs := s.buckets[i].peek(kind); bs != nil {
+					held[kind]++
+					seen[bs] = true
+				}
+			}
+		}
+		for _, bs := range s.free {
+			if bs.len() != 0 {
+				t.Fatalf("cycle %d: free bitset holds %d deadlines", w.CycleCount(), bs.len())
+			}
+			seen[bs] = true
+		}
+		if held[kindAlive] > 2 || held[kindArr] > 2 || held[kindShadow] != 0 {
+			t.Fatalf("cycle %d: slots hold %v bitsets (alive, arr, shadow), want at most 2 per active kind", w.CycleCount(), held)
+		}
+	}
+	if len(sink.faults) != 0 {
+		t.Fatalf("healthy aligned fleet faulted: %+v", sink.faults[0])
+	}
+	if len(seen) > 4 {
+		t.Fatalf("the wheel used %d distinct bitsets over two revolutions, want at most 4 (2 per kind)", len(seen))
+	}
+}
+
 // --- wheel fixtures ---------------------------------------------------
 
 // wheelFixture builds a single-runnable watchdog with a tiny wheel so the

@@ -1,6 +1,7 @@
 package treat
 
 import (
+	"fmt"
 	"testing"
 
 	"swwd/internal/sim"
@@ -61,5 +62,62 @@ func BenchmarkTreatDecideHealthy(b *testing.B) {
 		if len(scratch) != 0 {
 			b.Fatal("healthy frame emitted actions")
 		}
+	}
+}
+
+// signalExec is a no-op executor that hands every Quarantine and Resume
+// to the benchmark loop.
+type signalExec chan ActionKind
+
+func (s signalExec) Execute(a Action) error {
+	if a.Kind == ActQuarantine || a.Kind == ActResume {
+		s <- a.Kind
+	}
+	return nil
+}
+
+// BenchmarkTreatController measures the reaction path through the live
+// controller: OnLinkFault until the executor receives the quarantine,
+// then a recovery frame until it receives the resume. The graph has the
+// benchmark fleet's shape — 8 hubs with 32 dependents each, the rest
+// leaves — and the faulting node is a hub, so every round also scales
+// 32 dependents down and up. The cost must follow the fault's fan-out,
+// not the node count.
+func BenchmarkTreatController(b *testing.B) {
+	for _, n := range []int{512, 5001} {
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
+			const hubs, perHub = 8, 32
+			nodes := make([]uint32, n)
+			for i := range nodes {
+				nodes[i] = uint32(i)
+			}
+			var edges []Edge
+			for i := 0; i < hubs*perHub; i++ {
+				edges = append(edges, Edge{Node: uint32(hubs + i), DependsOn: uint32(i % hubs)})
+			}
+			g, err := NewGraph(nodes, edges)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sig := make(signalExec, 1)
+			c := NewController(g, Policy{RecoveryFrames: 1}, sig, sim.NewManualClock(), Options{})
+			defer c.Close()
+			const hub = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.OnLinkFault(hub)
+				if k := <-sig; k != ActQuarantine {
+					b.Fatalf("got %v, want a quarantine", k)
+				}
+				// The frame goes straight onto the queue: OnFrame's filter
+				// admits the hub only once the set is published, after the
+				// fault's actions ran, and the queue keeps the order anyway.
+				c.offer(Event{Kind: EvFrame, Node: hub, Time: c.clock.Now()})
+				if k := <-sig; k != ActResume {
+					b.Fatalf("got %v, want a resume", k)
+				}
+			}
+		})
 	}
 }

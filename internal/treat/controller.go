@@ -1,6 +1,7 @@
 package treat
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -44,9 +45,10 @@ type Stats struct {
 	// ActiveQuarantines is the number of nodes currently quarantined.
 	// ActiveScaledDown is the number of nodes currently held down by at
 	// least one quarantined dependency and not themselves quarantined
-	// (a quarantined node counts only as a quarantine). Both are counted
-	// from the engine state after every Quarantine or Resume, the only
-	// actions that change either set; they never drift from it.
+	// (a quarantined node counts only as a quarantine). The engine keeps
+	// both counts as Decide flips node states; the controller stores
+	// them after every Quarantine or Resume, the only actions that
+	// change either set, so they never drift from the engine state.
 	ActiveQuarantines int
 	ActiveScaledDown  int
 	// ExecErrors counts actions whose Executor returned an error (the
@@ -85,8 +87,10 @@ type Controller struct {
 
 	// interested is the set of nodes whose frames the engine currently
 	// needs — exactly the quarantined ones. OnFrame loads it with one
-	// atomic pointer read, so a healthy fleet pays a nil-map lookup per
-	// accepted frame and nothing more.
+	// atomic pointer read, so a healthy fleet pays an empty-map lookup
+	// per accepted frame and nothing more. The policy goroutine replaces
+	// it copy-on-write: a copy of the previous set with the acted node
+	// added or removed, O(|quarantined|) per quarantine or resume.
 	interested atomic.Pointer[map[uint32]struct{}]
 
 	// mu guards the trace and action logs (appended by the policy
@@ -104,8 +108,8 @@ type Controller struct {
 	notifies     atomic.Uint64
 	restarts     atomic.Uint64
 	execErrs     atomic.Uint64
-	activeQuar   atomic.Int64 // stored by recount
-	activeScaled atomic.Int64 // stored by recount
+	activeQuar   atomic.Int64 // the engine's count, stored by step
+	activeScaled atomic.Int64 // the engine's count, stored by step
 }
 
 // NewController builds and starts a controller over the graph. exec
@@ -113,6 +117,14 @@ type Controller struct {
 // them, useful in tests); clock stamps event times (nil means a wall
 // clock), it is never read inside the engine itself.
 func NewController(g *Graph, pol Policy, exec Executor, clock sim.Clock, opts Options) *Controller {
+	c := newController(g, pol, exec, clock, opts)
+	go c.run()
+	return c
+}
+
+// newController builds a controller without starting its policy
+// goroutine; in-package tests drive step directly.
+func newController(g *Graph, pol Policy, exec Executor, clock sim.Clock, opts Options) *Controller {
 	if clock == nil {
 		clock = sim.NewWallClock()
 	}
@@ -130,7 +142,6 @@ func NewController(g *Graph, pol Policy, exec Executor, clock sim.Clock, opts Op
 	}
 	empty := make(map[uint32]struct{})
 	c.interested.Store(&empty)
-	go c.run()
 	return c
 }
 
@@ -163,8 +174,8 @@ func (c *Controller) offer(ev Event) {
 	}
 }
 
-// run is the single policy goroutine: fold event → actions, log both,
-// execute in order, refresh the interested set.
+// run is the single policy goroutine: it steps every event in arrival
+// order until Close.
 func (c *Controller) run() {
 	defer close(c.done)
 	var scratch []Action
@@ -173,73 +184,71 @@ func (c *Controller) run() {
 		case <-c.stop:
 			return
 		case ev := <-c.events:
-			c.nEvents.Add(1)
-			scratch = c.eng.Decide(ev, scratch[:0])
-			c.mu.Lock()
-			c.trace = append(c.trace, ev)
-			c.actions = append(c.actions, scratch...)
-			c.mu.Unlock()
-			// Quarantine and Resume are the only actions that change the
-			// quarantined or scaled-down sets. The gauges are recounted
-			// before the action counters move, so a reader that sees an
-			// action counted also sees its gauges. The interested set is
-			// published after the actions ran.
-			var next map[uint32]struct{}
-			for _, a := range scratch {
-				if a.Kind == ActQuarantine || a.Kind == ActResume {
-					next = c.recount()
-					break
-				}
-			}
-			for _, a := range scratch {
-				switch a.Kind {
-				case ActQuarantine:
-					c.quarantines.Add(1)
-				case ActResume:
-					c.resumes.Add(1)
-				case ActScaleDown:
-					c.scaleDowns.Add(1)
-				case ActScaleUp:
-					c.scaleUps.Add(1)
-				case ActNotifyQuarantine:
-					c.notifies.Add(1)
-				case ActRestartRunnables:
-					c.restarts.Add(1)
-				}
-				execErr := false
-				if c.exec != nil {
-					if err := c.exec.Execute(a); err != nil {
-						c.execErrs.Add(1)
-						execErr = true
-					}
-				}
-				if c.sink != nil {
-					c.sink(a, execErr)
-				}
-			}
-			if next != nil {
-				c.interested.Store(&next)
-			}
+			scratch = c.step(ev, scratch[:0])
 		}
 	}
 }
 
-// recount walks every node once: it stores the active gauges (see Stats
-// for their definition) and returns the quarantined-node set, the nodes
-// whose frames OnFrame must forward.
-func (c *Controller) recount() map[uint32]struct{} {
-	quarantined := make(map[uint32]struct{})
-	scaled := 0
-	for _, n := range c.eng.g.Nodes() {
-		if c.eng.Quarantined(n) {
-			quarantined[n] = struct{}{}
-		} else if c.eng.ScaledDown(n) {
-			scaled++
+// step folds one event into actions, logs both, executes the actions in
+// order and refreshes the gauges and the interested set. It returns the
+// actions, in scratch's storage.
+func (c *Controller) step(ev Event, scratch []Action) []Action {
+	c.nEvents.Add(1)
+	scratch = c.eng.Decide(ev, scratch)
+	c.mu.Lock()
+	c.trace = append(c.trace, ev)
+	c.actions = append(c.actions, scratch...)
+	c.mu.Unlock()
+	// Quarantine and Resume are the only actions that change the
+	// quarantined or scaled-down sets, and only ever for the event's own
+	// node. The gauges are stored before the action counters move, so a
+	// reader that sees an action counted also sees its gauges. The
+	// interested set is published after the actions ran.
+	var next map[uint32]struct{}
+	for _, a := range scratch {
+		if a.Kind == ActQuarantine || a.Kind == ActResume {
+			q, sd := c.eng.Active()
+			c.activeQuar.Store(int64(q))
+			c.activeScaled.Store(int64(sd))
+			next = maps.Clone(*c.interested.Load())
+			if a.Kind == ActQuarantine {
+				next[a.Node] = struct{}{}
+			} else {
+				delete(next, a.Node)
+			}
+			break
 		}
 	}
-	c.activeQuar.Store(int64(len(quarantined)))
-	c.activeScaled.Store(int64(scaled))
-	return quarantined
+	for _, a := range scratch {
+		switch a.Kind {
+		case ActQuarantine:
+			c.quarantines.Add(1)
+		case ActResume:
+			c.resumes.Add(1)
+		case ActScaleDown:
+			c.scaleDowns.Add(1)
+		case ActScaleUp:
+			c.scaleUps.Add(1)
+		case ActNotifyQuarantine:
+			c.notifies.Add(1)
+		case ActRestartRunnables:
+			c.restarts.Add(1)
+		}
+		execErr := false
+		if c.exec != nil {
+			if err := c.exec.Execute(a); err != nil {
+				c.execErrs.Add(1)
+				execErr = true
+			}
+		}
+		if c.sink != nil {
+			c.sink(a, execErr)
+		}
+	}
+	if next != nil {
+		c.interested.Store(&next)
+	}
+	return scratch
 }
 
 // Close stops the policy goroutine. Events still queued are discarded;

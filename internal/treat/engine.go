@@ -184,6 +184,11 @@ type Engine struct {
 	g     *Graph
 	pol   Policy
 	state map[uint32]*nodeState
+	// quarantined counts the quarantined nodes; scaled counts the nodes
+	// held down by at least one cause and not themselves quarantined.
+	// Decide moves both as it flips a node's state, so reading them is
+	// O(1) instead of a walk over every node.
+	quarantined, scaled int
 }
 
 // NewEngine builds an engine over the graph with everything healthy.
@@ -208,6 +213,12 @@ func (e *Engine) ScaledDown(n uint32) bool {
 	return st != nil && len(st.scaledBy) > 0
 }
 
+// Active returns the number of quarantined nodes and the number of
+// nodes scaled down but not themselves quarantined.
+func (e *Engine) Active() (quarantined, scaledDown int) {
+	return e.quarantined, e.scaled
+}
+
 // Decide folds one event into the engine state and appends the
 // resulting actions to dst (often zero of them — a healthy frame is a
 // no-op). The output order is fixed: the acted-on node first, then its
@@ -229,6 +240,10 @@ func (e *Engine) Decide(ev Event, dst []Action) []Action {
 		}
 		st.quarantined = true
 		st.streak = 0
+		e.quarantined++
+		if len(st.scaledBy) > 0 {
+			e.scaled-- // now counted as a quarantine only
+		}
 		dst = append(dst, Action{Kind: ActQuarantine, Node: ev.Node, Cause: ev.Node, Time: ev.Time})
 		if e.pol.DisableScaleDown {
 			return dst
@@ -241,6 +256,7 @@ func (e *Engine) Decide(ev Event, dst []Action) []Action {
 			// non-quarantined dependent; a node already held down (or
 			// itself quarantined) just gains one more cause.
 			if !wasHeld && !ds.quarantined {
+				e.scaled++
 				dst = append(dst, Action{Kind: ActScaleDown, Node: d, Cause: ev.Node, Time: ev.Time})
 			}
 		}
@@ -267,9 +283,12 @@ func (e *Engine) Decide(ev Event, dst []Action) []Action {
 		// dependent.
 		st.quarantined = false
 		st.streak = 0
+		e.quarantined--
 		dst = append(dst, Action{Kind: ActResume, Node: ev.Node, Cause: ev.Node, Time: ev.Time})
 		if len(st.scaledBy) == 0 {
 			dst = append(dst, Action{Kind: ActScaleUp, Node: ev.Node, Cause: ev.Node, Time: ev.Time})
+		} else {
+			e.scaled++ // still held down by another quarantined node
 		}
 		for _, d := range e.g.Dependents(ev.Node) {
 			ds := e.state[d]
@@ -280,6 +299,7 @@ func (e *Engine) Decide(ev Event, dst []Action) []Action {
 			if len(ds.scaledBy) > 0 || ds.quarantined {
 				continue // still held down by another cause
 			}
+			e.scaled--
 			dst = append(dst, Action{Kind: ActScaleUp, Node: d, Cause: ev.Node, Time: ev.Time})
 			if e.pol.RestartDependents {
 				dst = append(dst, Action{Kind: ActRestartRunnables, Node: d, Cause: ev.Node, Time: ev.Time})
