@@ -37,10 +37,10 @@ bench-hotpath:
 # <suite>_BENCH is its -bench pattern, <suite>_PKGS its packages, and
 # it lands in bench/BENCH_<suite>.json.
 SUITES := cycle stats wire treat ingest_mt wal calib
-cycle_BENCH     := CycleSweep|Heartbeat|MonitorBeat|ConcurrentCycle|WatchdogCycle
+cycle_BENCH     := CycleSweep|Heartbeat|MonitorBeat|ConcurrentCycle|WatchdogCycle|AddFlowSequence
 cycle_PKGS      := . ./internal/core
 stats_BENCH     := Snapshot|BeatWithStats|Journal
-stats_PKGS      := .
+stats_PKGS      := . ./internal/export
 wire_BENCH      := WireDecode|WireEncode|CommandEncode|CommandDecode|IngestFrame
 wire_PKGS       := ./internal/wire ./internal/ingest
 treat_BENCH     := TreatDecide|TreatController

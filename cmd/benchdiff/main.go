@@ -64,10 +64,10 @@ type Doc struct {
 // the heartbeat hot path, the reused-buffer snapshot path (reuse=false
 // legitimately allocates the caller's buffer once), the wire/ingest
 // frame paths, the reporter-side command decode (runs on every
-// received command with a reused record buffer) and the WAL producer
+// received command with a reused record buffer), the WAL producer
 // paths (ring hand-off and append, which run inside the journal and
-// treatment sinks).
-const DefaultZeroAlloc = `MonitorBeat|Snapshot/.*reuse=true|WireDecode|IngestFrame|CommandDecode|WALHandoff|WALAppend`
+// treatment sinks) and the /metrics render of a retained snapshot.
+const DefaultZeroAlloc = `MonitorBeat|Snapshot/.*reuse=true|WireDecode|IngestFrame|CommandDecode|WALHandoff|WALAppend|WriteSnapshot`
 
 // cpuSuffix is testing.B's GOMAXPROCS name suffix (`BenchmarkFoo-8`).
 var cpuSuffix = regexp.MustCompile(`-\d+$`)

@@ -8,7 +8,7 @@ import "math/bits"
 // set costs O(set bits + words/64) instead of O(words): the sweep touches
 // only summary words and the payload words that actually carry due bits.
 //
-// All mutation happens under the scheduler mutex; bitset itself is not
+// All mutation happens under the watchdog's lock; bitset itself is not
 // synchronized.
 type bitset struct {
 	words   []uint64

@@ -230,14 +230,17 @@ func TestConcurrentBeatCycle_Race(t *testing.T) {
 }
 
 // TestConcurrentLockContract_Race races every reader and writer of the
-// sweep state guarded by the scheduler mutex against Cycle and live
+// state guarded by the watchdog's lock against Cycle and live
 // heartbeats: SnapshotInto and CounterSnapshot, program-flow violations
 // and eager arrival detections (whose journal freeze-frames read the
-// state), the estimator sampler, and Activate/SetHypothesis with
-// interned values. Run it under -race.
+// sweep state), the estimator sampler, Activate/SetHypothesis with
+// interned values, flow-table edits, the result, TSI and journal
+// readers, journal sink swaps, the shadow guard and ClearAll. Run it
+// under -race.
 func TestConcurrentLockContract_Race(t *testing.T) {
 	const iterations = 1500
-	w, rids, _ := buildConcurrencyFixture(t, 4, 4, func(c *Config) { c.EstimatorWindowCycles = 3 })
+	const perTask = 4
+	w, rids, tids := buildConcurrencyFixture(t, 4, perTask, func(c *Config) { c.EstimatorWindowCycles = 3 })
 	var journaled atomic.Uint64
 	w.SetJournalSink(func(JournalEntry) { journaled.Add(1) })
 	monitors := make([]*Monitor, len(rids))
@@ -300,6 +303,36 @@ func TestConcurrentLockContract_Race(t *testing.T) {
 			_ = w.Deactivate(rid)
 		} else {
 			_ = w.Activate(rid)
+		}
+	})
+	// Writers of the rest of the locked state: flow-table edits that
+	// re-install the sequence pairs (so self-follows stay violations),
+	// journal sink swaps, shadow candidates and the whole-watchdog reset.
+	sinks := []func(JournalEntry){
+		func(JournalEntry) { journaled.Add(1) },
+		func(JournalEntry) { journaled.Add(1) },
+	}
+	shadow := Hypothesis{AlivenessCycles: 3, MinHeartbeats: 1}
+	run(func(i int) {
+		rid := rids[i%len(rids)]
+		base := i % len(rids) / perTask * perTask
+		_ = w.MonitorFlow(rid)
+		_ = w.AddFlowPair(rids[base+i%perTask], rids[base+(i+1)%perTask])
+		w.SetJournalSink(sinks[i%2])
+		_ = w.SetShadow(rid, shadow)
+		if i%100 == 99 {
+			w.ClearAll()
+		}
+	})
+	// Readers of the rest of the locked state.
+	var journal []JournalEntry
+	run(func(i int) {
+		_ = w.Results()
+		_, _ = w.TaskState(tids[i%len(tids)])
+		journal = w.JournalInto(journal[:0])
+		_, _ = w.ShadowVerdict(rids[i%len(rids)])
+		if i%16 == 0 {
+			_ = w.Shadows()
 		}
 	})
 	close(start)

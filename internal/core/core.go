@@ -137,10 +137,8 @@ type Config struct {
 	JournalSize int
 	// JournalSink, when set, receives a copy of every journaled
 	// detection immediately after it lands in the ring, with its Seq
-	// stamped. Invoked on the detection cold path while the scheduler
-	// mutex and the watchdog mutex are held, so implementations MUST be
-	// non-blocking and must not call back into the watchdog — not even
-	// CounterSnapshot or SnapshotInto, which take the scheduler mutex.
+	// stamped. It runs under the watchdog's lock, so it MUST be
+	// non-blocking and must not call any Watchdog method.
 	// Hand the entry to a lock-free ring or drop it (the WAL shipper
 	// does exactly that). Ignored when the journal is disabled
 	// (JournalSize < 0). Replaceable at runtime via SetJournalSink.
@@ -215,7 +213,7 @@ type Results struct {
 // path (see hot.go) and the Cycle sweep visits only runnables whose
 // monitoring window expires this cycle (see wheel.go / sweep.go).
 // Configuration methods (SetHypothesis, Activate, AddFlowPair, Clear*,
-// Suspend/Resume) serialize on internal mutexes and may run concurrently
+// Suspend/Resume) serialize on the cold-path mutex and may run concurrently
 // with heartbeats; a heartbeat racing a configuration change lands on
 // either side of it.
 type Watchdog struct {
@@ -232,16 +230,16 @@ type Watchdog struct {
 	preds  []predReg
 	cycle  atomic.Uint64
 
-	// sched is the due-cycle timer wheel driving the Cycle sweep. Its
-	// mutex guards every runnable's sweep state and is ordered before mu
-	// (see wheel.go). With Config.legacySweep the reference full-table
-	// walk runs instead and the wheel stays empty, but the mutex guards
-	// the same state.
+	// sched is the due-cycle timer wheel driving the Cycle sweep. With
+	// Config.legacySweep the reference full-table walk runs instead and
+	// the wheel stays empty.
 	sched *scheduler
 
-	// Cold state, guarded by mu: detections, error-indication vectors and
-	// the TSI derivation chain. The fault-event journal shares mu: its
-	// only writers (detections) already hold it.
+	// mu is the single cold-path mutex. It guards the sweep state (the
+	// wheel, every runnable's window bookkeeping and the shadows), the
+	// detections, error-indication vectors, the TSI derivation chain,
+	// the fault-event journal, the hypothesis intern table and flow-table
+	// edits.
 	mu       sync.Mutex
 	errv     [][3]uint64 // error-indication vector, indexed by kind-1
 	ts       []tstate
@@ -267,8 +265,8 @@ type Watchdog struct {
 	metricsBuf   Snapshot
 
 	// shadows holds the shadow-guard candidate hypotheses, guarded by
-	// sched.mu like the wheel state it rides (see shadow.go). Nil until
-	// the first SetShadow.
+	// mu like the wheel state it rides (see shadow.go). Nil until the
+	// first SetShadow.
 	shadows map[runnable.ID]*shadowState
 
 	// Online calibration estimator state (nil/zero unless
@@ -393,7 +391,6 @@ func (w *Watchdog) SetHypothesis(rid runnable.ID, h Hypothesis) error {
 	if err := w.checkRunnable(rid); err != nil {
 		return err
 	}
-	defer w.lockSched()()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	hs := &w.hot[rid]
@@ -463,7 +460,6 @@ func (w *Watchdog) setActive(rid runnable.ID, active bool) error {
 	if err := w.checkRunnable(rid); err != nil {
 		return err
 	}
-	defer w.lockSched()()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	hs := &w.hot[rid]
@@ -716,7 +712,6 @@ func (w *Watchdog) flowRecord(ft *flowTable, table []runnable.ID, i uint32) (run
 // error immediately and resets the window. The CompareAndSwap elects
 // exactly one reporter when several heartbeats race past the limit.
 func (w *Watchdog) eagerArrival(rid runnable.ID, hs *hotState, v uint64) {
-	defer w.lockSched()()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	// Clear the ARC half, preserving AC. The CAS elects exactly one
@@ -749,12 +744,10 @@ func (w *Watchdog) checkFlow(ft *flowTable, rid runnable.ID, tid runnable.TaskID
 }
 
 // reportFlow reports that rid followed pred in task tid although the
-// look-up table does not allow it. It takes sched.mu before w.mu, like
-// every detection, so the journal's freeze-frame reads the runnable's
-// sweep state under its lock.
+// look-up table does not allow it.
 func (w *Watchdog) reportFlow(pred, rid runnable.ID, tid runnable.TaskID) {
-	defer w.lockSched()()
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	ts := &w.ts[tid]
 	ts.lastFlowCycle = w.cycle.Load()
 	if !ts.flowSeen {
@@ -762,7 +755,6 @@ func (w *Watchdog) reportFlow(pred, rid runnable.ID, tid runnable.TaskID) {
 		ts.correlatedAlivenessReported = false
 	}
 	w.detectLocked(ProgramFlowError, rid, 0, 0, pred)
-	w.mu.Unlock()
 }
 
 // Cycle is implemented in sweep.go: the wheel-based due-cycle sweep by
@@ -885,17 +877,21 @@ func (w *Watchdog) ClearTask(tid runnable.TaskID) error {
 	if err != nil {
 		return err
 	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.clearTaskLocked(tid, t.Runnables)
+	return nil
+}
+
+// clearTaskLocked is ClearTask on a validated task hosting rids.
+func (w *Watchdog) clearTaskLocked(tid runnable.TaskID, rids []runnable.ID) {
 	// Reset the PFC predecessor register; a racing beat lands before or
 	// after the reset, exactly as with a lock.
 	w.preds[tid].last.Store(int64(runnable.NoID))
-
-	defer w.lockSched()()
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	ts := &w.ts[tid]
 	ts.flowSeen = false
 	ts.correlatedAlivenessReported = false
-	for _, rid := range t.Runnables {
+	for _, rid := range rids {
 		w.hot[rid].resetCounters()
 		w.errv[rid] = [3]uint64{}
 		if !w.cfg.legacySweep {
@@ -905,7 +901,6 @@ func (w *Watchdog) ClearTask(tid runnable.TaskID) error {
 	if ts.state != StateOK {
 		w.setTaskStateLocked(tid, StateOK, 0)
 	}
-	return nil
 }
 
 // SuspendTaskMonitoring clears the Activation Status of every runnable of
@@ -917,7 +912,6 @@ func (w *Watchdog) SuspendTaskMonitoring(tid runnable.TaskID) error {
 	if err != nil {
 		return err
 	}
-	defer w.lockSched()()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	ts := &w.ts[tid]
@@ -942,9 +936,14 @@ func (w *Watchdog) ResumeTaskMonitoring(tid runnable.TaskID) error {
 	if _, err := w.model.Task(tid); err != nil {
 		return err
 	}
-	defer w.lockSched()()
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.resumeTaskLocked(tid)
+	return nil
+}
+
+// resumeTaskLocked is ResumeTaskMonitoring on a validated task.
+func (w *Watchdog) resumeTaskLocked(tid runnable.TaskID) {
 	ts := &w.ts[tid]
 	for _, rid := range ts.suspendedAS {
 		hs := &w.hot[rid]
@@ -955,20 +954,20 @@ func (w *Watchdog) ResumeTaskMonitoring(tid runnable.TaskID) error {
 		}
 	}
 	ts.suspendedAS = ts.suspendedAS[:0]
-	return nil
 }
 
 // ClearAll resets every task and resumes suspended monitoring, e.g. after
-// an ECU software reset (the boot configuration is re-applied).
+// an ECU software reset (the boot configuration is re-applied). The reset
+// is one critical section: a concurrent Cycle sees all of it or none.
 func (w *Watchdog) ClearAll() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	for tid := range w.ts {
-		// tid is always valid here.
-		_ = w.ResumeTaskMonitoring(runnable.TaskID(tid))
-		_ = w.ClearTask(runnable.TaskID(tid))
+		t, _ := w.model.Task(runnable.TaskID(tid)) // tid is always valid here
+		w.resumeTaskLocked(runnable.TaskID(tid))
+		w.clearTaskLocked(runnable.TaskID(tid), t.Runnables)
 	}
 	s := w.sched
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	w.cycle.Store(0)
 	if w.cfg.legacySweep {
 		return
@@ -992,7 +991,7 @@ func (w *Watchdog) ClearAll() {
 func (w *Watchdog) CycleCount() uint64 { return w.cycle.Load() }
 
 // CounterSnapshot reports the live heartbeat-monitoring counters of a
-// runnable — the series plotted in Fig. 5. It takes the scheduler mutex
+// runnable — the series plotted in Fig. 5. It takes the watchdog's lock
 // (so it must not be called from a Sink or journal sink callback); CCA
 // and CCAR are then consistent with the sweep, while AC and ARC can
 // still move under concurrent heartbeats.
@@ -1000,13 +999,14 @@ func (w *Watchdog) CounterSnapshot(rid runnable.ID) (Counters, error) {
 	if err := w.checkRunnable(rid); err != nil {
 		return Counters{}, err
 	}
-	defer w.lockSched()()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	return w.countersLocked(rid), nil
 }
 
 // countersLocked is the read behind CounterSnapshot, shared with the
 // telemetry Snapshot and the journal's freeze-frames. rid must be valid;
-// callers hold sched.mu.
+// callers hold w.mu.
 func (w *Watchdog) countersLocked(rid runnable.ID) Counters {
 	hs := &w.hot[rid]
 	acArc := hs.acArc.Load()

@@ -35,11 +35,10 @@ import (
 //     seed's entire hot path, so the shards degenerated to one lock-free
 //     register per task — perfect sharding.)
 //
-// The cold path stays behind two mutexes, taken in this order: sched.mu
-// guards the sweep state (the wheel and every runnable's window
-// bookkeeping), w.mu the detections, the TSI unit and the journal. Both
-// run once per due window or when something is wrong or being
-// reconfigured, never per healthy beat.
+// The cold path stays behind one mutex, w.mu: it guards the sweep state
+// (the wheel and every runnable's window bookkeeping), the detections,
+// the TSI unit and the journal. It is taken once per Cycle and when
+// something is wrong or being reconfigured, never per healthy beat.
 
 // cacheLineSize is the assumed coherence granularity. Padding to two lines
 // also defeats the adjacent-line prefetcher on common x86 parts.
@@ -76,7 +75,7 @@ const eagerDisabled = math.MaxUint32
 //     compat wrapper a second slice load.
 //   - the embedded runnableSched — the lifetime-beat bank, the window
 //     anchors, the wheel deadlines and the reference walk's CCA/CCAR —
-//     holds plain fields guarded by sched.mu. Every writer (the sweep,
+//     holds plain fields guarded by w.mu. Every writer (the sweep,
 //     activation changes, fault treatment, eager arrival detection)
 //     already holds that lock, and every reader takes it, so closing a
 //     window costs the one atomic that clears AC/ARC and nothing more.
@@ -129,7 +128,7 @@ func (h *hotState) closeArrival() uint64 {
 // changes and fault treatment). The discarded AC is banked into the
 // lifetime beat counter first so the telemetry series survives resets.
 // A beat racing the reset lands on either side of it, exactly as the
-// monitoring semantics already allow. Requires sched.mu.
+// monitoring semantics already allow. Requires w.mu.
 func (h *hotState) resetCounters() {
 	h.beatsAcc += uint64(uint32(h.acArc.Swap(0) >> 32))
 	h.cca, h.ccar = 0, 0
@@ -137,9 +136,9 @@ func (h *hotState) resetCounters() {
 
 // lifetimeBeats reports the cumulative heartbeats recorded while the
 // runnable's Activation Status was on: the banked closed windows plus
-// the live AC. Every bank happens under sched.mu together with the AC
+// the live AC. Every bank happens under w.mu together with the AC
 // reset it accounts for, so under that lock the sum is exact up to the
-// beats still racing in. Requires sched.mu.
+// beats still racing in. Requires w.mu.
 func (h *hotState) lifetimeBeats() uint64 {
 	return h.beatsAcc + uint64(h.loadAC())
 }

@@ -176,8 +176,8 @@ func (w *Watchdog) journalStatsLocked() JournalStats {
 }
 
 // journalLocked appends the freeze-framed detection to the ring, if one
-// is attached. Callers hold sched.mu (the freeze-frame reads the sweep
-// state) and w.mu, the order every detection path takes them in.
+// is attached. Callers hold w.mu, which also guards the sweep state
+// the freeze-frame reads.
 func (w *Watchdog) journalLocked(kind ErrorKind, rid runnable.ID, tid runnable.TaskID, app runnable.AppID,
 	cycle uint64, observed, expected int, pred runnable.ID, correlated bool) {
 	j := w.journal

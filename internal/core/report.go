@@ -129,12 +129,9 @@ type StateEvent struct {
 }
 
 // Sink receives watchdog output; the Fault Management Framework implements
-// it. Callbacks run with the watchdog's internal locks held — the
-// scheduler mutex and the cold-path mutex — so implementations must not
-// call back into the Watchdog synchronously: not CounterSnapshot or
-// SnapshotInto (both take the scheduler mutex), not treatment such as
-// Deactivate or ClearTask. Defer any reaction through a simulation event
-// or a separate goroutine.
+// it. Callbacks run under the watchdog's lock, so they must not call any
+// Watchdog method. Defer any reaction, such as treatment, through a
+// simulation event or a separate goroutine.
 //
 // A Fault from the Cycle sweep is delivered as soon as its window is
 // judged, mid-sweep: runnables later in the same cycle have not been

@@ -31,7 +31,7 @@ import (
 //     clean windows (ShadowStats.CleanStreak).
 
 // shadowState is the bookkeeping of one shadow hypothesis. Guarded by
-// sched.mu (the sweep evaluates while holding it).
+// w.mu (the sweep evaluates while holding it).
 type shadowState struct {
 	hyp        Hypothesis
 	startBeats uint64 // lifetimeBeats at the current window's open
@@ -97,8 +97,8 @@ func (w *Watchdog) SetShadow(rid runnable.ID, h Hypothesis) error {
 		return errors.New("core: shadow evaluation requires the wheel sweep, not the reference walk")
 	}
 	s := w.sched
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.shadows == nil {
 		w.shadows = make(map[runnable.ID]*shadowState)
 	}
@@ -120,11 +120,10 @@ func (w *Watchdog) ClearShadow(rid runnable.ID) error {
 	if w.cfg.legacySweep {
 		return nil
 	}
-	s := w.sched
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if _, ok := w.shadows[rid]; ok {
-		s.unschedule(int(rid), kindShadow)
+		w.sched.unschedule(int(rid), kindShadow)
 		delete(w.shadows, rid)
 	}
 	return nil
@@ -138,9 +137,8 @@ func (w *Watchdog) ShadowVerdict(rid runnable.ID) (ShadowStats, error) {
 	if w.cfg.legacySweep {
 		return ShadowStats{}, fmt.Errorf("core: ShadowVerdict(%d): %w", rid, errNoShadow)
 	}
-	s := w.sched
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	st, ok := w.shadows[rid]
 	if !ok {
 		return ShadowStats{}, fmt.Errorf("core: ShadowVerdict(%d): %w", rid, errNoShadow)
@@ -160,9 +158,8 @@ func (w *Watchdog) Shadows() []ShadowReport {
 	if w.cfg.legacySweep {
 		return nil
 	}
-	s := w.sched
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if len(w.shadows) == 0 {
 		return nil
 	}
@@ -181,10 +178,10 @@ func (w *Watchdog) Shadows() []ShadowReport {
 }
 
 // sweepShadows judges the shadow windows expiring this cycle. Called
-// from cycleWheel while holding sched.mu, after the active windows were
+// from cycleWheel while holding w.mu, after the active windows were
 // processed. The window's beat count is the lifetime-beat delta since
-// the window opened — exact under s.mu, because every banking site
-// (window closes, counter resets) runs with s.mu held; a racing beat
+// the window opened — exact under w.mu, because every banking site
+// (window closes, counter resets) runs with w.mu held; a racing beat
 // lands in this window or the next, exactly as with the active
 // counters. Windows closing while the runnable is inactive are skipped:
 // they resynchronize the baseline without rendering a verdict.
@@ -228,10 +225,10 @@ func (w *Watchdog) Estimator() *calib.Estimator { return w.est }
 // maybeSampleEstimator feeds one observation window to the estimator
 // every EstimatorWindowCycles cycles: per-runnable lifetime-beat deltas
 // since the previous sample, with inactive runnables excluded. Runs on
-// the Cycle caller's goroutine after the sweep released its locks, like
+// the Cycle caller's goroutine after the sweep released its lock, like
 // maybeEmitMetrics; estMu serializes concurrent Cycle callers so the
 // deltas stay consistent. The counts are read under one acquisition of
-// sched.mu (the lifetime-beat bank is guarded by it) and handed to the
+// w.mu (the lifetime-beat bank is guarded by it) and handed to the
 // estimator after it is released.
 func (w *Watchdog) maybeSampleEstimator(c uint64) {
 	if w.est == nil || c%w.estEvery != 0 {
@@ -246,10 +243,11 @@ func (w *Watchdog) maybeSampleEstimator(c uint64) {
 }
 
 // sampleCounts reads the lifetime beat counts into estLast and, after
-// the first call, their deltas into estCounts, under sched.mu. It
+// the first call, their deltas into estCounts, under w.mu. It
 // reports whether estCounts holds a window. Callers hold estMu.
 func (w *Watchdog) sampleCounts() bool {
-	defer w.lockSched()()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if !w.estPrimed {
 		// The first boundary only primes the per-runnable baselines: the
 		// window behind it has no known left edge (beats may predate the

@@ -14,12 +14,11 @@ import (
 // The lifetime beat series is derived by banking each closing window's
 // AC into a per-runnable accumulator on the (cold) sweep and reset
 // paths, and every other figure comes from state the watchdog already
-// maintains. Reading a snapshot is cold: one acquisition of the scheduler
-// mutex copies the per-runnable counters and beat banks, and one short
-// acquisition of the cold-path mutex copies the error-indication
-// vectors, results and journal accounting consistently. SnapshotInto
-// reuses the caller's buffers, so a metrics scraper settles into zero
-// allocations per scrape.
+// maintains. Reading a snapshot is cold: one acquisition of the
+// watchdog's lock copies the per-runnable counters, beat banks and
+// error-indication vectors, the results and the journal accounting
+// consistently. SnapshotInto reuses the caller's buffers, so a metrics
+// scraper settles into zero allocations per scrape.
 
 // RunnableStats is the telemetry of one runnable.
 type RunnableStats struct {
@@ -83,13 +82,12 @@ func (w *Watchdog) Snapshot() Snapshot {
 
 // SnapshotInto fills s with the current telemetry, reusing s.Runnables
 // when it has capacity: scraping with a retained Snapshot is
-// allocation-free after the first call. The per-runnable counters are
-// copied under one acquisition of the scheduler mutex, so no sweep runs
-// in between; the fault tallies, results, ECU state and journal
-// accounting are then copied jointly under one short cold-path lock.
-// Safe for concurrent use with beats, cycles and configuration changes,
-// but not from a Sink or journal sink callback, which runs under the
-// scheduler mutex.
+// allocation-free after the first call. The per-runnable counters and
+// error vectors, the results, the ECU state and the journal accounting
+// are copied under one acquisition of the watchdog's lock, so no sweep
+// or detection runs in between. Safe for concurrent use with beats,
+// cycles and configuration changes, but not from a Sink or journal sink
+// callback, which runs under that lock.
 func (w *Watchdog) SnapshotInto(s *Snapshot) {
 	n := len(w.hot)
 	if cap(s.Runnables) < n {
@@ -98,22 +96,16 @@ func (w *Watchdog) SnapshotInto(s *Snapshot) {
 	s.Runnables = s.Runnables[:n]
 
 	s.Driver = DriverStats{}
-	w.sched.mu.Lock()
+	w.mu.Lock()
 	s.Cycle = w.cycle.Load()
 	for i := range w.hot {
 		rs := &s.Runnables[i]
 		c := w.countersLocked(runnable.ID(i))
+		e := w.errv[i]
 		rs.ID = runnable.ID(i)
 		rs.Active = c.Active
 		rs.AC, rs.ARC, rs.CCA, rs.CCAR = c.AC, c.ARC, c.CCA, c.CCAR
 		rs.Beats = w.hot[i].beatsAcc + uint64(c.AC)
-	}
-	w.sched.mu.Unlock()
-
-	w.mu.Lock()
-	for i := range s.Runnables {
-		e := w.errv[i]
-		rs := &s.Runnables[i]
 		rs.ErrAliveness, rs.ErrArrivalRate, rs.ErrProgramFlow = e[0], e[1], e[2]
 	}
 	s.Results = w.results
@@ -135,7 +127,7 @@ func (w *Watchdog) SweepHistogram() HistogramSnapshot {
 // maybeEmitMetrics invokes the configured MetricsSink every
 // cfg.MetricsEveryCycles cycles, on the Cycle caller's goroutine, with
 // the watchdog's reused snapshot buffer. Runs after the sweep released
-// the scheduler mutex, so a slow sink delays only its own cycle's
+// the watchdog's lock, so a slow sink delays only its own cycle's
 // return, never the wheel.
 func (w *Watchdog) maybeEmitMetrics(c uint64) {
 	sink := w.cfg.MetricsSink

@@ -24,7 +24,7 @@ import (
 // over every padded counter line. Expiring windows are closed with one
 // atomic on the packed counter word so concurrent heartbeats land in
 // either the closing or the next window; the rest of the window
-// bookkeeping is plain stores under sched.mu. Each detection is
+// bookkeeping is plain stores under w.mu. Each detection is
 // reported the moment its window is judged (§3.3: the TSI reports an
 // error indication as the counters are checked), so a fault early in
 // a large sweep reaches the Sink before the later runnables of the
@@ -33,7 +33,7 @@ import (
 // Telemetry: every Cycle is timed into the sweep-duration histogram
 // (two monotonic clock reads per cycle, amortized over a whole
 // monitoring period), and the optional MetricsSink fires after the
-// sweep's locks are released.
+// sweep released the lock.
 func (w *Watchdog) Cycle() {
 	start := time.Now()
 	var c uint64
@@ -50,7 +50,8 @@ func (w *Watchdog) Cycle() {
 // cycleWheel is the wheel-based sweep; it returns the new cycle number.
 func (w *Watchdog) cycleWheel() uint64 {
 	s := w.sched
-	s.mu.Lock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	c := w.cycle.Add(1)
 	// The previous cycle's slot was drained by its sweep, and nothing
 	// can have landed on it since: a deadline scheduled at cycle p lies
@@ -65,12 +66,11 @@ func (w *Watchdog) cycleWheel() uint64 {
 		w.sweepDue(c, b.alive, b.arr)
 	}
 	if b.shadow.len() > 0 {
-		// Shadow windows are judged after the active ones closed, still
-		// under s.mu: due-cycle work inside the same sweep, never a fault.
+		// Shadow windows are judged after the active ones closed, in
+		// the same critical section: due-cycle work, never a fault.
 		s.dueShadow = b.shadow.drainInto(s.dueShadow[:0])
 		w.sweepShadows(c)
 	}
-	s.mu.Unlock()
 	return c
 }
 
@@ -81,7 +81,7 @@ func (w *Watchdog) cycleWheel() uint64 {
 // judged before its arrival window, so detections — reported as each
 // window is judged — come out in exactly the order of the reference
 // walk. The drained bitsets stay on their slot until the next Cycle
-// releases them. Holds s.mu.
+// releases them. Holds w.mu.
 func (w *Watchdog) sweepDue(c uint64, alive, arr *bitset) {
 	s := w.sched
 	if alive == nil {
@@ -113,11 +113,10 @@ func (w *Watchdog) sweepDue(c uint64, alive, arr *bitset) {
 // closeDue closes the due windows of one runnable: the aliveness window
 // when alive, the arrival window when arr. The packed counter word is
 // cleared with one atomic — a swap when both windows close — and the
-// bank, anchors and deadlines are plain stores under s.mu. Detections
-// are reported on the spot, aliveness first, under one w.mu
-// acquisition nested inside s.mu (the lock order). The Sink runs under
-// both locks and cannot reschedule, so reporting mid-sweep cannot
-// change what the rest of the sweep sees.
+// bank, anchors and deadlines are plain stores under w.mu. Detections
+// are reported on the spot, aliveness first. The Sink runs under the
+// lock and cannot reschedule, so reporting mid-sweep cannot change
+// what the rest of the sweep sees.
 func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool) {
 	s := w.sched
 	hs := &w.hot[rid]
@@ -130,7 +129,7 @@ func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool) {
 		hs.arrDue, hs.arrLoc = 0, locNone
 	}
 	if hs.active.Load() == 0 {
-		return // defensive: deactivation unschedules under s.mu
+		return // defensive: deactivation unschedules under w.mu
 	}
 	hyp := hs.hyp.Load()
 	alive = alive && hyp.AlivenessCycles > 0
@@ -160,28 +159,24 @@ func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool) {
 	// freeze-frame shows this runnable's restarted windows.
 	faultAlive := alive && int(ac) < hyp.MinHeartbeats
 	faultArr := arr && int(arc) > hyp.MaxArrivals
-	if !faultAlive && !faultArr {
-		return
-	}
-	w.mu.Lock()
 	if faultAlive {
 		w.detectLocked(AlivenessError, runnable.ID(rid), int(ac), hyp.MinHeartbeats, runnable.NoID)
 	}
 	if faultArr {
 		w.detectLocked(ArrivalRateError, runnable.ID(rid), int(arc), hyp.MaxArrivals, runnable.NoID)
 	}
-	w.mu.Unlock()
 }
 
 // cycleLegacy is the retired full-table sweep (Config.legacySweep): one
 // pass over every runnable's padded counter line per cycle, per-cycle
-// CCA/CCAR increments, one w.mu acquisition per fault. It holds sched.mu
-// for the walk, as the wheel sweep does, since the bank and the cycle
-// counters it writes are guarded by that lock. Kept as the reference
+// CCA/CCAR increments. It holds w.mu for the walk, as the wheel sweep
+// does, since the bank and the cycle counters it writes are guarded by
+// that lock. Kept as the reference
 // implementation the equivalence tests replay against and as the
 // "before" side of BenchmarkCycleSweep.
 func (w *Watchdog) cycleLegacy() uint64 {
-	defer w.lockSched()()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	c := w.cycle.Add(1)
 	for i := range w.hot {
 		hs := &w.hot[i]
@@ -195,9 +190,7 @@ func (w *Watchdog) cycleLegacy() uint64 {
 				hs.beatsAcc += uint64(ac)
 				hs.cca = 0
 				if int(ac) < hyp.MinHeartbeats {
-					w.mu.Lock()
 					w.detectLocked(AlivenessError, runnable.ID(i), int(ac), hyp.MinHeartbeats, runnable.NoID)
-					w.mu.Unlock()
 				}
 			}
 		}
@@ -206,9 +199,7 @@ func (w *Watchdog) cycleLegacy() uint64 {
 				arc := uint32(hs.closeArrival())
 				hs.ccar = 0
 				if int(arc) > hyp.MaxArrivals {
-					w.mu.Lock()
 					w.detectLocked(ArrivalRateError, runnable.ID(i), int(arc), hyp.MaxArrivals, runnable.NoID)
-					w.mu.Unlock()
 				}
 			}
 		}
@@ -216,17 +207,10 @@ func (w *Watchdog) cycleLegacy() uint64 {
 	return c
 }
 
-// lockSched acquires the scheduler mutex and returns the matching
-// unlock. Lock order: sched.mu before w.mu.
-func (w *Watchdog) lockSched() func() {
-	w.sched.mu.Lock()
-	return w.sched.mu.Unlock
-}
-
 // reschedFreshLocked re-derives both deadlines of a runnable after its
 // counters were reset (activation changes, fault treatment): monitored
 // windows restart at the current cycle; everything else freezes at zero.
-// Requires sched.mu.
+// Requires w.mu.
 func (w *Watchdog) reschedFreshLocked(rid runnable.ID) {
 	s := w.sched
 	c := w.cycle.Load()
@@ -255,7 +239,7 @@ func (w *Watchdog) reschedFreshLocked(rid runnable.ID) {
 // like the reference sweep does (SetHypothesis never resets counters):
 // the in-flight window keeps its age, a shortened period that is already
 // exceeded expires on the next cycle, and disabling a unit freezes the
-// counter where it stands. Requires sched.mu.
+// counter where it stands. Requires w.mu.
 func (w *Watchdog) reschedPreserveLocked(rid runnable.ID) {
 	s := w.sched
 	c := w.cycle.Load()
@@ -301,7 +285,7 @@ func (w *Watchdog) reschedPreserveLocked(rid runnable.ID) {
 
 // reschedArrivalRestartLocked restarts the arrival window after an eager
 // arrival detection reset ARC mid-period (the reference sweep's
-// ccar.Store(0)). Requires sched.mu.
+// ccar.Store(0)). Requires w.mu.
 func (w *Watchdog) reschedArrivalRestartLocked(rid runnable.ID, hyp *Hypothesis) {
 	s := w.sched
 	c := w.cycle.Load()

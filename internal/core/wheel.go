@@ -1,7 +1,5 @@
 package core
 
-import "sync"
-
 // This file implements the due-cycle timer wheel behind the Cycle sweep.
 //
 // The seed design swept every runnable's padded 128-byte hotState line on
@@ -24,12 +22,11 @@ import "sync"
 // that cycle before the bucket is drained, and at that point
 // `due - now < wheelSize` holds.
 //
-// All wheel state is guarded by scheduler.mu, which is ordered BEFORE the
-// watchdog's cold-path mutex (sched.mu < w.mu): configuration paths that
-// reschedule deadlines take sched.mu first, and the sweep reports each
-// detection under w.mu while still holding sched.mu. The heartbeat hot
-// path never touches the wheel; the only beat-path entry is the eager
-// arrival cold branch, which restarts the arrival window.
+// All wheel state is guarded by the watchdog's lock (w.mu), which the
+// sweep holds while it reports detections and which every configuration
+// path that reschedules a deadline takes. The heartbeat hot path never
+// touches the wheel; the only beat-path entry is the eager arrival cold
+// branch, which restarts the arrival window.
 
 // defaultWheelSize is the bucket count of the timer wheel (power of two).
 // Hypothesis periods are typically a handful of cycles (the paper uses 5),
@@ -70,7 +67,7 @@ func anchorElapsed(a, c uint64) uint64 {
 
 // runnableSched is the per-runnable sweep state, embedded in hotState
 // so each runnable's bookkeeping shares its padded counter lines instead
-// of a second array. Every field is a plain field guarded by sched.mu:
+// of a second array. Every field is a plain field guarded by w.mu:
 // the sweep, activation changes, fault treatment and the eager arrival
 // detection write it holding that lock, and CounterSnapshot, the
 // telemetry Snapshot, the estimator sampler and the journal's
@@ -174,12 +171,10 @@ func (b *wheelBucket) peek(kind int) *bitset {
 	}
 }
 
-// scheduler is the due-cycle index driving the wheel-based sweep. Its
-// mutex also guards every runnable's sweep state (hotState's embedded
-// runnableSched), and the reference walk takes it too, so the lock
-// contract is the same whichever sweep runs.
+// scheduler is the due-cycle index driving the wheel-based sweep.
+// Guarded by w.mu, like every runnable's sweep state (hotState's
+// embedded runnableSched).
 type scheduler struct {
-	mu   sync.Mutex
 	size uint64 // bucket count, power of two
 	mask uint64
 
@@ -240,7 +235,7 @@ func (s *scheduler) overflow(kind int) *bitset {
 	}
 }
 
-// schedule indexes a deadline. due must be > now. Callers hold s.mu and
+// schedule indexes a deadline. due must be > now. Callers hold w.mu and
 // have unscheduled any previous deadline of the same kind.
 func (s *scheduler) schedule(rid, kind int, due, now uint64) {
 	var loc uint8
@@ -254,7 +249,7 @@ func (s *scheduler) schedule(rid, kind int, due, now uint64) {
 	s.hot[rid].setDueLoc(kind, due, loc)
 }
 
-// unschedule removes a deadline if one is indexed. Callers hold s.mu.
+// unschedule removes a deadline if one is indexed. Callers hold w.mu.
 func (s *scheduler) unschedule(rid, kind int) {
 	r := &s.hot[rid]
 	due, loc := r.dueLoc(kind)

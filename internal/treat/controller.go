@@ -12,6 +12,12 @@ import (
 // Options.EventQueue is zero.
 const DefaultEventQueue = 1024
 
+// maxLogEvents bounds the trace and action logs: a long-running
+// controller records its first maxLogEvents events and their actions,
+// then stops recording. The kept trace is a prefix, so it still replays
+// to exactly the kept actions.
+const maxLogEvents = 1 << 16
+
 // Executor applies one treatment action to the world — deactivating and
 // reactivating watchdog supervision, sending wire commands. The
 // controller invokes it from its single policy goroutine, so an
@@ -73,8 +79,8 @@ type Options struct {
 // and ingest hot paths hand it events through OnLinkFault and OnFrame —
 // both non-blocking, both safe to call from inside watchdog locks — and
 // a single policy goroutine folds them through the engine and executes
-// the resulting actions in order. The full event trace and action log
-// are retained for replay verification (Trace, Actions).
+// the resulting actions in order. The first maxLogEvents events and
+// their actions are retained for replay verification (Trace, Actions).
 type Controller struct {
 	eng   *Engine
 	exec  Executor
@@ -196,8 +202,10 @@ func (c *Controller) step(ev Event, scratch []Action) []Action {
 	c.nEvents.Add(1)
 	scratch = c.eng.Decide(ev, scratch)
 	c.mu.Lock()
-	c.trace = append(c.trace, ev)
-	c.actions = append(c.actions, scratch...)
+	if len(c.trace) < maxLogEvents {
+		c.trace = append(c.trace, ev)
+		c.actions = append(c.actions, scratch...)
+	}
 	c.mu.Unlock()
 	// Quarantine and Resume are the only actions that change the
 	// quarantined or scaled-down sets, and only ever for the event's own
@@ -264,14 +272,16 @@ func (c *Controller) Close() {
 }
 
 // Trace returns a copy of the consumed event trace, in consumption
-// order — the input for Replay.
+// order — the input for Replay. Past maxLogEvents events it holds only
+// the first maxLogEvents; Stats().Events still counts every one.
 func (c *Controller) Trace() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]Event(nil), c.trace...)
 }
 
-// Actions returns a copy of the emitted action log, in execution order.
+// Actions returns a copy of the emitted action log, in execution order:
+// the actions of exactly the events Trace holds.
 func (c *Controller) Actions() []Action {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -2,6 +2,7 @@ package treat
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -176,4 +177,44 @@ func TestControllerCloseIdempotent(t *testing.T) {
 	// Logs stay readable after close.
 	_ = c.Trace()
 	_ = c.Actions()
+}
+
+// TestControllerLogsBounded steps a controller past maxLogEvents: the
+// logs stop at the cap, every kept event keeps exactly its actions, so
+// the kept trace still replays to the kept actions.
+func TestControllerLogsBounded(t *testing.T) {
+	g, err := NewGraph([]uint32{1, 2}, []Edge{{Node: 2, DependsOn: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := Policy{RecoveryFrames: 1}
+	c := newController(g, pol, nil, sim.NewManualClock(), Options{})
+	// A fault and a recovering frame of the hub, alternating: every
+	// event emits actions.
+	events := make([]Event, maxLogEvents+101)
+	for i := range events {
+		events[i] = Event{Kind: EvLinkFault, Node: 1, Time: sim.Time(i)}
+		if i%2 == 1 {
+			events[i].Kind = EvFrame
+		}
+	}
+	var scratch []Action
+	for _, ev := range events {
+		scratch = c.step(ev, scratch[:0])
+	}
+	if got := c.Stats().Events; got != uint64(len(events)) {
+		t.Fatalf("Stats.Events = %d, want %d", got, len(events))
+	}
+	trace := c.Trace()
+	if len(trace) != maxLogEvents || !slices.Equal(trace, events[:maxLogEvents]) {
+		t.Fatalf("trace holds %d events, want the first %d", len(trace), maxLogEvents)
+	}
+	actions := c.Actions()
+	if !slices.Equal(Replay(g, pol, trace), actions) {
+		t.Fatal("replaying the kept trace does not reproduce the kept actions")
+	}
+	if all := Replay(g, pol, events); len(actions) >= len(all) {
+		t.Fatalf("action log holds %d actions, all %d events emit %d: past the cap it kept growing",
+			len(actions), len(events), len(all))
+	}
 }

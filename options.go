@@ -82,12 +82,10 @@ func WithoutJournal() Option {
 
 // WithJournalSink installs a per-detection callback: every journaled
 // detection is handed to sink, Seq stamped, immediately after it lands
-// in the ring. The sink runs on the detection cold path while the
-// watchdog's internal mutexes are held, so it MUST be non-blocking and
-// must not call back into the watchdog (not even CounterSnapshot or
-// SnapshotInto) — hand the entry off to a lock-free ring (the WAL does)
-// or drop it. Ignored together with
-// WithoutJournal. Watchdog.SetJournalSink replaces it at runtime.
+// in the ring. The sink runs under the watchdog's lock, so it MUST be
+// non-blocking and must not call any Watchdog method — hand the entry
+// off to a lock-free ring (the WAL does) or drop it. Ignored together
+// with WithoutJournal. Watchdog.SetJournalSink replaces it at runtime.
 func WithJournalSink(sink func(JournalEntry)) Option {
 	return func(cfg *Config) { cfg.JournalSink = sink }
 }
