@@ -37,7 +37,7 @@ bench-hotpath:
 # <suite>_BENCH is its -bench pattern, <suite>_PKGS its packages, and
 # it lands in bench/BENCH_<suite>.json.
 SUITES := cycle stats wire treat ingest_mt wal calib
-cycle_BENCH     := CycleSweep|Heartbeat|MonitorBeat|ConcurrentCycle|WatchdogCycle|AddFlowSequence
+cycle_BENCH     := CycleSweep|Heartbeat|MonitorBeat|ConcurrentCycle|WatchdogCycle|AddFlowSequence|LockWait
 cycle_PKGS      := . ./internal/core
 stats_BENCH     := Snapshot|BeatWithStats|Journal
 stats_PKGS      := . ./internal/export

@@ -22,7 +22,11 @@
 //
 // Baseline-only benchmarks are reported as "missing" and new ones as
 // "new"; neither fails the gate, keeping baseline refreshes and bench
-// additions decoupled. With -summary the table is appended to the given
+// additions decoupled. The table opens with the host blocks of the
+// baseline and of the current documents (cmd/benchjson records one) and
+// flags a mismatch as "cross-host": the ns/op deltas then compare two
+// machines as well as two trees. A document without a block reads
+// "unknown". The host check informs; it never fails the gate. With -summary the table is appended to the given
 // file (pass "$GITHUB_STEP_SUMMARY" in CI for a job-summary panel).
 //
 // Merge mode assembles the committed baseline from per-suite documents:
@@ -57,7 +61,38 @@ type Doc struct {
 	GOARCH  string   `json:"goarch,omitempty"`
 	Pkg     string   `json:"pkg,omitempty"`
 	CPU     string   `json:"cpu,omitempty"`
+	Host    *Host    `json:"host,omitempty"`
 	Results []Result `json:"results"`
+}
+
+// Host mirrors the benchjson host block.
+type Host struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+	GOOS       string `json:"goos"`
+	CPUModel   string `json:"cpu_model"`
+}
+
+// String renders the block on one line; a missing block reads "unknown".
+func (h *Host) String() string {
+	if h == nil {
+		return "unknown"
+	}
+	return fmt.Sprintf("nproc=%d gomaxprocs=%d go=%s goos=%s cpu_model=%q", h.NProc, h.GOMAXPROCS, h.Go, h.GOOS, h.CPUModel)
+}
+
+// hostMatch compares two host blocks: "same host", "cross-host", or
+// "unknown" when either document has none.
+func hostMatch(base, cur *Host) string {
+	switch {
+	case base == nil || cur == nil:
+		return "unknown"
+	case *base == *cur:
+		return "same host"
+	default:
+		return "cross-host"
+	}
 }
 
 // DefaultZeroAlloc names the benchmarks whose allocs/op must be zero:
@@ -152,10 +187,11 @@ func compare(baseline, current []Result, threshold float64, zeroAlloc *regexp.Re
 	return rows, failures
 }
 
-// markdown renders the delta table.
-func markdown(rows []Row, threshold float64) string {
+// markdown renders the host blocks and the delta table.
+func markdown(rows []Row, threshold float64, baseHost, curHost *Host) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### Benchmark gate (threshold ±%.0f%%)\n\n", 100*threshold)
+	fmt.Fprintf(&b, "- baseline host: %s\n- current host: %s\n- hosts: %s\n\n", baseHost, curHost, hostMatch(baseHost, curHost))
 	b.WriteString("| benchmark | baseline ns/op | current ns/op | delta | allocs/op | status |\n")
 	b.WriteString("|---|---:|---:|---:|---:|---|\n")
 	for _, r := range rows {
@@ -213,12 +249,16 @@ func main() {
 		fatal(err)
 	}
 	var current []Result
+	var curHost *Host
 	for _, name := range flag.Args() {
 		doc, err := loadDoc(name)
 		if err != nil {
 			fatal(err)
 		}
 		current = append(current, doc.Results...)
+		if curHost == nil {
+			curHost = doc.Host
+		}
 	}
 	var zre *regexp.Regexp
 	if *zeroAlloc != "" {
@@ -229,7 +269,7 @@ func main() {
 	}
 
 	rows, failures := compare(baseDoc.Results, current, *threshold, zre)
-	table := markdown(rows, *threshold)
+	table := markdown(rows, *threshold, baseDoc.Host, curHost)
 	fmt.Print(table)
 	if *summary != "" {
 		f, err := os.OpenFile(*summary, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
@@ -251,7 +291,7 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "benchdiff: gate passed (%d benchmarks compared)\n", len(rows))
+	fmt.Fprintf(os.Stderr, "benchdiff: gate passed (%d benchmarks compared, hosts: %s)\n", len(rows), hostMatch(baseDoc.Host, curHost))
 }
 
 // mergeDocs concatenates input documents, keeping the first document's
@@ -265,7 +305,7 @@ func mergeDocs(out string, names []string) error {
 			return err
 		}
 		if i == 0 {
-			merged.GOOS, merged.GOARCH, merged.Pkg, merged.CPU = doc.GOOS, doc.GOARCH, doc.Pkg, doc.CPU
+			merged.GOOS, merged.GOARCH, merged.Pkg, merged.CPU, merged.Host = doc.GOOS, doc.GOARCH, doc.Pkg, doc.CPU, doc.Host
 		}
 		for _, r := range doc.Results {
 			if n := normalize(r.Name); !seen[n] {

@@ -145,7 +145,7 @@ func TestCompareStatuses(t *testing.T) {
 			t.Fatalf("status[%s] = %q, want %q (all: %v)", k, got[k], v, got)
 		}
 	}
-	table := markdown(rows, 0.30)
+	table := markdown(rows, 0.30, nil, nil)
 	for _, needle := range []string{"| BenchmarkA |", "faster", "missing", "benchmark gate", "±30%"} {
 		if !strings.Contains(strings.ToLower(table), strings.ToLower(needle)) {
 			t.Fatalf("markdown table lacks %q:\n%s", needle, table)
@@ -164,6 +164,41 @@ func TestNormalize(t *testing.T) {
 	for in, want := range cases {
 		if got := normalize(in); got != want {
 			t.Fatalf("normalize(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestHostBlocks pins the host check: the table prints both blocks, a
+// document without one reads "unknown", and a mismatch is flagged as
+// cross-host without failing the gate.
+func TestHostBlocks(t *testing.T) {
+	dev := &Host{NProc: 2, GOMAXPROCS: 2, Go: "go1.24.0", GOOS: "linux/amd64", CPUModel: "Intel(R) Xeon(R) Processor @ 2.10GHz"}
+	same := *dev
+	other := *dev
+	other.NProc, other.GOMAXPROCS = 8, 8
+	cases := []struct {
+		name       string
+		base, cur  *Host
+		want       string
+		wantInText []string
+	}{
+		{"same", dev, &same, "same host", []string{"baseline host: nproc=2 gomaxprocs=2 go=go1.24.0 goos=linux/amd64", "hosts: same host"}},
+		{"cross", dev, &other, "cross-host", []string{"current host: nproc=8 gomaxprocs=8", "hosts: cross-host"}},
+		{"no block", nil, dev, "unknown", []string{"baseline host: unknown", "hosts: unknown"}},
+	}
+	rows, failures := compare([]Result{res("BenchmarkA-8", 100.0)}, []Result{res("BenchmarkA-2", 100.0)}, 0.30, nil)
+	if len(failures) != 0 {
+		t.Fatalf("unexpected failures: %s", failTexts(failures))
+	}
+	for _, tc := range cases {
+		if got := hostMatch(tc.base, tc.cur); got != tc.want {
+			t.Fatalf("%s: hostMatch = %q, want %q", tc.name, got, tc.want)
+		}
+		table := markdown(rows, 0.30, tc.base, tc.cur)
+		for _, needle := range tc.wantInText {
+			if !strings.Contains(table, needle) {
+				t.Fatalf("%s: table lacks %q:\n%s", tc.name, needle, table)
+			}
 		}
 	}
 }

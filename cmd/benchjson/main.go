@@ -3,7 +3,8 @@
 // produces BENCH_cycle.json). It reads benchmark lines from stdin or from
 // the files given as arguments, parses the standard testing.B output
 // format, and writes a JSON object carrying the environment header
-// (goos/goarch/pkg/cpu) plus one record per benchmark result:
+// (goos/goarch/pkg/cpu), a host block describing the machine it runs
+// on, plus one record per benchmark result:
 //
 //	go test -run xxx -bench CycleSweep -benchmem . | benchjson -o BENCH_cycle.json
 //
@@ -18,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -41,11 +43,59 @@ type Result struct {
 
 // Doc is the output document.
 type Doc struct {
-	GOOS    string   `json:"goos,omitempty"`
-	GOARCH  string   `json:"goarch,omitempty"`
-	Pkg     string   `json:"pkg,omitempty"`
-	CPU     string   `json:"cpu,omitempty"`
+	GOOS   string `json:"goos,omitempty"`
+	GOARCH string `json:"goarch,omitempty"`
+	Pkg    string `json:"pkg,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// Host describes the machine benchjson ran on; `make bench-json`
+	// converts each suite right after running it, on the same host.
+	Host    *Host    `json:"host,omitempty"`
 	Results []Result `json:"results"`
+}
+
+// Host is the host block, in the shape of the e2ebench run metadata, so
+// a reader (and cmd/benchdiff) can tell whether two documents were
+// measured on the same machine.
+type Host struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+	GOOS       string `json:"goos"`
+	CPUModel   string `json:"cpu_model"`
+}
+
+// hostInfo describes the running host. The CPU model comes from
+// /proc/cpuinfo, else from the benchmark output's cpu: line, else it
+// reads "unknown".
+func hostInfo(benchCPU string) *Host {
+	model := cpuModel()
+	if model == "" {
+		model = benchCPU
+	}
+	if model == "" {
+		model = "unknown"
+	}
+	return &Host{
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Go:         runtime.Version(),
+		GOOS:       runtime.GOOS + "/" + runtime.GOARCH,
+		CPUModel:   model,
+	}
+}
+
+// cpuModel returns the first "model name" of /proc/cpuinfo, or "".
+func cpuModel() string {
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }
 
 func main() {
@@ -77,6 +127,7 @@ func main() {
 	if len(doc.Results) == 0 {
 		fatal(fmt.Errorf("no benchmark lines found in input"))
 	}
+	doc.Host = hostInfo(doc.CPU)
 
 	enc, err := json.MarshalIndent(&doc, "", "  ")
 	if err != nil {

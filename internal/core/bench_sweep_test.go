@@ -4,10 +4,15 @@
 // §Performance, `make bench-json`) — plus the aligned fleet row, where
 // every window of 25,005 runnables expires on the same cycle. It lives in-package because the walk
 // is reachable only through the unexported legacySweep test hook.
+// BenchmarkLockWait times what the O(fleet) holders of the watchdog's
+// lock cost everyone else: a Deactivate issued while the aligned sweep
+// or a scrape runs.
 package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -69,8 +74,8 @@ func buildSweepWatchdog(b *testing.B, n, duePct int, legacy bool) *Watchdog {
 // buildAlignedWatchdog constructs the fleet shape: tasks × perTask
 // runnables, all sharing one aliveness hypothesis and all activated on
 // the same cycle, so every window comes due on the same sweep. It
-// returns a Monitor per runnable.
-func buildAlignedWatchdog(b *testing.B, tasks, perTask int, hyp Hypothesis) (*Watchdog, []*Monitor) {
+// returns a Monitor per runnable. sink may be nil.
+func buildAlignedWatchdog(b *testing.B, tasks, perTask int, hyp Hypothesis, sink Sink) (*Watchdog, []*Monitor) {
 	b.Helper()
 	m := runnable.NewModel()
 	app, err := m.AddApp("fleet", runnable.SafetyRelevant)
@@ -91,7 +96,7 @@ func buildAlignedWatchdog(b *testing.B, tasks, perTask int, hyp Hypothesis) (*Wa
 	if err := m.Freeze(); err != nil {
 		b.Fatalf("Freeze: %v", err)
 	}
-	w, err := New(Config{Model: m, Clock: sim.NewWallClock()})
+	w, err := New(Config{Model: m, Clock: sim.NewWallClock(), Sink: sink})
 	if err != nil {
 		b.Fatalf("New: %v", err)
 	}
@@ -140,7 +145,7 @@ func BenchmarkCycleSweep(b *testing.B) {
 	// is timed.
 	b.Run("n=25000/aligned", func(b *testing.B) {
 		const period = 30
-		w, mons := buildAlignedWatchdog(b, 5001, 5, Hypothesis{AlivenessCycles: period, MinHeartbeats: 1})
+		w, mons := buildAlignedWatchdog(b, 5001, 5, Hypothesis{AlivenessCycles: period, MinHeartbeats: 1}, nil)
 		// Beat once and run the window's cycles up to the due one.
 		window := func() {
 			for _, m := range mons {
@@ -168,5 +173,115 @@ func BenchmarkCycleSweep(b *testing.B) {
 		if r := w.Results(); r.Aliveness != 0 {
 			b.Fatalf("aligned sweep raised %d aliveness faults", r.Aliveness)
 		}
+	})
+}
+
+// onFault0 is a Sink that calls fn on each fault of runnable 0. The
+// aligned sweep judges runnable 0 first, so the call means the sweep
+// is running and holds the watchdog's lock.
+type onFault0 struct{ fn func() }
+
+func (s *onFault0) Fault(r Report) {
+	if r.Runnable == 0 && s.fn != nil {
+		s.fn()
+	}
+}
+
+func (*onFault0) StateChanged(StateEvent) {}
+
+// BenchmarkLockWait times one Deactivate issued while an O(fleet)
+// holder of the watchdog's lock runs, at 25,005 runnables (5,001 nodes
+// × 5, as the aligned sweep row): "sweep" while the aligned due sweep
+// runs, in which runnable 0 faults, and "snapshot" while a scrape
+// copies the fleet. The reported ns/op is the mean wait of that one
+// Deactivate, from the moment the issuer finds the lock held to its
+// return; the rest of each pass is not in it. A holder that keeps the
+// lock for its whole pass makes the Deactivate wait for the rest of
+// it, hundreds of µs on the 2-CPU Xeon VM; one that gives way past the
+// hold budget, about the budget and a hand-off. The issuer spins on a
+// processor of its own, so the figure needs GOMAXPROCS ≥ 2.
+func BenchmarkLockWait(b *testing.B) {
+	const period = 30
+	hyp := Hypothesis{AlivenessCycles: period, MinHeartbeats: 1}
+	// measure runs pass b.N times on the benchmark goroutine; pass calls
+	// arm once it is about to hold, or holds, the lock for its O(fleet)
+	// stretch. An issuer goroutine waits for arm, then for the lock to
+	// be held, and times a Deactivate of the fleet's last runnable,
+	// which is re-activated after the pass. A sample whose pass ended
+	// before the issuer saw the lock held is dropped.
+	measure := func(b *testing.B, w *Watchdog, pass func(arm func())) {
+		target := runnable.ID(len(w.hot) - 1)
+		var armed, passed, quit atomic.Bool
+		var wait time.Duration
+		var samples int
+		issued := make(chan struct{})
+		go func() {
+			for {
+				for !armed.Load() {
+					if quit.Load() {
+						return
+					}
+					runtime.Gosched()
+				}
+				armed.Store(false)
+				held := true
+				for held && w.mu.TryLock() {
+					w.mu.Unlock() // the holder has not taken it yet
+					held = !passed.Load()
+				}
+				start := time.Now()
+				if err := w.Deactivate(target); err != nil {
+					b.Errorf("Deactivate: %v", err)
+				}
+				if held {
+					wait += time.Since(start)
+					samples++
+				}
+				issued <- struct{}{}
+			}
+		}()
+		defer quit.Store(true)
+		arm := func() { armed.Store(true) }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pass(arm)
+			passed.Store(true)
+			<-issued
+			passed.Store(false)
+			if err := w.Activate(target); err != nil {
+				b.Fatalf("Activate: %v", err)
+			}
+		}
+		b.StopTimer()
+		if samples > 0 {
+			b.ReportMetric(float64(wait.Nanoseconds())/float64(samples), "ns/op")
+		}
+	}
+	b.Run("n=25000/sweep", func(b *testing.B) {
+		sink := &onFault0{}
+		w, mons := buildAlignedWatchdog(b, 5001, 5, hyp, sink)
+		measure(b, w, func(arm func()) {
+			// Every runnable but 0 beats once; the cycles up to the due
+			// one run, then the due sweep, which calls arm on runnable
+			// 0's fault.
+			for _, m := range mons[1:] {
+				m.Beat()
+			}
+			for k := 1; k < period; k++ {
+				w.Cycle()
+			}
+			sink.fn = arm
+			w.Cycle()
+			sink.fn = nil
+		})
+	})
+	b.Run("n=25000/snapshot", func(b *testing.B) {
+		w, _ := buildAlignedWatchdog(b, 5001, 5, hyp, nil)
+		snap := Snapshot{Runnables: make([]RunnableStats, len(w.hot))}
+		measure(b, w, func(arm func()) {
+			arm()
+			w.SnapshotInto(&snap)
+		})
 	})
 }

@@ -236,13 +236,21 @@ func TestConcurrentBeatCycle_Race(t *testing.T) {
 // sweep state), the estimator sampler, Activate/SetHypothesis with
 // interned values, flow-table edits, the result, TSI and journal
 // readers, journal sink swaps, the shadow guard and ClearAll. Run it
-// under -race.
+// under -race. The fleet spans four bitset words, two of its tasks miss
+// beats, and the journal sinks now and then hold the lock past the hold
+// budget, so the due sweeps raise detections and give the lock away
+// mid-bucket to the racing callers.
 func TestConcurrentLockContract_Race(t *testing.T) {
 	const iterations = 1500
-	const perTask = 4
+	const perTask = 64
 	w, rids, tids := buildConcurrencyFixture(t, 4, perTask, func(c *Config) { c.EstimatorWindowCycles = 3 })
 	var journaled atomic.Uint64
-	w.SetJournalSink(func(JournalEntry) { journaled.Add(1) })
+	slowSink := func(JournalEntry) {
+		if journaled.Add(1)%64 == 0 {
+			time.Sleep(holdBudget)
+		}
+	}
+	w.SetJournalSink(slowSink)
 	monitors := make([]*Monitor, len(rids))
 	for i, rid := range rids {
 		var err error
@@ -264,8 +272,17 @@ func TestConcurrentLockContract_Race(t *testing.T) {
 		}()
 	}
 	run(func(int) { w.Cycle() })
-	// Healthy beats in sequence order.
-	run(func(i int) { monitors[i%len(monitors)].Beat() })
+	// Healthy beats in sequence order for tasks 1 and 3, which fill
+	// bitset words 1 and 3: their words end the bursts of detections of
+	// the silent tasks 0 and 2, and the sweep gives way after them.
+	run(func(int) {
+		for _, m := range monitors[perTask : 2*perTask] {
+			m.Beat()
+		}
+		for _, m := range monitors[3*perTask:] {
+			m.Beat()
+		}
+	})
 	// Program-flow violations: a runnable following itself is not in
 	// any task's sequence, and a frame replays records out of order.
 	idx := []uint32{3, 1, 2, 0}
@@ -308,10 +325,7 @@ func TestConcurrentLockContract_Race(t *testing.T) {
 	// Writers of the rest of the locked state: flow-table edits that
 	// re-install the sequence pairs (so self-follows stay violations),
 	// journal sink swaps, shadow candidates and the whole-watchdog reset.
-	sinks := []func(JournalEntry){
-		func(JournalEntry) { journaled.Add(1) },
-		func(JournalEntry) { journaled.Add(1) },
-	}
+	sinks := []func(JournalEntry){slowSink, func(JournalEntry) { journaled.Add(1) }}
 	shadow := Hypothesis{AlivenessCycles: 3, MinHeartbeats: 1}
 	run(func(i int) {
 		rid := rids[i%len(rids)]

@@ -140,8 +140,10 @@ type Config struct {
 	// stamped. It runs under the watchdog's lock, so it MUST be
 	// non-blocking and must not call any Watchdog method.
 	// Hand the entry to a lock-free ring or drop it (the WAL shipper
-	// does exactly that). Ignored when the journal is disabled
-	// (JournalSize < 0). Replaceable at runtime via SetJournalSink.
+	// does exactly that). The consumer of that ring may call Watchdog
+	// methods, and may do so mid-sweep: see Sink. Ignored when the
+	// journal is disabled (JournalSize < 0). Replaceable at runtime via
+	// SetJournalSink.
 	JournalSink func(JournalEntry)
 	// MetricsSink, when set, receives a telemetry snapshot every
 	// MetricsEveryCycles monitoring cycles, invoked on the goroutine that
@@ -240,7 +242,16 @@ type Watchdog struct {
 	// detections, error-indication vectors, the TSI derivation chain,
 	// the fault-event journal, the hypothesis intern table and flow-table
 	// edits.
-	mu       sync.Mutex
+	mu sync.Mutex
+	// waiters counts callers blocked on mu (see lock.go), so the two
+	// paged holders of mu, the due sweep and the scrape, know when
+	// someone waits for it.
+	waiters atomic.Int32
+	// cycleMu serializes the wheel sweep and ClearAll. The sweep may
+	// give mu away between bitset words, and neither a second sweep
+	// nor a cycle rewind may run in that gap. Taken before mu, never
+	// while holding it.
+	cycleMu  sync.Mutex
 	errv     [][3]uint64 // error-indication vector, indexed by kind-1
 	ts       []tstate
 	as       []astate
@@ -391,7 +402,7 @@ func (w *Watchdog) SetHypothesis(rid runnable.ID, h Hypothesis) error {
 	if err := w.checkRunnable(rid); err != nil {
 		return err
 	}
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	hs := &w.hot[rid]
 	if old := hs.hyp.Load(); old.ArrivalCycles == 0 && h.ArrivalCycles > 0 {
@@ -460,7 +471,7 @@ func (w *Watchdog) setActive(rid runnable.ID, active bool) error {
 	if err := w.checkRunnable(rid); err != nil {
 		return err
 	}
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	hs := &w.hot[rid]
 	if active {
@@ -482,7 +493,7 @@ func (w *Watchdog) MonitorFlow(rid runnable.ID) error {
 	if err := w.checkRunnable(rid); err != nil {
 		return err
 	}
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	e := w.flow.Load().edit()
 	e.setMonitored(rid)
@@ -524,7 +535,7 @@ func (w *Watchdog) addFlowPairs(pairs [][2]runnable.ID) error {
 			return fmt.Errorf("core: AddFlowPair(%d,%d): runnables belong to different tasks", p[0], p[1])
 		}
 	}
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	e := w.flow.Load().edit()
 	for _, p := range pairs {
@@ -712,7 +723,7 @@ func (w *Watchdog) flowRecord(ft *flowTable, table []runnable.ID, i uint32) (run
 // error immediately and resets the window. The CompareAndSwap elects
 // exactly one reporter when several heartbeats race past the limit.
 func (w *Watchdog) eagerArrival(rid runnable.ID, hs *hotState, v uint64) {
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	// Clear the ARC half, preserving AC. The CAS elects exactly one
 	// reporter: it fails if another heartbeat or a Cycle sweep already
@@ -746,7 +757,7 @@ func (w *Watchdog) checkFlow(ft *flowTable, rid runnable.ID, tid runnable.TaskID
 // reportFlow reports that rid followed pred in task tid although the
 // look-up table does not allow it.
 func (w *Watchdog) reportFlow(pred, rid runnable.ID, tid runnable.TaskID) {
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	ts := &w.ts[tid]
 	ts.lastFlowCycle = w.cycle.Load()
@@ -877,7 +888,7 @@ func (w *Watchdog) ClearTask(tid runnable.TaskID) error {
 	if err != nil {
 		return err
 	}
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	w.clearTaskLocked(tid, t.Runnables)
 	return nil
@@ -912,7 +923,7 @@ func (w *Watchdog) SuspendTaskMonitoring(tid runnable.TaskID) error {
 	if err != nil {
 		return err
 	}
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	ts := &w.ts[tid]
 	ts.suspendedAS = ts.suspendedAS[:0]
@@ -936,7 +947,7 @@ func (w *Watchdog) ResumeTaskMonitoring(tid runnable.TaskID) error {
 	if _, err := w.model.Task(tid); err != nil {
 		return err
 	}
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	w.resumeTaskLocked(tid)
 	return nil
@@ -959,8 +970,12 @@ func (w *Watchdog) resumeTaskLocked(tid runnable.TaskID) {
 // ClearAll resets every task and resumes suspended monitoring, e.g. after
 // an ECU software reset (the boot configuration is re-applied). The reset
 // is one critical section: a concurrent Cycle sees all of it or none.
+// It waits for a running sweep to return, since it rewinds the cycle
+// and releases every wheel slot, the one being swept included.
 func (w *Watchdog) ClearAll() {
-	w.mu.Lock()
+	w.cycleMu.Lock()
+	defer w.cycleMu.Unlock()
+	w.lock()
 	defer w.mu.Unlock()
 	for tid := range w.ts {
 		t, _ := w.model.Task(runnable.TaskID(tid)) // tid is always valid here
@@ -999,7 +1014,7 @@ func (w *Watchdog) CounterSnapshot(rid runnable.ID) (Counters, error) {
 	if err := w.checkRunnable(rid); err != nil {
 		return Counters{}, err
 	}
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	return w.countersLocked(rid), nil
 }
@@ -1030,7 +1045,7 @@ func (w *Watchdog) countersLocked(rid runnable.ID) Counters {
 // Results reports the cumulative detection counts (the AM/AR/PFC Result
 // series).
 func (w *Watchdog) Results() Results {
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	return w.results
 }
@@ -1041,7 +1056,7 @@ func (w *Watchdog) RunnableErrors(rid runnable.ID) (aliveness, arrival, flow uin
 	if err := w.checkRunnable(rid); err != nil {
 		return 0, 0, 0, err
 	}
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	e := w.errv[rid]
 	return e[0], e[1], e[2], nil
@@ -1052,7 +1067,7 @@ func (w *Watchdog) TaskState(tid runnable.TaskID) (HealthState, error) {
 	if _, err := w.model.Task(tid); err != nil {
 		return 0, err
 	}
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	return w.ts[tid].state, nil
 }
@@ -1062,14 +1077,14 @@ func (w *Watchdog) AppState(app runnable.AppID) (HealthState, error) {
 	if _, err := w.model.App(app); err != nil {
 		return 0, err
 	}
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	return w.as[app].state, nil
 }
 
 // ECUState reports the derived global ECU state.
 func (w *Watchdog) ECUState() HealthState {
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	return w.ecuState
 }

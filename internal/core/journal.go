@@ -145,7 +145,7 @@ func (w *Watchdog) JournalInto(dst []JournalEntry) []JournalEntry {
 	if w.journal == nil {
 		return dst
 	}
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	return w.journal.appendTo(dst)
 }
@@ -156,7 +156,7 @@ func (w *Watchdog) JournalStats() JournalStats {
 	if w.journal == nil {
 		return JournalStats{}
 	}
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	return w.journalStatsLocked()
 }
@@ -214,7 +214,7 @@ func (w *Watchdog) SetJournalSink(fn func(JournalEntry)) {
 	if w.journal == nil {
 		return
 	}
-	w.mu.Lock()
+	w.lock()
 	w.journalSink = fn
 	w.mu.Unlock()
 }

@@ -1,0 +1,54 @@
+package core
+
+import (
+	"runtime"
+	"time"
+)
+
+// This file holds the watchdog lock's two helpers: lock, which every
+// cold-path site but the reference walk takes w.mu through, and
+// giveWayLocked, which the two O(fleet) holders — the due sweep and
+// the telemetry scrape — call at their page boundaries so that no
+// caller waits for a whole pass.
+
+// holdBudget is how long a paged holder of w.mu keeps it before it
+// gives way: one to two thousand runnables of sweep or scrape work on
+// the 2-CPU Xeon VM. The treatment executor's Deactivate and the beat
+// path's flow and eager-arrival reports wait about this long plus one
+// page (or until a burst of detections ends), instead of the rest of
+// the pass.
+const holdBudget = 50 * time.Microsecond
+
+// lock acquires w.mu. A caller that finds it held is counted in
+// w.waiters while it blocks, so a paged holder knows someone waits.
+func (w *Watchdog) lock() {
+	if w.mu.TryLock() {
+		return
+	}
+	w.waiters.Add(1)
+	w.mu.Lock()
+	w.waiters.Add(-1)
+}
+
+// giveWayLocked lets the caller's hold of w.mu, begun at *held, be
+// interrupted once it has passed holdBudget and either the caller has
+// something to hand over (pending: the sweep reported a detection since
+// it last gave way) or another caller waits for the lock. Giving way is
+// Unlock, one runtime.Gosched and lock again: sync.Mutex does not hand
+// the lock to a waiter, so without the Gosched the holder usually wins
+// it back, and the Sink's consumer, woken onto this processor by the
+// detection, would not run until the pass ended. It reports whether it
+// gave way; *held then restarts. Requires w.mu.
+func (w *Watchdog) giveWayLocked(held *time.Time, pending bool) bool {
+	if !pending && w.waiters.Load() == 0 {
+		return false
+	}
+	if time.Since(*held) < holdBudget {
+		return false
+	}
+	w.mu.Unlock()
+	runtime.Gosched()
+	w.lock()
+	*held = time.Now()
+	return true
+}

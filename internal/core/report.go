@@ -136,7 +136,12 @@ type StateEvent struct {
 // A Fault from the Cycle sweep is delivered as soon as its window is
 // judged, mid-sweep: runnables later in the same cycle have not been
 // judged yet, so their windows may still be open and their counters
-// still hold the closing window's beats.
+// still hold the closing window's beats. A reaction on a separate
+// goroutine can act before the sweep ends: once the sweep has held the
+// lock past its budget after a detection, it gives the lock and the
+// processor away at the next bitset word. A runnable the reaction
+// deactivates before the sweep reaches it is not judged on that cycle;
+// one already judged keeps its verdict.
 type Sink interface {
 	// Fault delivers one detected error.
 	Fault(Report)

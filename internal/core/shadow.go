@@ -97,7 +97,7 @@ func (w *Watchdog) SetShadow(rid runnable.ID, h Hypothesis) error {
 		return errors.New("core: shadow evaluation requires the wheel sweep, not the reference walk")
 	}
 	s := w.sched
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	if w.shadows == nil {
 		w.shadows = make(map[runnable.ID]*shadowState)
@@ -120,7 +120,7 @@ func (w *Watchdog) ClearShadow(rid runnable.ID) error {
 	if w.cfg.legacySweep {
 		return nil
 	}
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	if _, ok := w.shadows[rid]; ok {
 		w.sched.unschedule(int(rid), kindShadow)
@@ -137,7 +137,7 @@ func (w *Watchdog) ShadowVerdict(rid runnable.ID) (ShadowStats, error) {
 	if w.cfg.legacySweep {
 		return ShadowStats{}, fmt.Errorf("core: ShadowVerdict(%d): %w", rid, errNoShadow)
 	}
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	st, ok := w.shadows[rid]
 	if !ok {
@@ -158,7 +158,7 @@ func (w *Watchdog) Shadows() []ShadowReport {
 	if w.cfg.legacySweep {
 		return nil
 	}
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	if len(w.shadows) == 0 {
 		return nil
@@ -246,7 +246,7 @@ func (w *Watchdog) maybeSampleEstimator(c uint64) {
 // the first call, their deltas into estCounts, under w.mu. It
 // reports whether estCounts holds a window. Callers hold estMu.
 func (w *Watchdog) sampleCounts() bool {
-	w.mu.Lock()
+	w.lock()
 	defer w.mu.Unlock()
 	if !w.estPrimed {
 		// The first boundary only primes the per-runnable baselines: the

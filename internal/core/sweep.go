@@ -30,6 +30,13 @@ import (
 // a large sweep reaches the Sink before the later runnables of the
 // same cycle have been visited.
 //
+// A long sweep gives the watchdog's lock away between bitset words
+// (see sweepDue), so the Sink's consumer can treat a fault while the
+// rest of the bucket is still being swept, and a configuration call
+// made meanwhile applies before the next word. Cycle callers are
+// serialized on cycleMu: a second Cycle, or a ClearAll, waits for the
+// sweep to return instead of running in such a gap.
+//
 // Telemetry: every Cycle is timed into the sweep-duration histogram
 // (two monotonic clock reads per cycle, amortized over a whole
 // monitoring period), and the optional MetricsSink fires after the
@@ -50,8 +57,11 @@ func (w *Watchdog) Cycle() {
 // cycleWheel is the wheel-based sweep; it returns the new cycle number.
 func (w *Watchdog) cycleWheel() uint64 {
 	s := w.sched
-	w.mu.Lock()
+	w.cycleMu.Lock()
+	defer w.cycleMu.Unlock()
+	w.lock()
 	defer w.mu.Unlock()
+	held := time.Now()
 	c := w.cycle.Add(1)
 	// The previous cycle's slot was drained by its sweep, and nothing
 	// can have landed on it since: a deadline scheduled at cycle p lies
@@ -63,7 +73,7 @@ func (w *Watchdog) cycleWheel() uint64 {
 	}
 	b := &s.buckets[c&s.mask]
 	if b.alive.len() > 0 || b.arr.len() > 0 {
-		w.sweepDue(c, b.alive, b.arr)
+		w.sweepDue(c, b.alive, b.arr, &held)
 	}
 	if b.shadow.len() > 0 {
 		// Shadow windows are judged after the active ones closed, in
@@ -81,8 +91,17 @@ func (w *Watchdog) cycleWheel() uint64 {
 // judged before its arrival window, so detections — reported as each
 // window is judged — come out in exactly the order of the reference
 // walk. The drained bitsets stay on their slot until the next Cycle
-// releases them. Holds w.mu.
-func (w *Watchdog) sweepDue(c uint64, alive, arr *bitset) {
+// releases them.
+//
+// After each word without a detection the sweep may give w.mu away
+// (giveWayLocked; the hold began at *held): once past the hold budget,
+// when it has reported a detection since it last gave way or a caller
+// waits. So it gives way at most once per burst of detections, after
+// the burst. The words not yet reached are read afresh after the gap,
+// so a runnable a caller deactivated or rescheduled meanwhile is not
+// judged on this cycle. Nothing lands on slot c in the gap: every
+// deadline scheduled at cycle c lies in (c, c+size). Holds w.mu.
+func (w *Watchdog) sweepDue(c uint64, alive, arr *bitset, held *time.Time) {
 	s := w.sched
 	if alive == nil {
 		alive = s.none
@@ -90,6 +109,7 @@ func (w *Watchdog) sweepDue(c uint64, alive, arr *bitset) {
 	if arr == nil {
 		arr = s.none
 	}
+	pending := false // a detection was reported since the sweep last gave way
 	for si, sa := range alive.summary {
 		sr := arr.summary[si]
 		if sa|sr == 0 {
@@ -100,10 +120,23 @@ func (w *Watchdog) sweepDue(c uint64, alive, arr *bitset) {
 			wi := si<<6 + bits.TrailingZeros64(sw)
 			pa, pr := alive.words[wi], arr.words[wi]
 			alive.words[wi], arr.words[wi] = 0, 0
+			burst := false
 			for pw := pa | pr; pw != 0; pw &= pw - 1 {
 				bit := bits.TrailingZeros64(pw)
 				m := uint64(1) << bit
-				w.closeDue(c, wi<<6+bit, pa&m != 0, pr&m != 0)
+				if w.closeDue(c, wi<<6+bit, pa&m != 0, pr&m != 0) {
+					burst = true
+				}
+			}
+			switch {
+			case burst:
+				// Give way once the burst of detections ends, not
+				// inside it: the runnables of a failed task or node
+				// fault together, and a gap inside the burst would only
+				// delay the rest of its reports.
+				pending = true
+			case (pending || w.waiters.Load() != 0) && w.giveWayLocked(held, pending):
+				pending = false
 			}
 		}
 	}
@@ -114,10 +147,11 @@ func (w *Watchdog) sweepDue(c uint64, alive, arr *bitset) {
 // when alive, the arrival window when arr. The packed counter word is
 // cleared with one atomic — a swap when both windows close — and the
 // bank, anchors and deadlines are plain stores under w.mu. Detections
-// are reported on the spot, aliveness first. The Sink runs under the
-// lock and cannot reschedule, so reporting mid-sweep cannot change
-// what the rest of the sweep sees.
-func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool) {
+// are reported on the spot, aliveness first, and closeDue reports
+// whether it found a fault. The Sink runs under the lock and cannot
+// reschedule, and the sweep never gives the lock away inside closeDue,
+// so a runnable's two windows close and report together.
+func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool) bool {
 	s := w.sched
 	hs := &w.hot[rid]
 	// The drained deadlines are consumed: mark them unscheduled before
@@ -129,7 +163,7 @@ func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool) {
 		hs.arrDue, hs.arrLoc = 0, locNone
 	}
 	if hs.active.Load() == 0 {
-		return // defensive: deactivation unschedules under w.mu
+		return false // defensive: deactivation unschedules under w.mu
 	}
 	hyp := hs.hyp.Load()
 	alive = alive && hyp.AlivenessCycles > 0
@@ -143,7 +177,7 @@ func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool) {
 	case arr:
 		old = hs.closeArrival()
 	default:
-		return
+		return false
 	}
 	ac, arc := uint32(old>>32), uint32(old)
 	if alive {
@@ -165,6 +199,7 @@ func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool) {
 	if faultArr {
 		w.detectLocked(ArrivalRateError, runnable.ID(rid), int(arc), hyp.MaxArrivals, runnable.NoID)
 	}
+	return faultAlive || faultArr
 }
 
 // cycleLegacy is the retired full-table sweep (Config.legacySweep): one

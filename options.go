@@ -84,8 +84,11 @@ func WithoutJournal() Option {
 // detection is handed to sink, Seq stamped, immediately after it lands
 // in the ring. The sink runs under the watchdog's lock, so it MUST be
 // non-blocking and must not call any Watchdog method — hand the entry
-// off to a lock-free ring (the WAL does) or drop it. Ignored together
-// with WithoutJournal. Watchdog.SetJournalSink replaces it at runtime.
+// off to a lock-free ring (the WAL does) or drop it. A consumer on
+// another goroutine may call Watchdog methods and may act mid-sweep:
+// the Cycle gives the lock away between bitset words once it has held
+// it past its budget after a detection. Ignored together with
+// WithoutJournal. Watchdog.SetJournalSink replaces it at runtime.
 func WithJournalSink(sink func(JournalEntry)) Option {
 	return func(cfg *Config) { cfg.JournalSink = sink }
 }
