@@ -1,6 +1,6 @@
 // Calibration benchmarks (BENCH_calib.json): the healthy-beat cost
 // with the online estimator enabled (must match BenchmarkMonitorBeat —
-// the estimator is fed from banked counts on the Cycle goroutine, never
+// the estimator is fed from lifetime counts on the Cycle goroutine, never
 // the beat path), the per-window estimator sampling cost, and the pure
 // Suggest derivation over a fleet-sized baseline.
 //
@@ -16,7 +16,7 @@ import (
 )
 
 // BenchmarkMonitorBeatCalib measures the handle fast path with the
-// online estimator configured. The estimator samples banked beat
+// online estimator configured. The estimator samples lifetime beat
 // counts every window on the Cycle caller's goroutine, so this must
 // match BenchmarkMonitorBeat to within noise — the zero-cost-when-
 // healthy contract of the calibration subsystem, enforced at exactly
@@ -33,7 +33,7 @@ func BenchmarkMonitorBeatCalib(b *testing.B) {
 
 // BenchmarkCalibEstimatorSample measures one complete observation
 // window landing in the estimator: a single lock acquisition folding
-// every runnable's banked beat count into the EWMA, extremes and
+// every runnable's lifetime beat count into the EWMA, extremes and
 // quantile sketch. This is the whole per-window cost of online
 // calibration for a fleet of n runnables.
 func BenchmarkCalibEstimatorSample(b *testing.B) {

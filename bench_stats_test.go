@@ -14,10 +14,10 @@ import (
 )
 
 // BenchmarkBeatWithStats measures the handle fast path with the
-// telemetry layer in place. The lifetime beat counter is *banked*, not
-// counted per beat: every beat already lands in AC, and the cold paths
-// (window close, counter reset) fold outgoing AC into an accumulator —
-// so this must match BenchmarkMonitorBeat to within noise. The
+// telemetry layer in place. The lifetime beat count costs the beat
+// nothing: it is the free-running counter AC and ARC are read off,
+// which no window close or counter reset clears — so this must match
+// BenchmarkMonitorBeat to within noise. The
 // acceptance bound is ≤ 2 ns/beat of added cost versus the recorded
 // baseline (~22-25 ns single-threaded on the reference host).
 func BenchmarkBeatWithStats(b *testing.B) {

@@ -4,7 +4,7 @@
 //   - The Estimator (this file) maintains per-runnable arrival-rate
 //     baselines — exact window extremes, an EWMA rate and a fixed-size
 //     log-bucketed quantile sketch — fed off the hot path from the beat
-//     counts the core already banks (see core.Config.EstimatorWindowCycles):
+//     counts the core already keeps (see core.Config.EstimatorWindowCycles):
 //     one sampling pass per observation window on the Cycle caller's
 //     goroutine, zero added cost per heartbeat.
 //   - Suggest (suggest.go) is the pure, deterministic suggestion engine
@@ -65,7 +65,7 @@ type rstate struct {
 // Estimator maintains online per-runnable arrival baselines. It is safe
 // for concurrent use: SampleWindows is called once per observation
 // window (cold), readers take the same mutex. The hot heartbeat path
-// never touches it — the core feeds it from already-banked beat counts.
+// never touches it — the core feeds it from the beat counts it already keeps.
 type Estimator struct {
 	mu     sync.Mutex
 	cfg    EstimatorConfig

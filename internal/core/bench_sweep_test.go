@@ -142,38 +142,71 @@ func BenchmarkCycleSweep(b *testing.B) {
 	// The fleet's case: 5,001 nodes × 5 runnables activated together, so
 	// all 25,005 aliveness windows expire on one cycle in every 30. Each
 	// runnable beats once per window (no detections); only the due cycle
-	// is timed.
-	b.Run("n=25000/aligned", func(b *testing.B) {
-		const period = 30
-		w, mons := buildAlignedWatchdog(b, 5001, 5, Hypothesis{AlivenessCycles: period, MinHeartbeats: 1}, nil)
-		// Beat once and run the window's cycles up to the due one.
-		window := func() {
-			for _, m := range mons {
-				m.Beat()
-			}
-			for k := 1; k < period; k++ {
-				w.Cycle()
-			}
+	// is timed. In "aligned" the benchmark goroutine beats; in
+	// "aligned-remote" a goroutine locked to another OS thread does, as
+	// the ingest read loops do in the daemon, so the due sweep reads
+	// counter lines another CPU wrote last.
+	b.Run("n=25000/aligned", func(b *testing.B) { benchAligned(b, false) })
+	b.Run("n=25000/aligned-remote", func(b *testing.B) {
+		if runtime.GOMAXPROCS(0) < 2 {
+			b.Skip("needs GOMAXPROCS >= 2 for a second beating thread")
 		}
-		// Two due cycles put the wheel's recycled bitsets on the free
-		// list, so the timed loop sees the steady state.
-		for i := 0; i < 2; i++ {
-			window()
-			w.Cycle()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			window()
-			b.StartTimer()
-			w.Cycle()
-		}
-		b.StopTimer()
-		if r := w.Results(); r.Aliveness != 0 {
-			b.Fatalf("aligned sweep raised %d aliveness faults", r.Aliveness)
-		}
+		benchAligned(b, true)
 	})
+}
+
+// benchAligned times the due cycle of the aligned fleet (see
+// BenchmarkCycleSweep), with the beats from a goroutine locked to an OS
+// thread of its own when remote.
+func benchAligned(b *testing.B, remote bool) {
+	const period = 30
+	w, mons := buildAlignedWatchdog(b, 5001, 5, Hypothesis{AlivenessCycles: period, MinHeartbeats: 1}, nil)
+	local := func() {
+		for _, m := range mons {
+			m.Beat()
+		}
+	}
+	beatAll := local
+	if remote {
+		beat, beaten := make(chan struct{}), make(chan struct{})
+		go func() {
+			runtime.LockOSThread()
+			for range beat {
+				local()
+				beaten <- struct{}{}
+			}
+		}()
+		defer close(beat)
+		beatAll = func() {
+			beat <- struct{}{}
+			<-beaten
+		}
+	}
+	// Beat once and run the window's cycles up to the due one.
+	window := func() {
+		beatAll()
+		for k := 1; k < period; k++ {
+			w.Cycle()
+		}
+	}
+	// Two due cycles put the wheel's recycled bitsets on the free
+	// list, so the timed loop sees the steady state.
+	for i := 0; i < 2; i++ {
+		window()
+		w.Cycle()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		window()
+		b.StartTimer()
+		w.Cycle()
+	}
+	b.StopTimer()
+	if r := w.Results(); r.Aliveness != 0 {
+		b.Fatalf("aligned sweep raised %d aliveness faults", r.Aliveness)
+	}
 }
 
 // onFault0 is a Sink that calls fn on each fault of runnable 0. The

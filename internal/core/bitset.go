@@ -41,6 +41,15 @@ func (b *bitset) set(id int) {
 	b.n++
 }
 
+// orWord inserts the ids of payload word wi whose bits are set in m,
+// which must be non-zero.
+func (b *bitset) orWord(wi int, m uint64) {
+	old := b.words[wi]
+	b.words[wi] = old | m
+	b.summary[wi>>6] |= 1 << (uint(wi) & 63)
+	b.n += bits.OnesCount64(m &^ old)
+}
+
 // clear removes id; removing an absent id is a no-op.
 func (b *bitset) clear(id int) {
 	w := uint(id) >> 6

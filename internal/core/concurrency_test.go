@@ -233,7 +233,8 @@ func TestConcurrentBeatCycle_Race(t *testing.T) {
 // state guarded by the watchdog's lock against Cycle and live
 // heartbeats: SnapshotInto and CounterSnapshot, program-flow violations
 // and eager arrival detections (whose journal freeze-frames read the
-// sweep state), the estimator sampler, Activate/SetHypothesis with
+// sweep state), the estimator sampler (from the Cycle driver and a
+// goroutine of its own), Activate/SetHypothesis with
 // interned values, flow-table edits, the result, TSI and journal
 // readers, journal sink swaps, the shadow guard and ClearAll. Run it
 // under -race. The fleet spans four bitset words, two of its tasks miss
@@ -300,6 +301,17 @@ func TestConcurrentLockContract_Race(t *testing.T) {
 			monitors[(i/4)%len(monitors)].BeatN(100)
 		}
 	})
+	// The estimator sampler, besides the one the Cycle driver runs every
+	// third cycle: it reads the beat counters without the lock.
+	run(func(i int) {
+		if i%8 == 0 {
+			w.estMu.Lock()
+			if w.sampleCounts() {
+				w.est.SampleWindows(w.estCounts)
+			}
+			w.estMu.Unlock()
+		}
+	})
 	// Readers of the sweep state.
 	run(func(i int) {
 		var snap Snapshot
@@ -358,6 +370,79 @@ func TestConcurrentLockContract_Race(t *testing.T) {
 	}
 	if journaled.Load() == 0 {
 		t.Fatal("journal sink saw no detection")
+	}
+}
+
+// TestEagerArrivalElection_Race beats one eager-armed runnable from
+// many goroutines while Cycle closes its short arrival windows. Every
+// beat past a window's MaxArrivals calls the election, and it must elect
+// one reporter per exceeded window: each report observed more than
+// MaxArrivals beats, so there are at most beats/(MaxArrivals+1) of them,
+// and no beat is lost or counted twice. Run it under -race.
+func TestEagerArrivalElection_Race(t *testing.T) {
+	const (
+		maxArrivals = 7
+		beaters     = 8
+		perBeater   = 2000
+	)
+	f := newFixture(t, func(c *Config) { c.EagerArrivalCheck = true })
+	if err := f.w.SetHypothesis(f.a, Hypothesis{ArrivalCycles: 2, MaxArrivals: maxArrivals}); err != nil {
+		t.Fatalf("SetHypothesis: %v", err)
+	}
+	if err := f.w.Activate(f.a); err != nil {
+		t.Fatalf("Activate: %v", err)
+	}
+	m, err := f.w.Register(f.a)
+	if err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	var issued atomic.Uint64
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < beaters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < perBeater; i++ {
+				if g%2 == 0 {
+					m.Beat()
+					issued.Add(1)
+				} else {
+					m.BeatN(3)
+					issued.Add(3)
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		<-start
+		for i := 0; i < perBeater/4; i++ {
+			f.w.Cycle()
+		}
+	}()
+	close(start)
+	wg.Wait()
+	<-done
+
+	beats := issued.Load()
+	reports := 0
+	for _, r := range f.sink.faults {
+		if r.Kind != ArrivalRateError {
+			t.Fatalf("unexpected report %+v", r)
+		}
+		if r.Observed <= maxArrivals {
+			t.Fatalf("report observed %d beats, want > %d: %+v", r.Observed, maxArrivals, r)
+		}
+		reports++
+	}
+	if reports == 0 || uint64(reports) > beats/(maxArrivals+1) {
+		t.Fatalf("%d reports for %d beats, want 1..%d", reports, beats, beats/(maxArrivals+1))
+	}
+	if got := f.w.Snapshot().Runnables[f.a].Beats; got != beats {
+		t.Fatalf("lifetime beats = %d, want %d", got, beats)
 	}
 }
 

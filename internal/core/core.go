@@ -155,7 +155,7 @@ type Config struct {
 	MetricsEveryCycles int
 	// EstimatorWindowCycles enables the online calibration estimator
 	// (internal/calib): every EstimatorWindowCycles monitoring cycles the
-	// banked per-runnable beat counts are sampled into one observation
+	// lifetime per-runnable beat counts are sampled into one observation
 	// window, on the goroutine that called Cycle. Zero disables the
 	// estimator; the heartbeat hot path is identical either way.
 	EstimatorWindowCycles int
@@ -363,9 +363,9 @@ func New(cfg Config) (*Watchdog, error) {
 	w.lastHyp = disabled
 	for i := range w.hot {
 		w.hot[i].hyp.Store(disabled)
-		w.hot[i].eagerLimit.Store(eagerDisabled)
+		w.hot[i].eagerAt.Store(eagerDisabled)
 		w.taskOf[i] = cfg.Model.TaskOf(runnable.ID(i))
-		w.hot[i].tid = w.taskOf[i]
+		w.hot[i].tid = int32(w.taskOf[i])
 	}
 	w.sched = newScheduler(w.hot, cfg.wheelSize)
 	w.flow.Store(newFlowTable(n))
@@ -407,13 +407,17 @@ func (w *Watchdog) SetHypothesis(rid runnable.ID, h Hypothesis) error {
 	hs := &w.hot[rid]
 	if old := hs.hyp.Load(); old.ArrivalCycles == 0 && h.ArrivalCycles > 0 {
 		// Arrival monitoring switches on: ARC has been accumulating since
-		// the unit was last off (beats always increment both halves) and
-		// must not count against the first monitored window. Drain it; AC
-		// is preserved, so aliveness supervision sees no gap.
-		hs.closeArrival()
+		// the unit was last off (every beat counts in both) and must not
+		// count against the first monitored window. Drain it; AC is
+		// preserved, so aliveness supervision sees no gap.
+		hs.arrBase = hs.beats.Load()
 	}
 	hs.hyp.Store(w.internLocked(h))
-	hs.eagerLimit.Store(eagerLimitFor(w.cfg.EagerArrivalCheck, h))
+	if lim := eagerLimit(w.cfg.EagerArrivalCheck, &h); lim > 0 {
+		hs.eagerAt.Store(hs.arrBase + lim)
+	} else {
+		hs.eagerAt.Store(eagerDisabled)
+	}
 	if !w.cfg.legacySweep {
 		// Re-derive the deadlines under the new hypothesis, preserving
 		// the in-flight windows' elapsed cycles (the reference sweep does
@@ -479,7 +483,7 @@ func (w *Watchdog) setActive(rid runnable.ID, active bool) error {
 	} else {
 		hs.active.Store(0)
 	}
-	hs.resetCounters()
+	hs.resetCounters(w.cfg.EagerArrivalCheck)
 	if !w.cfg.legacySweep {
 		w.reschedFreshLocked(rid)
 	}
@@ -562,26 +566,24 @@ func (w *Watchdog) Heartbeat(rid runnable.ID) {
 
 // beat is the shared hot path of Heartbeat and Monitor.Beat. rid has been
 // validated; hs is the runnable's hot state (which carries the hosting
-// task). The telemetry layer adds NOTHING here: lifetime beat counts are
-// derived by banking AC at window closes and resets (see
-// hotState.bankBeats), so a healthy beat costs exactly what it did
-// before the observability layer existed.
+// task). The telemetry layer adds NOTHING here: the beat counter AC and
+// ARC are read off is never reset, so it is the lifetime beat count
+// too, and a healthy beat costs one atomic add and one load.
 func (w *Watchdog) beat(rid runnable.ID, hs *hotState) {
 	if hs.active.Load() != 0 {
-		v := hs.addBeat()
-		if uint32(v) > hs.eagerLimit.Load() {
+		if v := hs.beats.Add(1); v > hs.eagerAt.Load() {
 			w.eagerArrival(rid, hs, v)
 		}
 	}
 	ft := w.flow.Load()
 	if ft.isMonitored(rid) {
-		w.checkFlow(ft, rid, hs.tid)
+		w.checkFlow(ft, rid, runnable.TaskID(hs.tid))
 	}
 }
 
-// MaxBatchBeats bounds one BeatN call. The packed AC|ARC counter word
-// gives each half 32 bits; capping a single batch far below 2^32 keeps
-// one add from carrying the ARC half into AC even when windows run long.
+// MaxBatchBeats bounds one BeatN call, so a single call can add only so
+// much to a window's counters. The wire protocol's per-record cap is
+// the same value.
 const MaxBatchBeats = 1 << 24
 
 // beatN is the batched-aliveness hot path behind Monitor.BeatN: n
@@ -598,8 +600,7 @@ func (w *Watchdog) beatN(rid runnable.ID, hs *hotState, n int) {
 	if hs.active.Load() == 0 {
 		return
 	}
-	v := hs.acArc.Add(uint64(n)<<32 | uint64(n))
-	if uint32(v) > hs.eagerLimit.Load() {
+	if v := hs.beats.Add(uint64(n)); v > hs.eagerAt.Load() {
 		w.eagerArrival(rid, hs, v)
 	}
 }
@@ -619,7 +620,7 @@ func (w *Watchdog) FlowEvent(rid runnable.ID) {
 	}
 	ft := w.flow.Load()
 	if ft.isMonitored(rid) {
-		w.checkFlow(ft, rid, w.hot[rid].tid)
+		w.checkFlow(ft, rid, runnable.TaskID(w.hot[rid].tid))
 	}
 }
 
@@ -719,26 +720,30 @@ func (w *Watchdog) flowRecord(ft *flowTable, table []runnable.ID, i uint32) (run
 }
 
 // eagerArrival is the cold path of the EagerArrivalCheck ablation: the
-// heartbeat that pushed ARC beyond MaxArrivals reports the arrival-rate
-// error immediately and resets the window. The CompareAndSwap elects
-// exactly one reporter when several heartbeats race past the limit.
+// heartbeat whose beat count v pushed ARC beyond MaxArrivals reports
+// the arrival-rate error immediately and resets the window. The
+// election happens under w.mu: the first such heartbeat to take the
+// lock finds v past the current window's limit, reports, and restarts
+// the window at the current beat count, so every heartbeat that raced
+// past the same limit then finds its v inside the new window, as does
+// one whose window a Cycle sweep closed meanwhile.
 func (w *Watchdog) eagerArrival(rid runnable.ID, hs *hotState, v uint64) {
 	w.lock()
 	defer w.mu.Unlock()
-	// Clear the ARC half, preserving AC. The CAS elects exactly one
-	// reporter: it fails if another heartbeat or a Cycle sweep already
-	// moved the counter word.
-	if !hs.acArc.CompareAndSwap(v, v&^uint64(1<<32-1)) {
-		return // another heartbeat or a Cycle sweep already closed the window
-	}
-	hs.ccar = 0
 	hyp := hs.hyp.Load()
+	lim := eagerLimit(w.cfg.EagerArrivalCheck, hyp)
+	if lim == 0 || v <= hs.arrBase+lim {
+		return // disarmed, or another heartbeat or a sweep closed the window
+	}
+	arc := v - hs.arrBase
+	hs.openArrival(hs.beats.Load(), lim)
+	hs.ccar = 0
 	if !w.cfg.legacySweep {
 		// The mid-period ARC reset restarts the arrival window; move its
 		// deadline accordingly.
 		w.reschedArrivalRestartLocked(rid, hyp)
 	}
-	w.detectLocked(ArrivalRateError, rid, int(uint32(v)), hyp.MaxArrivals, runnable.NoID)
+	w.detectLocked(ArrivalRateError, rid, int(arc), hyp.MaxArrivals, runnable.NoID)
 }
 
 // checkFlow implements the PFC unit: compare the actually executed
@@ -903,7 +908,7 @@ func (w *Watchdog) clearTaskLocked(tid runnable.TaskID, rids []runnable.ID) {
 	ts.flowSeen = false
 	ts.correlatedAlivenessReported = false
 	for _, rid := range rids {
-		w.hot[rid].resetCounters()
+		w.hot[rid].resetCounters(w.cfg.EagerArrivalCheck)
 		w.errv[rid] = [3]uint64{}
 		if !w.cfg.legacySweep {
 			w.reschedFreshLocked(rid)
@@ -932,7 +937,7 @@ func (w *Watchdog) SuspendTaskMonitoring(tid runnable.TaskID) error {
 		if hs.active.Load() != 0 {
 			ts.suspendedAS = append(ts.suspendedAS, rid)
 			hs.active.Store(0)
-			hs.resetCounters()
+			hs.resetCounters(w.cfg.EagerArrivalCheck)
 			if !w.cfg.legacySweep {
 				w.reschedFreshLocked(rid)
 			}
@@ -959,7 +964,7 @@ func (w *Watchdog) resumeTaskLocked(tid runnable.TaskID) {
 	for _, rid := range ts.suspendedAS {
 		hs := &w.hot[rid]
 		hs.active.Store(1)
-		hs.resetCounters()
+		hs.resetCounters(w.cfg.EagerArrivalCheck)
 		if !w.cfg.legacySweep {
 			w.reschedFreshLocked(rid)
 		}
@@ -997,7 +1002,7 @@ func (w *Watchdog) ClearAll() {
 	// Shadow candidates survive the reset: reopen their windows at cycle
 	// zero from the (monotonic) lifetime beat counts.
 	for rid, st := range w.shadows {
-		st.startBeats = w.hot[rid].lifetimeBeats()
+		st.startBeats = w.hot[rid].beats.Load()
 		s.schedule(int(rid), kindShadow, st.window(), 0)
 	}
 }
@@ -1016,30 +1021,32 @@ func (w *Watchdog) CounterSnapshot(rid runnable.ID) (Counters, error) {
 	}
 	w.lock()
 	defer w.mu.Unlock()
-	return w.countersLocked(rid), nil
+	c, _ := w.countersLocked(rid)
+	return c, nil
 }
 
 // countersLocked is the read behind CounterSnapshot, shared with the
-// telemetry Snapshot and the journal's freeze-frames. rid must be valid;
+// telemetry Snapshot and the journal's freeze-frames. It also returns
+// the lifetime beat count AC and ARC were read off. rid must be valid;
 // callers hold w.mu.
-func (w *Watchdog) countersLocked(rid runnable.ID) Counters {
+func (w *Watchdog) countersLocked(rid runnable.ID) (Counters, uint64) {
 	hs := &w.hot[rid]
-	acArc := hs.acArc.Load()
+	b := hs.beats.Load()
 	c := Counters{
 		Active: hs.active.Load() != 0,
-		AC:     int(uint32(acArc >> 32)),
-		ARC:    int(uint32(acArc)),
+		AC:     int(b - hs.aliveBase),
+		ARC:    int(b - hs.arrBase),
 	}
 	if w.cfg.legacySweep {
 		c.CCA, c.CCAR = int(hs.cca), int(hs.ccar)
-		return c
+		return c, b
 	}
 	// The wheel sweep does not increment CCA/CCAR every cycle; the values
 	// are derived from the window anchors instead.
 	now := w.cycle.Load()
 	c.CCA = int(uint32(anchorElapsed(hs.aliveAnchor, now)))
 	c.CCAR = int(uint32(anchorElapsed(hs.arrAnchor, now)))
-	return c
+	return c, b
 }
 
 // Results reports the cumulative detection counts (the AM/AR/PFC Result

@@ -250,6 +250,37 @@ func TestEagerArrivalCheckDetectsImmediately(t *testing.T) {
 	}
 }
 
+// TestArrivalCounterNoCarry pins that ARC, which nothing clears while
+// arrival monitoring is off, never spills into AC or the lifetime beat
+// count: 257 windows of MaxBatchBeats beats take ARC past 2^32.
+func TestArrivalCounterNoCarry(t *testing.T) {
+	f := newFixture(t, nil)
+	if err := f.w.SetHypothesis(f.a, Hypothesis{AlivenessCycles: 1, MinHeartbeats: 1}); err != nil {
+		t.Fatalf("SetHypothesis: %v", err)
+	}
+	if err := f.w.Activate(f.a); err != nil {
+		t.Fatalf("Activate: %v", err)
+	}
+	m, err := f.w.Register(f.a)
+	if err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	const rounds = 257
+	for round := 1; round <= rounds; round++ {
+		m.BeatN(MaxBatchBeats)
+		if c := m.Counters(); c.AC != MaxBatchBeats || c.ARC != round*MaxBatchBeats {
+			t.Fatalf("round %d: AC = %d, ARC = %d, want %d and %d", round, c.AC, c.ARC, MaxBatchBeats, round*MaxBatchBeats)
+		}
+		f.w.Cycle()
+	}
+	if got, want := f.w.Snapshot().Runnables[f.a].Beats, uint64(rounds*MaxBatchBeats); got != want {
+		t.Fatalf("lifetime beats = %d, want %d", got, want)
+	}
+	if r := f.w.Results(); r.Aliveness != 0 {
+		t.Fatalf("%d aliveness faults on a runnable that beat every window", r.Aliveness)
+	}
+}
+
 func TestInactiveRunnableNotMonitored(t *testing.T) {
 	f := newFixture(t, nil)
 	h := Hypothesis{AlivenessCycles: 5, MinHeartbeats: 1}

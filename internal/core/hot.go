@@ -15,11 +15,13 @@ import (
 //
 //   - Per-runnable counters (AC, ARC) and the Activation Status live in a
 //     cache-line-padded hotState so heartbeats from different runnables
-//     never write the same cache line (no false sharing). AC and ARC share
-//     one 64-bit word, so recording a heartbeat in both is a single atomic
-//     add. The same padded line also carries the runnable's sweep state
-//     (window anchors, wheel deadlines, lifetime-beat bank), which the
-//     beat path never reads.
+//     never write the same cache line (no false sharing). AC and ARC are
+//     both read off one free-running beat counter, so recording a
+//     heartbeat in both is a single atomic add, and closing a window is
+//     one atomic load and a plain store of the window's baseline. The
+//     same padded line also carries the runnable's sweep state (window
+//     baselines and anchors, wheel deadlines), which the beat path never
+//     reads.
 //   - The program-flow look-up table is an immutable snapshot swapped with
 //     an atomic pointer (copy-on-write on the rare AddFlowPair), so the
 //     per-beat flow check is two loads, a bit test and a scan of the
@@ -44,114 +46,104 @@ import (
 // also defeats the adjacent-line prefetcher on common x86 parts.
 const cacheLineSize = 64
 
-// eagerDisabled parks the eager arrival limit out of reach so the hot path
-// pays a single always-false compare when the eager check is off.
-const eagerDisabled = math.MaxUint32
+// eagerDisabled parks the eager arrival trip point out of reach so the
+// hot path pays a single always-false compare when the eager check is
+// off.
+const eagerDisabled = math.MaxUint64
 
 // hotState is the heartbeat-monitoring state of one runnable (§3.3):
-// the Aliveness Counter, Arrival Rate Counter and Activation Status the
-// beat path updates with atomics, and the runnable's sweep state
-// (runnableSched, see wheel.go) that only lock holders touch.
+// the beat counter and Activation Status the beat path updates with
+// atomics, and the runnable's sweep state (runnableSched, see wheel.go)
+// that only lock holders touch.
 //
 // Ownership discipline:
 //
-//   - acArc packs AC (high 32 bits) and ARC (low 32 bits) into one word,
-//     so the hot path records a heartbeat in both counters with a single
-//     atomic add. Window closes clear one half with a CAS loop, or swap
-//     the whole word when both windows close at once (cold, once per
-//     expired window). The packing is sound because both halves reset
-//     every few monitoring cycles; a window would need 2^32 beats for
-//     ARC to carry into AC.
-//   - active gates the counters; it is written by Activate/Deactivate and
+//   - beats counts every heartbeat recorded while the runnable was
+//     active, for its whole life; it is never reset. AC is beats minus
+//     the aliveness window's baseline (aliveBase) and ARC is beats
+//     minus the arrival window's (arrBase). A window close loads beats
+//     and moves its baseline there, a counter reset moves both, so a
+//     racing beat lands in either the closing or the fresh window, and
+//     lifetime beats are beats itself.
+//   - active gates the counter; it is written by Activate/Deactivate and
 //     the treatment paths (cold).
-//   - eagerLimit caches the immediate arrival-rate trip point
-//     (MaxArrivals when armed, eagerDisabled otherwise) so the hot path
-//     needs no hypothesis load.
+//   - eagerAt is the beat count past which a beat trips the eager arrival
+//     check: arrBase + MaxArrivals when the check is armed,
+//     eagerDisabled otherwise. It moves with arrBase only when armed, so
+//     the hot path needs no hypothesis load and an unarmed close no
+//     store.
 //   - hyp is the installed fault hypothesis, replaced wholesale by
 //     SetHypothesis (equal values share one interned pointer); the sweep
 //     reads it once per due runnable.
 //   - tid is the hosting task, precomputed at construction and immutable
 //     thereafter; keeping it on the runnable's own cache line saves the
 //     compat wrapper a second slice load.
-//   - the embedded runnableSched — the lifetime-beat bank, the window
-//     anchors, the wheel deadlines and the reference walk's CCA/CCAR —
-//     holds plain fields guarded by w.mu. Every writer (the sweep,
-//     activation changes, fault treatment, eager arrival detection)
-//     already holds that lock, and every reader takes it, so closing a
-//     window costs the one atomic that clears AC/ARC and nothing more.
+//   - the embedded runnableSched — the window baselines and anchors, the
+//     wheel deadlines and the reference walk's CCA/CCAR — holds plain
+//     fields guarded by w.mu. Every writer (the sweep, activation
+//     changes, fault treatment, eager arrival detection) already holds
+//     that lock, and every reader takes it.
 //
-// The beat path reads only the first 32 bytes; the sweep's fields for
-// an aliveness close follow on the same cache line.
+// The beat path reads only the first 32 bytes. Every field an aliveness
+// close reads or writes lies in the first 64 (TestHotLayout), so a due
+// window costs one cache line, one atomic load and plain stores.
 type hotState struct {
-	acArc      atomic.Uint64
-	active     atomic.Uint32
-	eagerLimit atomic.Uint32
-	hyp        atomic.Pointer[Hypothesis]
-	tid        runnable.TaskID
+	beats   atomic.Uint64
+	active  atomic.Uint32
+	tid     int32 // runnable.TaskID; the per-task registers bound it far below 2^31
+	eagerAt atomic.Uint64
+	hyp     atomic.Pointer[Hypothesis]
 	runnableSched
 
-	_ [2*cacheLineSize - 96]byte
+	_ [2*cacheLineSize - 104]byte
 }
 
-// addBeat records one heartbeat in AC and ARC with a single atomic add
-// and returns the packed post-add value.
-func (h *hotState) addBeat() uint64 { return h.acArc.Add(1<<32 | 1) }
-
-// loadAC returns the current Aliveness Counter.
-func (h *hotState) loadAC() uint32 { return uint32(h.acArc.Load() >> 32) }
-
-// closeAliveness atomically zeroes AC, preserving ARC, and returns the
-// word it replaced. Concurrent heartbeats land in either the closing or
-// the fresh window, exactly as with a dedicated counter swap.
-func (h *hotState) closeAliveness() uint64 {
-	for {
-		old := h.acArc.Load()
-		if h.acArc.CompareAndSwap(old, old&(1<<32-1)) {
-			return old
-		}
-	}
+// closeAlive closes the aliveness window at beat count b and returns
+// its AC. Requires w.mu.
+func (h *hotState) closeAlive(b uint64) uint64 {
+	ac := b - h.aliveBase
+	h.aliveBase = b
+	return ac
 }
 
-// closeArrival atomically zeroes ARC, preserving AC, and returns the
-// word it replaced.
-func (h *hotState) closeArrival() uint64 {
-	for {
-		old := h.acArc.Load()
-		if h.acArc.CompareAndSwap(old, old&^uint64(1<<32-1)) {
-			return old
-		}
+// closeArrival closes the arrival window at beat count b and returns
+// its ARC; lim is the eager limit (eagerLimit). Requires w.mu.
+func (h *hotState) closeArrival(b, lim uint64) uint64 {
+	arc := b - h.arrBase
+	h.openArrival(b, lim)
+	return arc
+}
+
+// openArrival opens an arrival window at beat count b and, when the
+// eager check is armed (lim > 0), moves the beat path's trip point with
+// it. Requires w.mu.
+func (h *hotState) openArrival(b, lim uint64) {
+	h.arrBase = b
+	if lim > 0 {
+		h.eagerAt.Store(b + lim)
 	}
 }
 
 // resetCounters zeroes AC, ARC, CCA and CCAR ("reset to zero, if the
 // periods ... expire or an error is detected", §3.3; also on activation
-// changes and fault treatment). The discarded AC is banked into the
-// lifetime beat counter first so the telemetry series survives resets.
-// A beat racing the reset lands on either side of it, exactly as the
-// monitoring semantics already allow. Requires w.mu.
-func (h *hotState) resetCounters() {
-	h.beatsAcc += uint64(uint32(h.acArc.Swap(0) >> 32))
+// changes and fault treatment) by moving both baselines to the current
+// beat count; eager is Config.EagerArrivalCheck. A beat racing the
+// reset lands on either side of it, exactly as the monitoring semantics
+// already allow. Requires w.mu.
+func (h *hotState) resetCounters(eager bool) {
+	b := h.beats.Load()
+	h.aliveBase = b
+	h.openArrival(b, eagerLimit(eager, h.hyp.Load()))
 	h.cca, h.ccar = 0, 0
 }
 
-// lifetimeBeats reports the cumulative heartbeats recorded while the
-// runnable's Activation Status was on: the banked closed windows plus
-// the live AC. Every bank happens under w.mu together with the AC
-// reset it accounts for, so under that lock the sum is exact up to the
-// beats still racing in. Requires w.mu.
-func (h *hotState) lifetimeBeats() uint64 {
-	return h.beatsAcc + uint64(h.loadAC())
-}
-
-// eagerLimitFor computes the hot-path arrival trip point for a hypothesis.
-func eagerLimitFor(eager bool, h Hypothesis) uint32 {
+// eagerLimit returns MaxArrivals when the eager arrival check is armed
+// for hypothesis h (eager is Config.EagerArrivalCheck), 0 otherwise.
+func eagerLimit(eager bool, h *Hypothesis) uint64 {
 	if !eager || h.ArrivalCycles <= 0 || h.MaxArrivals <= 0 {
-		return eagerDisabled
+		return 0
 	}
-	if uint64(h.MaxArrivals) >= uint64(eagerDisabled) {
-		return eagerDisabled
-	}
-	return uint32(h.MaxArrivals)
+	return uint64(h.MaxArrivals)
 }
 
 // flowPageBits sets the page size of the PFC successor table: one page

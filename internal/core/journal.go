@@ -185,6 +185,7 @@ func (w *Watchdog) journalLocked(kind ErrorKind, rid runnable.ID, tid runnable.T
 		return
 	}
 	e := w.errv[rid]
+	frame, beats := w.countersLocked(rid)
 	stamped := j.appendLocked(JournalEntry{
 		Time:           w.clock.Now(),
 		Cycle:          cycle,
@@ -196,8 +197,8 @@ func (w *Watchdog) journalLocked(kind ErrorKind, rid runnable.ID, tid runnable.T
 		Expected:       expected,
 		Predecessor:    pred,
 		Correlated:     correlated,
-		Frame:          w.countersLocked(rid),
-		Beats:          w.hot[rid].lifetimeBeats(),
+		Frame:          frame,
+		Beats:          beats,
 		ErrAliveness:   e[0],
 		ErrArrivalRate: e[1],
 		ErrProgramFlow: e[2],

@@ -30,4 +30,26 @@ func TestHotLayout(t *testing.T) {
 	if got := unsafe.Sizeof(predReg{}); got != cacheLineSize {
 		t.Errorf("sizeof(predReg) = %d, want %d", got, cacheLineSize)
 	}
+	// Every field an aliveness close reads or writes lies on hotState's
+	// first cache line, so a due window costs the sweep one line.
+	var h hotState
+	for _, f := range []struct {
+		name string
+		off  uintptr
+	}{
+		{"beats", unsafe.Offsetof(h.beats)},
+		{"active", unsafe.Offsetof(h.active)},
+		{"hyp", unsafe.Offsetof(h.hyp)},
+		{"aliveBase", unsafe.Offsetof(h.aliveBase)},
+		{"aliveAnchor", unsafe.Offsetof(h.aliveAnchor)},
+		{"aliveDue", unsafe.Offsetof(h.aliveDue)},
+		{"aliveLoc", unsafe.Offsetof(h.aliveLoc)},
+	} {
+		if f.off >= cacheLineSize {
+			t.Errorf("offset of hotState.%s = %d, want < %d", f.name, f.off, cacheLineSize)
+		}
+	}
 }
+
+// loadAC returns the live Aliveness Counter. Requires w.mu.
+func (h *hotState) loadAC() uint32 { return uint32(h.beats.Load() - h.aliveBase) }

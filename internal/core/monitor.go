@@ -43,8 +43,7 @@ func (m *Monitor) Beat() {
 // times back-to-back within the same monitoring window, except that the
 // program-flow check does not run (batching erases execution order; see
 // Watchdog.FlowEvent for the ordered PFC replay). n <= 0 is a no-op; n is
-// clamped to MaxBatchBeats so a single call can never carry the packed
-// ARC half into AC.
+// clamped to MaxBatchBeats.
 func (m *Monitor) BeatN(n int) {
 	m.w.beatN(m.rid, m.hs, n)
 }

@@ -13,7 +13,7 @@ import (
 // subsystem (internal/calib):
 //
 //   - the estimator feed: every Config.EstimatorWindowCycles cycles the
-//     per-runnable banked beat counts (hotState.lifetimeBeats) are
+//     per-runnable lifetime beat counts (hotState.beats) are
 //     differenced into window counts and handed to a calib.Estimator —
 //     on the Cycle caller's goroutine, after the sweep's locks are
 //     released, exactly like the metrics sink. The heartbeat hot path
@@ -34,7 +34,7 @@ import (
 // w.mu (the sweep evaluates while holding it).
 type shadowState struct {
 	hyp        Hypothesis
-	startBeats uint64 // lifetimeBeats at the current window's open
+	startBeats uint64 // lifetime beats at the current window's open
 	windows    uint64
 	wouldAlive uint64
 	wouldArr   uint64
@@ -105,7 +105,7 @@ func (w *Watchdog) SetShadow(rid runnable.ID, h Hypothesis) error {
 	if _, ok := w.shadows[rid]; ok {
 		s.unschedule(int(rid), kindShadow)
 	}
-	st := &shadowState{hyp: h, startBeats: w.hot[rid].lifetimeBeats()}
+	st := &shadowState{hyp: h, startBeats: w.hot[rid].beats.Load()}
 	w.shadows[rid] = st
 	c := w.cycle.Load()
 	s.schedule(int(rid), kindShadow, c+st.window(), c)
@@ -180,10 +180,9 @@ func (w *Watchdog) Shadows() []ShadowReport {
 // sweepShadows judges the shadow windows expiring this cycle. Called
 // from cycleWheel while holding w.mu, after the active windows were
 // processed. The window's beat count is the lifetime-beat delta since
-// the window opened — exact under w.mu, because every banking site
-// (window closes, counter resets) runs with w.mu held; a racing beat
-// lands in this window or the next, exactly as with the active
-// counters. Windows closing while the runnable is inactive are skipped:
+// the window opened; a racing beat lands in this window or the next,
+// exactly as with the active counters. Windows closing while the
+// runnable is inactive are skipped:
 // they resynchronize the baseline without rendering a verdict.
 func (w *Watchdog) sweepShadows(c uint64) {
 	s := w.sched
@@ -194,7 +193,7 @@ func (w *Watchdog) sweepShadows(c uint64) {
 		if st == nil {
 			continue // defensive: due bit without state
 		}
-		cur := hs.lifetimeBeats()
+		cur := hs.beats.Load()
 		if hs.active.Load() != 0 {
 			beats := cur - st.startBeats
 			st.windows++
@@ -227,9 +226,8 @@ func (w *Watchdog) Estimator() *calib.Estimator { return w.est }
 // since the previous sample, with inactive runnables excluded. Runs on
 // the Cycle caller's goroutine after the sweep released its lock, like
 // maybeEmitMetrics; estMu serializes concurrent Cycle callers so the
-// deltas stay consistent. The counts are read under one acquisition of
-// w.mu (the lifetime-beat bank is guarded by it) and handed to the
-// estimator after it is released.
+// deltas stay consistent. The counts are atomic loads and never take
+// w.mu, so the O(fleet) read holds off neither the sweep nor treatment.
 func (w *Watchdog) maybeSampleEstimator(c uint64) {
 	if w.est == nil || c%w.estEvery != 0 {
 		return
@@ -243,25 +241,23 @@ func (w *Watchdog) maybeSampleEstimator(c uint64) {
 }
 
 // sampleCounts reads the lifetime beat counts into estLast and, after
-// the first call, their deltas into estCounts, under w.mu. It
-// reports whether estCounts holds a window. Callers hold estMu.
+// the first call, their deltas into estCounts. It reports whether
+// estCounts holds a window. Callers hold estMu.
 func (w *Watchdog) sampleCounts() bool {
-	w.lock()
-	defer w.mu.Unlock()
 	if !w.estPrimed {
 		// The first boundary only primes the per-runnable baselines: the
 		// window behind it has no known left edge (beats may predate the
 		// cycle driver — fleet warm-up traffic) and would inflate the
 		// recorded extremes.
 		for i := range w.hot {
-			w.estLast[i] = w.hot[i].lifetimeBeats()
+			w.estLast[i] = w.hot[i].beats.Load()
 		}
 		w.estPrimed = true
 		return false
 	}
 	for i := range w.hot {
 		hs := &w.hot[i]
-		cur := hs.lifetimeBeats()
+		cur := hs.beats.Load()
 		delta := cur - w.estLast[i]
 		w.estLast[i] = cur
 		if hs.active.Load() == 0 {

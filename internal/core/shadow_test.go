@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"swwd/internal/calib"
 	"swwd/internal/runnable"
@@ -171,7 +172,7 @@ func TestShadowSurvivesClearAll(t *testing.T) {
 }
 
 // TestEstimatorSampling checks the Cycle-driven estimator feed: window
-// counts equal the beats banked between samples, and inactive runnables
+// counts equal the beats recorded between samples, and inactive runnables
 // are excluded rather than recorded as silent.
 func TestEstimatorSampling(t *testing.T) {
 	f := newFixture(t, func(c *Config) { c.EstimatorWindowCycles = 5 })
@@ -219,6 +220,40 @@ func TestEstimatorSampling(t *testing.T) {
 	off := newFixture(t, nil)
 	if off.w.Estimator() != nil {
 		t.Fatal("estimator present without EstimatorWindowCycles")
+	}
+}
+
+// TestSampleCountsWithoutLock pins that the estimator sampler reads the
+// lifetime beat counts without the watchdog's lock: it completes, with
+// the right window counts, while another goroutine holds w.mu.
+func TestSampleCountsWithoutLock(t *testing.T) {
+	f := newFixture(t, func(c *Config) { c.EstimatorWindowCycles = 5 })
+	f.monitorAll()
+	sample := func() bool {
+		f.w.estMu.Lock()
+		defer f.w.estMu.Unlock()
+		return f.w.sampleCounts()
+	}
+	sample() // primes the baselines
+	for i := 0; i < 3; i++ {
+		f.w.Heartbeat(f.b)
+	}
+	f.w.mu.Lock()
+	done := make(chan bool)
+	go func() { done <- sample() }()
+	select {
+	case ok := <-done:
+		f.w.mu.Unlock()
+		if !ok {
+			t.Fatal("primed sampler reported no window")
+		}
+	case <-time.After(5 * time.Second):
+		f.w.mu.Unlock()
+		<-done
+		t.Fatal("sampleCounts waited for the watchdog's lock")
+	}
+	if got := f.w.estCounts[f.b]; got != 3 {
+		t.Fatalf("window count of B = %d, want 3", got)
 	}
 }
 

@@ -13,11 +13,10 @@ import (
 // sweep-duration histogram.
 //
 // Cost contract: the heartbeat hot path pays NOTHING for any of this.
-// The lifetime beat series is derived by banking each closing window's
-// AC into a per-runnable accumulator on the (cold) sweep and reset
-// paths, and every other figure comes from state the watchdog already
-// maintains. Reading a snapshot is cold: the per-runnable counters,
-// beat banks and error-indication vectors are copied under the
+// The lifetime beat series is the free-running beat counter AC and ARC
+// are read off, and every other figure comes from state the watchdog
+// already maintains. Reading a snapshot is cold: the per-runnable
+// counters, beat counts and error-indication vectors are copied under the
 // watchdog's lock in pages of snapshotPage runnables, and the lock may
 // be given to a waiting caller between pages, so a scrape never holds
 // the sweep or the treatment executor off for a whole fleet's copy.
@@ -39,7 +38,7 @@ type RunnableStats struct {
 	Active bool
 	// Beats is the lifetime count of heartbeats recorded while the
 	// runnable was active. Unlike AC/ARC it survives window closes and
-	// counter resets: closing windows bank their AC into an accumulator.
+	// counter resets: it is the beat counter those two are read off.
 	Beats uint64
 	// AC/ARC/CCA/CCAR are the live §3.3 monitoring counters.
 	AC, ARC, CCA, CCAR int
@@ -118,12 +117,12 @@ func (w *Watchdog) SnapshotInto(s *Snapshot) {
 			w.giveWayLocked(&held, false)
 		}
 		rs := &s.Runnables[i]
-		c := w.countersLocked(runnable.ID(i))
+		c, beats := w.countersLocked(runnable.ID(i))
 		e := w.errv[i]
 		rs.ID = runnable.ID(i)
 		rs.Active = c.Active
 		rs.AC, rs.ARC, rs.CCA, rs.CCAR = c.AC, c.ARC, c.CCA, c.CCAR
-		rs.Beats = w.hot[i].beatsAcc + uint64(c.AC)
+		rs.Beats = beats
 		rs.ErrAliveness, rs.ErrArrivalRate, rs.ErrProgramFlow = e[0], e[1], e[2]
 	}
 	s.Cycle = w.cycle.Load()

@@ -21,10 +21,10 @@ import (
 // The sweep is deadline-driven: only runnables whose aliveness or
 // arrival window expires on this very cycle are visited — O(due work)
 // via the timer wheel's bitmap buckets instead of the retired O(N) walk
-// over every padded counter line. Expiring windows are closed with one
-// atomic on the packed counter word so concurrent heartbeats land in
-// either the closing or the next window; the rest of the window
-// bookkeeping is plain stores under w.mu. Each detection is
+// over every padded counter line. An expiring window is closed with one
+// atomic load of the runnable's beat counter and a plain store of the
+// window's baseline under w.mu, so concurrent heartbeats land in either
+// the closing or the next window. Each detection is
 // reported the moment its window is judged (§3.3: the TSI reports an
 // error indication as the counters are checked), so a fault early in
 // a large sweep reaches the Sink before the later runnables of the
@@ -91,7 +91,11 @@ func (w *Watchdog) cycleWheel() uint64 {
 // judged before its arrival window, so detections — reported as each
 // window is judged — come out in exactly the order of the reference
 // walk. The drained bitsets stay on their slot until the next Cycle
-// releases them.
+// releases them. The runnables of a word whose next aliveness deadline
+// is one in-horizon cycle are indexed with one OR into that bucket at
+// the end of the word (wordAlive); nothing in the word reads the
+// bucket before then, since the Sink and the journal sink run under
+// w.mu and cannot reschedule.
 //
 // After each word without a detection the sweep may give w.mu away
 // (giveWayLocked; the hold began at *held): once past the hold budget,
@@ -121,13 +125,15 @@ func (w *Watchdog) sweepDue(c uint64, alive, arr *bitset, held *time.Time) {
 			pa, pr := alive.words[wi], arr.words[wi]
 			alive.words[wi], arr.words[wi] = 0, 0
 			burst := false
+			var ws wordAlive
 			for pw := pa | pr; pw != 0; pw &= pw - 1 {
 				bit := bits.TrailingZeros64(pw)
 				m := uint64(1) << bit
-				if w.closeDue(c, wi<<6+bit, pa&m != 0, pr&m != 0) {
+				if w.closeDue(c, wi<<6+bit, pa&m != 0, pr&m != 0, &ws) {
 					burst = true
 				}
 			}
+			s.flushAlive(&ws, wi)
 			switch {
 			case burst:
 				// Give way once the burst of detections ends, not
@@ -144,14 +150,15 @@ func (w *Watchdog) sweepDue(c uint64, alive, arr *bitset, held *time.Time) {
 }
 
 // closeDue closes the due windows of one runnable: the aliveness window
-// when alive, the arrival window when arr. The packed counter word is
-// cleared with one atomic — a swap when both windows close — and the
-// bank, anchors and deadlines are plain stores under w.mu. Detections
-// are reported on the spot, aliveness first, and closeDue reports
-// whether it found a fault. The Sink runs under the lock and cannot
-// reschedule, and the sweep never gives the lock away inside closeDue,
-// so a runnable's two windows close and report together.
-func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool) bool {
+// when alive, the arrival window when arr. Both read one atomic load of
+// the beat counter; the baselines, anchors and deadlines are plain
+// stores under w.mu, and the next aliveness deadline joins ws, the
+// sweep's word of deadlines, when it can. Detections are reported on
+// the spot, aliveness first, and closeDue reports whether it found a
+// fault. The Sink runs under the lock and cannot reschedule, and the
+// sweep never gives the lock away inside closeDue, so a runnable's two
+// windows close and report together.
+func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool, ws *wordAlive) bool {
 	s := w.sched
 	hs := &w.hot[rid]
 	// The drained deadlines are consumed: mark them unscheduled before
@@ -168,24 +175,22 @@ func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool) bool {
 	hyp := hs.hyp.Load()
 	alive = alive && hyp.AlivenessCycles > 0
 	arr = arr && hyp.ArrivalCycles > 0
-	var old uint64
-	switch {
-	case alive && arr:
-		old = hs.acArc.Swap(0)
-	case alive:
-		old = hs.closeAliveness()
-	case arr:
-		old = hs.closeArrival()
-	default:
+	if !alive && !arr {
 		return false
 	}
-	ac, arc := uint32(old>>32), uint32(old)
+	b := hs.beats.Load()
+	var ac, arc uint64
 	if alive {
-		hs.beatsAcc += uint64(ac)
+		ac = hs.closeAlive(b)
 		hs.aliveAnchor = c
-		s.schedule(rid, kindAlive, c+uint64(hyp.AlivenessCycles), c)
+		if due := c + uint64(hyp.AlivenessCycles); ws.join(rid, due, c, s.size) {
+			hs.aliveDue, hs.aliveLoc = due, locBucket
+		} else {
+			s.schedule(rid, kindAlive, due, c)
+		}
 	}
 	if arr {
+		arc = hs.closeArrival(b, eagerLimit(w.cfg.EagerArrivalCheck, hyp))
 		hs.arrAnchor = c
 		s.schedule(rid, kindArr, c+uint64(hyp.ArrivalCycles), c)
 	}
@@ -204,8 +209,9 @@ func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool) bool {
 
 // cycleLegacy is the retired full-table sweep (Config.legacySweep): one
 // pass over every runnable's padded counter line per cycle, per-cycle
-// CCA/CCAR increments. It holds w.mu for the walk, as the wheel sweep
-// does, since the bank and the cycle counters it writes are guarded by
+// CCA/CCAR increments, window closes on the same beat-count baselines
+// as the wheel. It holds w.mu for the walk, as the wheel sweep does,
+// since the baselines and the cycle counters it writes are guarded by
 // that lock. Kept as the reference
 // implementation the equivalence tests replay against and as the
 // "before" side of BenchmarkCycleSweep.
@@ -221,8 +227,7 @@ func (w *Watchdog) cycleLegacy() uint64 {
 		hyp := hs.hyp.Load()
 		if hyp.AlivenessCycles > 0 {
 			if hs.cca++; hs.cca >= uint32(hyp.AlivenessCycles) {
-				ac := uint32(hs.closeAliveness() >> 32)
-				hs.beatsAcc += uint64(ac)
+				ac := hs.closeAlive(hs.beats.Load())
 				hs.cca = 0
 				if int(ac) < hyp.MinHeartbeats {
 					w.detectLocked(AlivenessError, runnable.ID(i), int(ac), hyp.MinHeartbeats, runnable.NoID)
@@ -231,7 +236,7 @@ func (w *Watchdog) cycleLegacy() uint64 {
 		}
 		if hyp.ArrivalCycles > 0 {
 			if hs.ccar++; hs.ccar >= uint32(hyp.ArrivalCycles) {
-				arc := uint32(hs.closeArrival())
+				arc := hs.closeArrival(hs.beats.Load(), eagerLimit(w.cfg.EagerArrivalCheck, hyp))
 				hs.ccar = 0
 				if int(arc) > hyp.MaxArrivals {
 					w.detectLocked(ArrivalRateError, runnable.ID(i), int(arc), hyp.MaxArrivals, runnable.NoID)
@@ -319,8 +324,8 @@ func (w *Watchdog) reschedPreserveLocked(rid runnable.ID) {
 }
 
 // reschedArrivalRestartLocked restarts the arrival window after an eager
-// arrival detection reset ARC mid-period (the reference sweep's
-// ccar.Store(0)). Requires w.mu.
+// arrival detection reset ARC mid-period (the reference walk's
+// ccar = 0). Requires w.mu.
 func (w *Watchdog) reschedArrivalRestartLocked(rid runnable.ID, hyp *Hypothesis) {
 	s := w.sched
 	c := w.cycle.Load()

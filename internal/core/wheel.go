@@ -70,14 +70,12 @@ func anchorElapsed(a, c uint64) uint64 {
 // of a second array. Every field is a plain field guarded by w.mu:
 // the sweep, activation changes, fault treatment and the eager arrival
 // detection write it holding that lock, and CounterSnapshot, the
-// telemetry Snapshot, the estimator sampler and the journal's
-// freeze-frames take the lock to read it.
+// telemetry Snapshot and the journal's freeze-frames take the lock to
+// read it.
 //
-//   - beatsAcc banks the lifetime heartbeat count: whenever AC is about
-//     to be consumed (a window close) or discarded (a counter reset), the
-//     outgoing AC is added here first. Lifetime beats are beatsAcc + live
-//     AC — the cumulative "beats seen while active" series at zero cost
-//     per beat.
+//   - aliveBase/arrBase are the beat counts at which the running
+//     aliveness and arrival windows opened: AC and ARC are the beats
+//     since (see hotState).
 //   - aliveAnchor/arrAnchor replace the per-cycle CCA/CCAR increments of
 //     the reference walk: the start cycle of the running window, or a
 //     frozen counter value (see anchorElapsed).
@@ -88,12 +86,13 @@ func anchorElapsed(a, c uint64) uint64 {
 // The fields an aliveness close touches come first, so with hotState's
 // leading beat-path words they fill one cache line.
 type runnableSched struct {
-	beatsAcc    uint64
+	aliveBase   uint64
 	aliveAnchor uint64
 	aliveDue    uint64 // absolute cycle the aliveness window expires; 0 = unscheduled
 	aliveLoc    uint8
 	arrLoc      uint8
 	shadowLoc   uint8
+	arrBase     uint64
 	arrAnchor   uint64
 	arrDue      uint64
 	shadowDue   uint64
@@ -247,6 +246,34 @@ func (s *scheduler) schedule(rid, kind int, due, now uint64) {
 		loc = locOverflow
 	}
 	s.hot[rid].setDueLoc(kind, due, loc)
+}
+
+// wordAlive gathers, for the sweep of one bitset word, the runnables
+// whose next aliveness deadline is the same in-horizon cycle, so the
+// sweep indexes them with one OR into that cycle's bucket (flushAlive)
+// instead of a schedule call each.
+type wordAlive struct {
+	due  uint64
+	bits uint64
+}
+
+// join adds rid to ws when its next aliveness deadline due (> now)
+// lies within the horizon size and ws is empty or holds due, and
+// reports whether it did.
+func (ws *wordAlive) join(rid int, due, now, size uint64) bool {
+	if due-now >= size || (ws.bits != 0 && ws.due != due) {
+		return false
+	}
+	ws.due = due
+	ws.bits |= 1 << (uint(rid) & 63)
+	return true
+}
+
+// flushAlive ORs ws into its bucket as payload word wi.
+func (s *scheduler) flushAlive(ws *wordAlive, wi int) {
+	if ws.bits != 0 {
+		s.buckets[ws.due&s.mask].get(kindAlive, s).orWord(wi, ws.bits)
+	}
 }
 
 // unschedule removes a deadline if one is indexed. Callers hold w.mu.

@@ -107,7 +107,7 @@ func WithMetricsSink(sink func(*Snapshot), everyCycles int) Option {
 }
 
 // WithEstimatorWindow enables the online calibration estimator: every
-// cycles monitoring cycles the per-runnable banked beat counts are
+// cycles monitoring cycles the per-runnable lifetime beat counts are
 // sampled into one observation window (arrival-rate EWMA, extremes and
 // a quantile sketch), queryable via Watchdog.Estimator and feeding
 // SuggestHypotheses. Sampling happens on the goroutine that called

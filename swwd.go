@@ -101,7 +101,7 @@ type (
 	Clock = sim.Clock
 	// Estimator is the online calibration estimator: per-runnable
 	// arrival-rate EWMA, window extremes and a fixed-size quantile
-	// sketch, fed from the banked beat counts when the watchdog is
+	// sketch, fed from the lifetime beat counts when the watchdog is
 	// configured with WithEstimatorWindow.
 	Estimator = calib.Estimator
 	// CalibrationBaseline is a recorded estimator baseline, replayable
