@@ -1,9 +1,9 @@
 // BenchmarkCycleSweep measures the per-cycle sweep cost across monitored
-// population size, due fraction and sweep implementation — the evidence
-// that the due-cycle timer wheel killed the O(N) per-cycle walk (README
+// population size and due fraction — the evidence that the due-cycle
+// timer wheel's cost follows the due work, not the population (README
 // §Performance, `make bench-json`) — plus the aligned fleet row, where
-// every window of 25,005 runnables expires on the same cycle. It lives in-package because the walk
-// is reachable only through the unexported legacySweep test hook.
+// every window of 25,005 runnables expires on the same cycle. It lives
+// in-package beside BenchmarkLockWait, which reads the watchdog's lock.
 // BenchmarkLockWait times what the O(fleet) holders of the watchdog's
 // lock cost everyone else: a Deactivate issued while the aligned sweep
 // or a scrape runs.
@@ -26,7 +26,7 @@ import (
 // during the benchmark, so they park in the wheel's overflow set. The
 // huge MaxArrivals keeps every window closure detection-free: the bench
 // measures the sweep mechanism, not the reporting path.
-func buildSweepWatchdog(b *testing.B, n, duePct int, legacy bool) *Watchdog {
+func buildSweepWatchdog(b *testing.B, n, duePct int) *Watchdog {
 	b.Helper()
 	m := runnable.NewModel()
 	app, err := m.AddApp("sweep", runnable.SafetyCritical)
@@ -47,7 +47,7 @@ func buildSweepWatchdog(b *testing.B, n, duePct int, legacy bool) *Watchdog {
 	if err := m.Freeze(); err != nil {
 		b.Fatalf("Freeze: %v", err)
 	}
-	w, err := New(Config{Model: m, Clock: sim.NewWallClock(), legacySweep: legacy})
+	w, err := New(Config{Model: m, Clock: sim.NewWallClock()})
 	if err != nil {
 		b.Fatalf("New: %v", err)
 	}
@@ -117,26 +117,18 @@ func buildAlignedWatchdog(b *testing.B, tasks, perTask int, hyp Hypothesis, sink
 }
 
 func BenchmarkCycleSweep(b *testing.B) {
-	impls := []struct {
-		name   string
-		legacy bool
-	}{
-		{"wheel", false},
-		{"walk", true},
-	}
 	for _, n := range []int{1000, 10000, 100000} {
 		for _, duePct := range []int{1, 50, 100} {
-			for _, impl := range impls {
-				name := fmt.Sprintf("n=%d/due=%d%%/impl=%s", n, duePct, impl.name)
-				b.Run(name, func(b *testing.B) {
-					w := buildSweepWatchdog(b, n, duePct, impl.legacy)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						w.Cycle()
-					}
-				})
-			}
+			// The impl=wheel suffix keeps the rows matching the
+			// committed BENCH_cycle.json.
+			b.Run(fmt.Sprintf("n=%d/due=%d%%/impl=wheel", n, duePct), func(b *testing.B) {
+				w := buildSweepWatchdog(b, n, duePct)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					w.Cycle()
+				}
+			})
 		}
 	}
 	// The fleet's case: 5,001 nodes × 5 runnables activated together, so

@@ -162,11 +162,6 @@ type Config struct {
 	// wheelSize overrides the timer-wheel bucket count (power of two;
 	// zero means defaultWheelSize). In-package test hook.
 	wheelSize uint64
-	// legacySweep selects the retired O(N) full-table walk instead of the
-	// due-cycle timer wheel: the bit-identical reference the equivalence
-	// tests replay against and the "walk" side of BenchmarkCycleSweep.
-	// In-package test hook.
-	legacySweep bool
 }
 
 // tstate is the TSI state of one task. All fields are cold-path state
@@ -232,9 +227,7 @@ type Watchdog struct {
 	preds  []predReg
 	cycle  atomic.Uint64
 
-	// sched is the due-cycle timer wheel driving the Cycle sweep. With
-	// Config.legacySweep the reference full-table walk runs instead and
-	// the wheel stays empty.
+	// sched is the due-cycle timer wheel driving the Cycle sweep.
 	sched *scheduler
 
 	// mu is the single cold-path mutex. It guards the sweep state (the
@@ -418,12 +411,10 @@ func (w *Watchdog) SetHypothesis(rid runnable.ID, h Hypothesis) error {
 	} else {
 		hs.eagerAt.Store(eagerDisabled)
 	}
-	if !w.cfg.legacySweep {
-		// Re-derive the deadlines under the new hypothesis, preserving
-		// the in-flight windows' elapsed cycles (the reference sweep does
-		// not reset counters on a hypothesis change).
-		w.reschedPreserveLocked(rid)
-	}
+	// Re-derive the deadlines under the new hypothesis, preserving the
+	// in-flight windows' elapsed cycles: a hypothesis change resets no
+	// counter.
+	w.reschedPreserveLocked(rid)
 	return nil
 }
 
@@ -484,9 +475,7 @@ func (w *Watchdog) setActive(rid runnable.ID, active bool) error {
 		hs.active.Store(0)
 	}
 	hs.resetCounters(w.cfg.EagerArrivalCheck)
-	if !w.cfg.legacySweep {
-		w.reschedFreshLocked(rid)
-	}
+	w.reschedFreshLocked(rid)
 	return nil
 }
 
@@ -737,12 +726,9 @@ func (w *Watchdog) eagerArrival(rid runnable.ID, hs *hotState, v uint64) {
 	}
 	arc := v - hs.arrBase
 	hs.openArrival(hs.beats.Load(), lim)
-	hs.ccar = 0
-	if !w.cfg.legacySweep {
-		// The mid-period ARC reset restarts the arrival window; move its
-		// deadline accordingly.
-		w.reschedArrivalRestartLocked(rid, hyp)
-	}
+	// The mid-period ARC reset restarts the arrival window; move its
+	// deadline accordingly.
+	w.reschedArrivalRestartLocked(rid, hyp)
 	w.detectLocked(ArrivalRateError, rid, int(arc), hyp.MaxArrivals, runnable.NoID)
 }
 
@@ -773,8 +759,7 @@ func (w *Watchdog) reportFlow(pred, rid runnable.ID, tid runnable.TaskID) {
 	w.detectLocked(ProgramFlowError, rid, 0, 0, pred)
 }
 
-// Cycle is implemented in sweep.go: the wheel-based due-cycle sweep by
-// default, or the legacy full-table walk with Config.legacySweep.
+// Cycle is implemented in sweep.go: the wheel-based due-cycle sweep.
 
 // detectLocked routes one detected error through the collaboration logic
 // and the TSI unit, and reports it to the sink. Callers hold w.mu.
@@ -910,9 +895,7 @@ func (w *Watchdog) clearTaskLocked(tid runnable.TaskID, rids []runnable.ID) {
 	for _, rid := range rids {
 		w.hot[rid].resetCounters(w.cfg.EagerArrivalCheck)
 		w.errv[rid] = [3]uint64{}
-		if !w.cfg.legacySweep {
-			w.reschedFreshLocked(rid)
-		}
+		w.reschedFreshLocked(rid)
 	}
 	if ts.state != StateOK {
 		w.setTaskStateLocked(tid, StateOK, 0)
@@ -938,9 +921,7 @@ func (w *Watchdog) SuspendTaskMonitoring(tid runnable.TaskID) error {
 			ts.suspendedAS = append(ts.suspendedAS, rid)
 			hs.active.Store(0)
 			hs.resetCounters(w.cfg.EagerArrivalCheck)
-			if !w.cfg.legacySweep {
-				w.reschedFreshLocked(rid)
-			}
+			w.reschedFreshLocked(rid)
 		}
 	}
 	return nil
@@ -965,9 +946,7 @@ func (w *Watchdog) resumeTaskLocked(tid runnable.TaskID) {
 		hs := &w.hot[rid]
 		hs.active.Store(1)
 		hs.resetCounters(w.cfg.EagerArrivalCheck)
-		if !w.cfg.legacySweep {
-			w.reschedFreshLocked(rid)
-		}
+		w.reschedFreshLocked(rid)
 	}
 	ts.suspendedAS = ts.suspendedAS[:0]
 }
@@ -989,9 +968,6 @@ func (w *Watchdog) ClearAll() {
 	}
 	s := w.sched
 	w.cycle.Store(0)
-	if w.cfg.legacySweep {
-		return
-	}
 	// Bucket slots are keyed by absolute cycle numbers: rewinding the
 	// counter invalidates every indexed deadline, so rebuild the wheel
 	// from the (freshly reset) per-runnable state.
@@ -1032,21 +1008,16 @@ func (w *Watchdog) CounterSnapshot(rid runnable.ID) (Counters, error) {
 func (w *Watchdog) countersLocked(rid runnable.ID) (Counters, uint64) {
 	hs := &w.hot[rid]
 	b := hs.beats.Load()
-	c := Counters{
+	// The sweep does not increment CCA/CCAR every cycle; they are
+	// derived from the window anchors.
+	now := w.cycle.Load()
+	return Counters{
 		Active: hs.active.Load() != 0,
 		AC:     int(b - hs.aliveBase),
 		ARC:    int(b - hs.arrBase),
-	}
-	if w.cfg.legacySweep {
-		c.CCA, c.CCAR = int(hs.cca), int(hs.ccar)
-		return c, b
-	}
-	// The wheel sweep does not increment CCA/CCAR every cycle; the values
-	// are derived from the window anchors instead.
-	now := w.cycle.Load()
-	c.CCA = int(uint32(anchorElapsed(hs.aliveAnchor, now)))
-	c.CCAR = int(uint32(anchorElapsed(hs.arrAnchor, now)))
-	return c, b
+		CCA:    int(uint32(anchorElapsed(hs.aliveAnchor, now))),
+		CCAR:   int(uint32(anchorElapsed(hs.arrAnchor, now))),
+	}, b
 }
 
 // Results reports the cumulative detection counts (the AM/AR/PFC Result

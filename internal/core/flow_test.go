@@ -15,7 +15,7 @@ import (
 // denseFlowTable is the reference PFC look-up table: the runnables ×
 // runnables bit matrix the watchdog kept before the sparse, paged
 // flowTable. It lives only here, as the oracle of the differential
-// tests, the same way legacySweep is kept as the sweep's reference.
+// tests, the way the specification in spec_test.go is the sweep's.
 type denseFlowTable struct {
 	monitored  []uint64
 	successors [][]uint64

@@ -78,15 +78,17 @@ const eagerDisabled = math.MaxUint64
 //   - tid is the hosting task, precomputed at construction and immutable
 //     thereafter; keeping it on the runnable's own cache line saves the
 //     compat wrapper a second slice load.
-//   - the embedded runnableSched — the window baselines and anchors, the
-//     wheel deadlines and the reference walk's CCA/CCAR — holds plain
-//     fields guarded by w.mu. Every writer (the sweep, activation
-//     changes, fault treatment, eager arrival detection) already holds
-//     that lock, and every reader takes it.
+//   - the embedded runnableSched — the window baselines and anchors and
+//     the wheel deadlines — holds plain fields guarded by w.mu. Every
+//     writer (the sweep, activation changes, fault treatment, eager
+//     arrival detection) already holds that lock, and every reader
+//     takes it.
 //
 // The beat path reads only the first 32 bytes. Every field an aliveness
 // close reads or writes lies in the first 64 (TestHotLayout), so a due
-// window costs one cache line, one atomic load and plain stores.
+// window costs one cache line, one atomic load and plain stores. The
+// fields use 96 of the 128 bytes; the padding is spare room for the
+// per-node footprint budget (ROADMAP 13c).
 type hotState struct {
 	beats   atomic.Uint64
 	active  atomic.Uint32
@@ -95,7 +97,7 @@ type hotState struct {
 	hyp     atomic.Pointer[Hypothesis]
 	runnableSched
 
-	_ [2*cacheLineSize - 104]byte
+	_ [2*cacheLineSize - 96]byte
 }
 
 // closeAlive closes the aliveness window at beat count b and returns
@@ -134,7 +136,6 @@ func (h *hotState) resetCounters(eager bool) {
 	b := h.beats.Load()
 	h.aliveBase = b
 	h.openArrival(b, eagerLimit(eager, h.hyp.Load()))
-	h.cca, h.ccar = 0, 0
 }
 
 // eagerLimit returns MaxArrivals when the eager arrival check is armed

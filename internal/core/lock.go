@@ -6,10 +6,9 @@ import (
 )
 
 // This file holds the watchdog lock's two helpers: lock, which every
-// cold-path site but the reference walk takes w.mu through, and
-// giveWayLocked, which the two O(fleet) holders — the due sweep and
-// the telemetry scrape — call at their page boundaries so that no
-// caller waits for a whole pass.
+// cold-path site takes w.mu through, and giveWayLocked, which the two
+// O(fleet) holders — the due sweep and the telemetry scrape — call at
+// their page boundaries so that no caller waits for a whole pass.
 
 // holdBudget is how long a paged holder of w.mu keeps it before it
 // gives way: one to two thousand runnables of sweep or scrape work on

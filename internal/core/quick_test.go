@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,49 +11,21 @@ import (
 	"swwd/internal/sim"
 )
 
-// refModel is an independent re-statement of the §3.3 heartbeat
-// monitoring semantics used as the oracle for property tests: counters
-// count heartbeats since the last reset; the aliveness check fires at
-// window end when heartbeats < min; the arrival check fires at window end
-// when heartbeats > max; counters reset at window end.
-type refModel struct {
-	hyp             Hypothesis
-	ac, arc         int
-	cca, ccar       int
-	aliveness, rate uint64
-}
-
-func (r *refModel) beat() {
-	r.ac++
-	r.arc++
-}
-
-func (r *refModel) cycle() {
-	if r.hyp.AlivenessCycles > 0 {
-		r.cca++
-		if r.cca >= r.hyp.AlivenessCycles {
-			if r.ac < r.hyp.MinHeartbeats {
-				r.aliveness++
-			}
-			r.ac, r.cca = 0, 0
-		}
-	}
-	if r.hyp.ArrivalCycles > 0 {
-		r.ccar++
-		if r.ccar >= r.hyp.ArrivalCycles {
-			if r.arc > r.hyp.MaxArrivals {
-				r.rate++
-			}
-			r.arc, r.ccar = 0, 0
-		}
-	}
-}
-
 // TestQuickHeartbeatSemantics drives random heartbeat/cycle interleavings
-// through the watchdog and the reference model and requires identical
-// counters and detection counts. Thresholds are set high so TSI state
-// does not interfere.
+// for random hypotheses through the watchdog and the specification
+// (spec_test.go) and requires identical counters after every step and
+// identical detections.
 func TestQuickHeartbeatSemantics(t *testing.T) {
+	m := runnable.NewModel()
+	app, _ := m.AddApp("A", runnable.QM)
+	task, _ := m.AddTask(app, "T", 1)
+	rid, err := m.AddRunnable(task, "R", time.Millisecond, runnable.QM)
+	if err != nil {
+		t.Fatalf("AddRunnable: %v", err)
+	}
+	if err := m.Freeze(); err != nil {
+		t.Fatalf("Freeze: %v", err)
+	}
 	f := func(seed int64, aCycles, minBeats, rCycles, maxArr uint8) bool {
 		hyp := Hypothesis{
 			AlivenessCycles: int(aCycles%8) + 1,
@@ -60,49 +33,20 @@ func TestQuickHeartbeatSemantics(t *testing.T) {
 			ArrivalCycles:   int(rCycles%8) + 1,
 			MaxArrivals:     int(maxArr%6) + 1,
 		}
-		m := runnable.NewModel()
-		app, _ := m.AddApp("A", runnable.QM)
-		task, _ := m.AddTask(app, "T", 1)
-		rid, err := m.AddRunnable(task, "R", time.Millisecond, runnable.QM)
-		if err != nil {
-			return false
-		}
-		if err := m.Freeze(); err != nil {
-			return false
-		}
-		w, err := New(Config{
-			Model: m, Clock: sim.NewManualClock(),
-			Thresholds: Thresholds{Aliveness: 1 << 30, ArrivalRate: 1 << 30, ProgramFlow: 1 << 30},
-		})
-		if err != nil {
-			return false
-		}
-		if err := w.SetHypothesis(rid, hyp); err != nil {
-			return false
-		}
-		if err := w.Activate(rid); err != nil {
-			return false
-		}
-		ref := &refModel{hyp: hyp}
+		r := newSpecRun(t, m, defaultSpecConfig(false), 0)
+		r.apply(specOp{kind: opSetHyp, rid: rid, hyp: hyp})
+		r.apply(specOp{kind: opActivate, rid: rid})
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 500; i++ {
+			op := specOp{kind: opBeat, rid: rid}
 			if rng.Intn(3) == 0 {
-				w.Cycle()
-				ref.cycle()
-			} else {
-				w.Heartbeat(rid)
-				ref.beat()
+				op.kind = opCycle
 			}
-			c, err := w.CounterSnapshot(rid)
-			if err != nil {
-				return false
-			}
-			if c.AC != ref.ac || c.ARC != ref.arc || c.CCA != ref.cca || c.CCAR != ref.ccar {
-				return false
-			}
+			r.apply(op)
+			r.compareState(t, fmt.Sprintf("seed %d hyp %+v op %d", seed, hyp, i))
 		}
-		res := w.Results()
-		return res.Aliveness == ref.aliveness && res.ArrivalRate == ref.rate
+		r.compareOutputs(t)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

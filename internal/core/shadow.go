@@ -78,7 +78,7 @@ var errNoShadow = errors.New("no shadow hypothesis installed")
 // replacing any previous candidate (the verdict counters restart). The
 // candidate needs a single monitoring window: AlivenessCycles and
 // ArrivalCycles must be equal when both are set, and at least one must
-// be set. Requires the wheel sweep (shadow deadlines ride it).
+// be set.
 func (w *Watchdog) SetShadow(rid runnable.ID, h Hypothesis) error {
 	if err := h.Validate(); err != nil {
 		return fmt.Errorf("core: SetShadow(%d): %w", rid, err)
@@ -92,9 +92,6 @@ func (w *Watchdog) SetShadow(rid runnable.ID, h Hypothesis) error {
 	if h.AlivenessCycles > 0 && h.ArrivalCycles > 0 && h.AlivenessCycles != h.ArrivalCycles {
 		return fmt.Errorf("core: SetShadow(%d): shadow evaluation needs one window, got %d/%d cycles",
 			rid, h.AlivenessCycles, h.ArrivalCycles)
-	}
-	if w.cfg.legacySweep {
-		return errors.New("core: shadow evaluation requires the wheel sweep, not the reference walk")
 	}
 	s := w.sched
 	w.lock()
@@ -117,9 +114,6 @@ func (w *Watchdog) ClearShadow(rid runnable.ID) error {
 	if err := w.checkRunnable(rid); err != nil {
 		return err
 	}
-	if w.cfg.legacySweep {
-		return nil
-	}
 	w.lock()
 	defer w.mu.Unlock()
 	if _, ok := w.shadows[rid]; ok {
@@ -133,9 +127,6 @@ func (w *Watchdog) ClearShadow(rid runnable.ID) error {
 func (w *Watchdog) ShadowVerdict(rid runnable.ID) (ShadowStats, error) {
 	if err := w.checkRunnable(rid); err != nil {
 		return ShadowStats{}, err
-	}
-	if w.cfg.legacySweep {
-		return ShadowStats{}, fmt.Errorf("core: ShadowVerdict(%d): %w", rid, errNoShadow)
 	}
 	w.lock()
 	defer w.mu.Unlock()
@@ -155,9 +146,6 @@ func (w *Watchdog) ShadowVerdict(rid runnable.ID) (ShadowStats, error) {
 // Shadows lists every installed shadow hypothesis and its verdict, in
 // ascending runnable order.
 func (w *Watchdog) Shadows() []ShadowReport {
-	if w.cfg.legacySweep {
-		return nil
-	}
 	w.lock()
 	defer w.mu.Unlock()
 	if len(w.shadows) == 0 {

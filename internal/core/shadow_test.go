@@ -143,12 +143,6 @@ func TestShadowValidation(t *testing.T) {
 	if _, err := f.w.ShadowVerdict(f.b); err == nil {
 		t.Error("verdict without a shadow installed")
 	}
-
-	legacy := newFixture(t, func(c *Config) { c.legacySweep = true })
-	legacy.monitorAll()
-	if err := legacy.w.SetShadow(legacy.a, Hypothesis{AlivenessCycles: 5, MinHeartbeats: 1}); err == nil {
-		t.Error("the reference walk accepted a shadow hypothesis")
-	}
 }
 
 // TestShadowSurvivesClearAll: ClearAll rewinds the cycle counter and

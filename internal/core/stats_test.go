@@ -319,28 +319,28 @@ func TestMetricsSinkSeesDetections(t *testing.T) {
 	}
 }
 
-func TestSnapshotLegacySweepParity(t *testing.T) {
-	// The telemetry layer must work identically under the reference
-	// full-table sweep (no wheel anchors to derive CCA/CCAR from).
-	f := newFixture(t, func(cfg *Config) { cfg.legacySweep = true })
+func TestSnapshotMidWindow(t *testing.T) {
+	// Mid-window, the Snapshot derives CCA from the wheel's window
+	// anchors; at the window's end the starved runnables are judged.
+	f := newFixture(t, nil)
 	f.monitorAll()
 	f.w.Heartbeat(f.a)
 	cycleN(f.w, 3)
 	s := f.w.Snapshot()
 	if got := s.Runnables[f.a].CCA; got != 3 {
-		t.Fatalf("legacy CCA = %d, want 3", got)
+		t.Fatalf("CCA = %d, want 3", got)
 	}
 	if got := s.Runnables[f.a].Beats; got != 1 {
-		t.Fatalf("legacy Beats = %d, want 1", got)
+		t.Fatalf("Beats = %d, want 1", got)
 	}
 	if s.Sweep.Count != 3 {
-		t.Fatalf("legacy Sweep.Count = %d, want 3", s.Sweep.Count)
+		t.Fatalf("Sweep.Count = %d, want 3", s.Sweep.Count)
 	}
 	cycleN(f.w, 2)
 	if res := f.w.Results(); res.Aliveness != 2 { // b and c starved
-		t.Fatalf("legacy Aliveness = %d, want 2", res.Aliveness)
+		t.Fatalf("Aliveness = %d, want 2", res.Aliveness)
 	}
 	if entries := f.w.Journal(); len(entries) != 2 {
-		t.Fatalf("legacy journal has %d entries, want 2", len(entries))
+		t.Fatalf("journal has %d entries, want 2", len(entries))
 	}
 }

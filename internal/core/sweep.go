@@ -7,11 +7,11 @@ import (
 	"swwd/internal/runnable"
 )
 
-// This file holds the Cycle sweep implementations: the default
-// wheel-based sweep and the retired O(N) full-table walk, kept in-tree
-// only as the bit-identical reference for the equivalence replay tests
-// and as the "walk" side of BenchmarkCycleSweep (Config.legacySweep, an
-// in-package test hook).
+// This file holds the Cycle sweep over the due-cycle timer wheel
+// (wheel.go) and the rescheduling that keeps the wheel's deadlines in
+// step with the counters. The executable specification in spec_test.go
+// states what the sweep must compute; FuzzWatchdogAgainstSpec and
+// TestSweepEquivalence hold it to that.
 
 // Cycle advances the time-triggered part of the watchdog by one
 // monitoring cycle (§3.3: counters are "checked shortly before the next
@@ -20,8 +20,8 @@ import (
 //
 // The sweep is deadline-driven: only runnables whose aliveness or
 // arrival window expires on this very cycle are visited — O(due work)
-// via the timer wheel's bitmap buckets instead of the retired O(N) walk
-// over every padded counter line. An expiring window is closed with one
+// via the timer wheel's bitmap buckets instead of an O(N) walk over
+// every padded counter line. An expiring window is closed with one
 // atomic load of the runnable's beat counter and a plain store of the
 // window's baseline under w.mu, so concurrent heartbeats land in either
 // the closing or the next window. Each detection is
@@ -43,12 +43,7 @@ import (
 // sweep released the lock.
 func (w *Watchdog) Cycle() {
 	start := time.Now()
-	var c uint64
-	if w.cfg.legacySweep {
-		c = w.cycleLegacy()
-	} else {
-		c = w.cycleWheel()
-	}
+	c := w.cycleWheel()
 	w.sweepHist.record(time.Since(start))
 	w.maybeEmitMetrics(c)
 	w.maybeSampleEstimator(c)
@@ -89,9 +84,9 @@ func (w *Watchdog) cycleWheel() uint64 {
 // nil), one word at a time, draining both as it goes. Runnables are
 // visited in ascending order and a runnable's aliveness window is
 // judged before its arrival window, so detections — reported as each
-// window is judged — come out in exactly the order of the reference
-// walk. The drained bitsets stay on their slot until the next Cycle
-// releases them. The runnables of a word whose next aliveness deadline
+// window is judged — come out in the order of the specification's
+// cycle (spec_test.go). The drained bitsets stay on their slot until
+// the next Cycle releases them. The runnables of a word whose next aliveness deadline
 // is one in-horizon cycle are indexed with one OR into that bucket at
 // the end of the word (wordAlive); nothing in the word reads the
 // bucket before then, since the Sink and the journal sink run under
@@ -207,46 +202,6 @@ func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool, ws *wordAlive) b
 	return faultAlive || faultArr
 }
 
-// cycleLegacy is the retired full-table sweep (Config.legacySweep): one
-// pass over every runnable's padded counter line per cycle, per-cycle
-// CCA/CCAR increments, window closes on the same beat-count baselines
-// as the wheel. It holds w.mu for the walk, as the wheel sweep does,
-// since the baselines and the cycle counters it writes are guarded by
-// that lock. Kept as the reference
-// implementation the equivalence tests replay against and as the
-// "before" side of BenchmarkCycleSweep.
-func (w *Watchdog) cycleLegacy() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	c := w.cycle.Add(1)
-	for i := range w.hot {
-		hs := &w.hot[i]
-		if hs.active.Load() == 0 {
-			continue
-		}
-		hyp := hs.hyp.Load()
-		if hyp.AlivenessCycles > 0 {
-			if hs.cca++; hs.cca >= uint32(hyp.AlivenessCycles) {
-				ac := hs.closeAlive(hs.beats.Load())
-				hs.cca = 0
-				if int(ac) < hyp.MinHeartbeats {
-					w.detectLocked(AlivenessError, runnable.ID(i), int(ac), hyp.MinHeartbeats, runnable.NoID)
-				}
-			}
-		}
-		if hyp.ArrivalCycles > 0 {
-			if hs.ccar++; hs.ccar >= uint32(hyp.ArrivalCycles) {
-				arc := hs.closeArrival(hs.beats.Load(), eagerLimit(w.cfg.EagerArrivalCheck, hyp))
-				hs.ccar = 0
-				if int(arc) > hyp.MaxArrivals {
-					w.detectLocked(ArrivalRateError, runnable.ID(i), int(arc), hyp.MaxArrivals, runnable.NoID)
-				}
-			}
-		}
-	}
-	return c
-}
-
 // reschedFreshLocked re-derives both deadlines of a runnable after its
 // counters were reset (activation changes, fault treatment): monitored
 // windows restart at the current cycle; everything else freezes at zero.
@@ -275,11 +230,11 @@ func (w *Watchdog) reschedFreshLocked(rid runnable.ID) {
 }
 
 // reschedPreserveLocked re-derives both deadlines of a runnable after a
-// hypothesis change, preserving the elapsed cycle-counter value exactly
-// like the reference sweep does (SetHypothesis never resets counters):
-// the in-flight window keeps its age, a shortened period that is already
-// exceeded expires on the next cycle, and disabling a unit freezes the
-// counter where it stands. Requires w.mu.
+// hypothesis change, preserving the elapsed cycle-counter value (a
+// hypothesis change resets no counter): the in-flight window keeps its
+// age, a shortened period that is already exceeded expires on the next
+// cycle, and disabling a unit freezes the counter where it stands.
+// Requires w.mu.
 func (w *Watchdog) reschedPreserveLocked(rid runnable.ID) {
 	s := w.sched
 	c := w.cycle.Load()
@@ -324,8 +279,8 @@ func (w *Watchdog) reschedPreserveLocked(rid runnable.ID) {
 }
 
 // reschedArrivalRestartLocked restarts the arrival window after an eager
-// arrival detection reset ARC mid-period (the reference walk's
-// ccar = 0). Requires w.mu.
+// arrival detection reset ARC mid-period: CCAR restarts at zero.
+// Requires w.mu.
 func (w *Watchdog) reschedArrivalRestartLocked(rid runnable.ID, hyp *Hypothesis) {
 	s := w.sched
 	c := w.cycle.Load()

@@ -76,12 +76,10 @@ func anchorElapsed(a, c uint64) uint64 {
 //   - aliveBase/arrBase are the beat counts at which the running
 //     aliveness and arrival windows opened: AC and ARC are the beats
 //     since (see hotState).
-//   - aliveAnchor/arrAnchor replace the per-cycle CCA/CCAR increments of
-//     the reference walk: the start cycle of the running window, or a
-//     frozen counter value (see anchorElapsed).
+//   - aliveAnchor/arrAnchor stand for the per-cycle CCA/CCAR increments
+//     of §3.3: the start cycle of the running window, or a frozen
+//     counter value (see anchorElapsed).
 //   - the *Due/*Loc pairs index the runnable's deadlines in the wheel.
-//   - cca/ccar are the reference walk's cycle counters
-//     (Config.legacySweep); the wheel leaves them at zero.
 //
 // The fields an aliveness close touches come first, so with hotState's
 // leading beat-path words they fill one cache line.
@@ -96,8 +94,6 @@ type runnableSched struct {
 	arrAnchor   uint64
 	arrDue      uint64
 	shadowDue   uint64
-	cca         uint32
-	ccar        uint32
 }
 
 // dueLoc returns the deadline state for kind.

@@ -40,6 +40,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 
 	"swwd/internal/core"
 )
@@ -77,6 +78,13 @@ func (k Kind) String() string {
 // JournalSeq is the journal's monotonic entry sequence (also exported
 // as swwd_journal_seq), so WAL records, live journal reads and /history
 // results can be correlated and dedup'd across restarts.
+//
+// Observed, Expected and the counters AC, ARC, CCA and CCAR are stored
+// saturated to [0, MaxInt32]: a count past 2³¹−1 reads MaxInt32, never a
+// wrapped value. ARC of a runnable with arrival monitoring off is never
+// cleared, so it can pass that bound on a long-lived runnable. Wider
+// fields would lengthen the fixed payload that existing segments are
+// decoded by.
 type Detection struct {
 	JournalSeq uint64 `json:"journal_seq"`
 	SimTimeNs  int64  `json:"sim_time_ns"`
@@ -117,19 +125,24 @@ func FromJournal(e core.JournalEntry) Detection {
 		Task:           int32(e.Task),
 		App:            int32(e.App),
 		Predecessor:    int32(e.Predecessor),
-		Observed:       int32(e.Observed),
-		Expected:       int32(e.Expected),
+		Observed:       sat32(e.Observed),
+		Expected:       sat32(e.Expected),
 		Correlated:     e.Correlated,
 		Active:         e.Frame.Active,
-		AC:             int32(e.Frame.AC),
-		ARC:            int32(e.Frame.ARC),
-		CCA:            int32(e.Frame.CCA),
-		CCAR:           int32(e.Frame.CCAR),
+		AC:             sat32(e.Frame.AC),
+		ARC:            sat32(e.Frame.ARC),
+		CCA:            sat32(e.Frame.CCA),
+		CCAR:           sat32(e.Frame.CCAR),
 		Beats:          e.Beats,
 		ErrAliveness:   e.ErrAliveness,
 		ErrArrivalRate: e.ErrArrivalRate,
 		ErrProgramFlow: e.ErrProgramFlow,
 	}
+}
+
+// sat32 saturates a count to [0, MaxInt32] (see Detection).
+func sat32(v int) int32 {
+	return int32(max(0, min(v, math.MaxInt32)))
 }
 
 // Action is the durable form of one executed treatment action

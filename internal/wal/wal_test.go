@@ -4,12 +4,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"swwd/internal/core"
+	"swwd/internal/runnable"
+	"swwd/internal/sim"
 )
 
 // det builds a deterministic detection as a function of i — the shared
@@ -64,6 +69,59 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	if off != len(buf) {
 		t.Fatalf("decoded %d of %d bytes", off, len(buf))
+	}
+}
+
+// TestFromJournalSaturates journals a freeze-frame whose ARC is past
+// 2³¹−1, from a runnable with arrival monitoring off that beat 129
+// windows of MaxBatchBeats and then starved one, and requires the
+// durable ARC to read MaxInt32 instead of a wrapped negative value.
+func TestFromJournalSaturates(t *testing.T) {
+	m := runnable.NewModel()
+	app, _ := m.AddApp("A", runnable.QM)
+	task, _ := m.AddTask(app, "T", 1)
+	rid, err := m.AddRunnable(task, "R", time.Millisecond, runnable.QM)
+	if err != nil {
+		t.Fatalf("AddRunnable: %v", err)
+	}
+	if err := m.Freeze(); err != nil {
+		t.Fatalf("Freeze: %v", err)
+	}
+	var entries []core.JournalEntry
+	w, err := core.New(core.Config{Model: m, Clock: sim.NewManualClock(),
+		JournalSink: func(e core.JournalEntry) { entries = append(entries, e) }})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := w.SetHypothesis(rid, core.Hypothesis{AlivenessCycles: 1, MinHeartbeats: 1}); err != nil {
+		t.Fatalf("SetHypothesis: %v", err)
+	}
+	if err := w.Activate(rid); err != nil {
+		t.Fatalf("Activate: %v", err)
+	}
+	mon, err := w.Register(rid)
+	if err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	const windows = 129
+	for i := 0; i < windows; i++ {
+		mon.BeatN(core.MaxBatchBeats)
+		w.Cycle()
+	}
+	w.Cycle() // a silent window: one aliveness error
+	if len(entries) != 1 {
+		t.Fatalf("journaled %d entries, want 1", len(entries))
+	}
+	e := entries[0]
+	if want := windows * core.MaxBatchBeats; e.Frame.ARC != want {
+		t.Fatalf("journaled ARC = %d, want %d", e.Frame.ARC, want)
+	}
+	d := FromJournal(e)
+	if d.ARC != math.MaxInt32 {
+		t.Fatalf("durable ARC = %d, want %d", d.ARC, int32(math.MaxInt32))
+	}
+	if d.AC != 0 || d.Observed != 0 || d.Expected != 1 || d.Beats != e.Beats {
+		t.Fatalf("durable detection = %+v, want AC 0, Observed 0, Expected 1, Beats %d", d, e.Beats)
 	}
 }
 
