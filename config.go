@@ -279,11 +279,7 @@ func (s *Spec) Build(clock Clock, sink Sink) (*System, error) {
 		apps:      make(map[string]AppID),
 	}
 	model := NewModel()
-	type pendingHyp struct {
-		rid RunnableID
-		hyp Hypothesis
-	}
-	var hyps []pendingHyp
+	var hyps Batch // every runnable with a hypothesis: set it, then activate
 	var flows [][]RunnableID
 	for _, as := range s.Apps {
 		appCrit, err := parseCriticality(as.Criticality, "")
@@ -324,12 +320,13 @@ func (s *Spec) Build(clock Clock, sink Sink) (*System, error) {
 				sys.runnables[rs.Name] = rid
 				seq = append(seq, rid)
 				if rs.Hypothesis != nil {
-					hyps = append(hyps, pendingHyp{rid, Hypothesis{
+					hyps.SetHypothesis(rid, Hypothesis{
 						AlivenessCycles: rs.Hypothesis.AlivenessCycles,
 						MinHeartbeats:   rs.Hypothesis.MinHeartbeats,
 						ArrivalCycles:   rs.Hypothesis.ArrivalCycles,
 						MaxArrivals:     rs.Hypothesis.MaxArrivals,
-					}})
+					})
+					hyps.Activate(rid)
 				}
 			}
 			if ts.Flow {
@@ -385,13 +382,8 @@ func (s *Spec) Build(clock Clock, sink Sink) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, ph := range hyps {
-		if err := w.SetHypothesis(ph.rid, ph.hyp); err != nil {
-			return nil, err
-		}
-		if err := w.Activate(ph.rid); err != nil {
-			return nil, err
-		}
+	if err := w.Apply(&hyps); err != nil {
+		return nil, err
 	}
 	for _, seq := range flows {
 		if err := w.AddFlowSequence(seq...); err != nil {

@@ -234,9 +234,9 @@ func TestConcurrentBeatCycle_Race(t *testing.T) {
 // heartbeats: SnapshotInto and CounterSnapshot, program-flow violations
 // and eager arrival detections (whose journal freeze-frames read the
 // sweep state), the estimator sampler (from the Cycle driver and a
-// goroutine of its own), Activate/SetHypothesis with
-// interned values, flow-table edits, the result, TSI and journal
-// readers, journal sink swaps, the shadow guard and ClearAll. Run it
+// goroutine of its own), Activate/SetHypothesis with interned values,
+// batches over whole tasks, flow-table edits, the result, TSI and
+// journal readers, journal sink swaps, the shadow guard and ClearAll. Run it
 // under -race. The fleet spans four bitset words, two of its tasks miss
 // beats, and the journal sinks now and then hold the lock past the hold
 // budget, so the due sweeps raise detections and give the lock away
@@ -332,6 +332,24 @@ func TestConcurrentLockContract_Race(t *testing.T) {
 			_ = w.Deactivate(rid)
 		} else {
 			_ = w.Activate(rid)
+		}
+	})
+	// Batches: a whole task deactivated and activated again, or all its
+	// hypotheses re-installed, in one Apply, while sweeps give way.
+	var batch Batch
+	run(func(i int) {
+		ti := i % len(tids)
+		batch.Reset()
+		for _, rid := range rids[ti*perTask : (ti+1)*perTask] {
+			if i%3 == 0 {
+				batch.Deactivate(rid)
+				batch.Activate(rid)
+			} else {
+				batch.SetHypothesis(rid, hyps[i%2])
+			}
+		}
+		if err := w.Apply(&batch); err != nil {
+			t.Errorf("Apply: %v", err)
 		}
 	})
 	// Writers of the rest of the locked state: flow-table edits that

@@ -604,6 +604,41 @@ func TestCorrelatedReportMarked(t *testing.T) {
 	}
 }
 
+// TestCorrelationReArms: Fig. 6 suppresses the repeats within one burst
+// of flow errors, not every later aliveness error. A flow error more
+// than the correlation window after the task's previous one starts a
+// new burst, which accumulates its own correlated aliveness error.
+func TestCorrelationReArms(t *testing.T) {
+	f := newFixture(t, nil)
+	if err := f.w.SetHypothesis(f.b, Hypothesis{AlivenessCycles: 2, MinHeartbeats: 1}); err != nil {
+		t.Fatalf("SetHypothesis: %v", err)
+	}
+	if err := f.w.Activate(f.b); err != nil {
+		t.Fatalf("Activate: %v", err)
+	}
+	if err := f.w.AddFlowSequence(f.a, f.c); err != nil {
+		t.Fatalf("AddFlowSequence: %v", err)
+	}
+	flowError := func() { f.w.FlowEvent(f.a); f.w.FlowEvent(f.a) } // A after A is not in the table
+	flowError()                                                    // cycle 0
+	f.spin(2, nil)                                                 // B's window closes silent at cycle 2
+	f.spin(50, func(int) { f.w.Heartbeat(f.b) })
+	flowError()    // cycle 52
+	f.spin(2, nil) // silent again at cycle 54
+	var alive []Report
+	for _, r := range f.sink.faults {
+		if r.Kind == AlivenessError {
+			alive = append(alive, r)
+		}
+	}
+	if len(alive) != 2 || alive[0].Cycle != 2 || alive[1].Cycle != 54 || !alive[0].Correlated || !alive[1].Correlated {
+		t.Fatalf("aliveness reports = %+v, want correlated ones at cycles 2 and 54", alive)
+	}
+	if got := f.w.Results().Aliveness; got != 2 {
+		t.Fatalf("Results().Aliveness = %d, want 2", got)
+	}
+}
+
 func TestAlivenessWithoutFlowErrorsNotSuppressed(t *testing.T) {
 	// Pure aliveness faults (no flow errors) must accumulate normally even
 	// with correlation enabled.

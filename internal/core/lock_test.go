@@ -13,8 +13,8 @@ import (
 // The tests in this file pin the yield contract of the due sweep: past
 // the hold budget, after a detection, the sweep gives the watchdog's
 // lock away between bitset words. A configuration call made in that gap
-// applies before the next word; a second Cycle and a ClearAll wait for
-// the sweep to return.
+// applies before the next word, a batch as a whole; a second Cycle and
+// a ClearAll wait for the sweep to return.
 
 // yieldFleet is the aligned fleet of the yield tests: five bitset words
 // of runnables with one 2-cycle aliveness window each, all activated on
@@ -196,5 +196,42 @@ func TestSweepYieldSerializesCycleAndClearAll(t *testing.T) {
 				t.Fatalf("faults after %s = %v at cycles %v, want %v at %v", tc.name, rids, cycles, wantRids, wantCycles)
 			}
 		})
+	}
+}
+
+// TestSweepYieldsToBatch: runnable 0's fault starts a treatment that
+// deactivates runnable 128 and yieldTarget, the silent runnables of
+// words 2 and 4, in one Apply. The batch applies whole in the gap the
+// sweep leaves after word 1, so neither is judged: the sweep cuts
+// between decisions, not between the runnables of one. Issued as
+// Deactivate(yieldTarget) then Deactivate(128), the second call can
+// miss the gap, and runnable 128 is judged.
+func TestSweepYieldsToBatch(t *testing.T) {
+	sink := &yieldSink{}
+	w := newYieldWatchdog(t, sink)
+	done := make(chan error, 1)
+	sink.onFault = func(r Report) {
+		if r.Runnable == 0 {
+			go func() {
+				var b Batch
+				b.Deactivate(128)
+				b.Deactivate(yieldTarget)
+				done <- w.Apply(&b)
+			}()
+			for deadline := time.Now().Add(time.Second); w.waiters.Load() == 0 && time.Now().Before(deadline); {
+				time.Sleep(10 * time.Microsecond)
+			}
+		}
+		holdPastBudget()
+	}
+	for c := 0; c < 2; c++ {
+		beatHealthy(w)
+		w.Cycle()
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	if rids, _ := faultsOf(sink.faults); !slices.Equal(rids, []runnable.ID{0}) {
+		t.Fatalf("faulted runnables = %v, want [0]: the batch deactivating 128 and %d did not apply whole mid-sweep", rids, yieldTarget)
 	}
 }

@@ -78,14 +78,14 @@ var errNoShadow = errors.New("no shadow hypothesis installed")
 // replacing any previous candidate (the verdict counters restart). The
 // candidate needs a single monitoring window: AlivenessCycles and
 // ArrivalCycles must be equal when both are set, and at least one must
-// be set.
+// be set. It is Apply with a one-op batch.
 func (w *Watchdog) SetShadow(rid runnable.ID, h Hypothesis) error {
-	if err := h.Validate(); err != nil {
-		return fmt.Errorf("core: SetShadow(%d): %w", rid, err)
-	}
-	if err := w.checkRunnable(rid); err != nil {
-		return err
-	}
+	return w.applyOps([]batchOp{{kind: setShadowOp, rid: rid, hyp: h}})
+}
+
+// checkShadow checks that a valid hypothesis h can be a shadow
+// candidate: it monitors one window.
+func checkShadow(rid runnable.ID, h Hypothesis) error {
 	if h.AlivenessCycles == 0 && h.ArrivalCycles == 0 {
 		return fmt.Errorf("core: SetShadow(%d): candidate monitors nothing", rid)
 	}
@@ -93,34 +93,40 @@ func (w *Watchdog) SetShadow(rid runnable.ID, h Hypothesis) error {
 		return fmt.Errorf("core: SetShadow(%d): shadow evaluation needs one window, got %d/%d cycles",
 			rid, h.AlivenessCycles, h.ArrivalCycles)
 	}
-	s := w.sched
-	w.lock()
-	defer w.mu.Unlock()
-	if w.shadows == nil {
-		w.shadows = make(map[runnable.ID]*shadowState)
-	}
-	if _, ok := w.shadows[rid]; ok {
-		s.unschedule(int(rid), kindShadow)
-	}
-	st := &shadowState{hyp: h, startBeats: w.hot[rid].beats.Load()}
-	w.shadows[rid] = st
-	c := w.cycle.Load()
-	s.schedule(int(rid), kindShadow, c+st.window(), c)
 	return nil
 }
 
-// ClearShadow removes a runnable's shadow hypothesis, if any.
-func (w *Watchdog) ClearShadow(rid runnable.ID) error {
-	if err := w.checkRunnable(rid); err != nil {
-		return err
+// setShadowLocked is SetShadow on a checked op; a replaced candidate's
+// state is reused. Requires w.mu.
+func (w *Watchdog) setShadowLocked(rid runnable.ID, h Hypothesis) {
+	s := w.sched
+	if w.shadows == nil {
+		w.shadows = make(map[runnable.ID]*shadowState)
 	}
-	w.lock()
-	defer w.mu.Unlock()
+	st, ok := w.shadows[rid]
+	if ok {
+		s.unschedule(int(rid), kindShadow)
+	} else {
+		st = new(shadowState)
+		w.shadows[rid] = st
+	}
+	*st = shadowState{hyp: h, startBeats: w.hot[rid].beats.Load()}
+	c := w.cycle.Load()
+	s.schedule(int(rid), kindShadow, c+st.window(), c)
+}
+
+// ClearShadow removes a runnable's shadow hypothesis, if any. It is
+// Apply with a one-op batch.
+func (w *Watchdog) ClearShadow(rid runnable.ID) error {
+	return w.applyOps([]batchOp{{kind: clearShadowOp, rid: rid}})
+}
+
+// clearShadowLocked is ClearShadow on a checked op. Requires w.mu.
+func (w *Watchdog) clearShadowLocked(rid runnable.ID) {
 	if _, ok := w.shadows[rid]; ok {
 		w.sched.unschedule(int(rid), kindShadow)
 		delete(w.shadows, rid)
 	}
-	return nil
 }
 
 // ShadowVerdict reports the shadow evaluation of one runnable.

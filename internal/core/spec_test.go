@@ -83,7 +83,9 @@ type specTask struct {
 	state HealthState
 	pred  runnable.ID // the previously executed monitored runnable
 	// lastFlow is the cycle of the task's latest program-flow error;
-	// flowSeen says there was one since the task was last cleared.
+	// flowSeen says there was one since the task was last cleared. A
+	// burst is a run of flow errors each within the correlation window
+	// of the one before.
 	lastFlow uint64
 	flowSeen bool
 	// correlated says the one aliveness error a flow-error burst may
@@ -132,12 +134,52 @@ func (s *spec) valid(rid runnable.ID) bool { return rid >= 0 && int(rid) < len(s
 
 func (s *spec) validTask(tid runnable.TaskID) bool { return tid >= 0 && int(tid) < len(s.tasks) }
 
+// validHyp says whether h is a fault hypothesis: no period is
+// negative, and a monitored unit has a positive limit.
+func validHyp(h Hypothesis) bool {
+	return h.AlivenessCycles >= 0 && h.ArrivalCycles >= 0 &&
+		(h.AlivenessCycles == 0 || h.MinHeartbeats > 0) && (h.ArrivalCycles == 0 || h.MaxArrivals > 0)
+}
+
+// accepts says whether configuration op (set hypothesis, activate,
+// deactivate, set or clear shadow) is valid: it names a runnable of the
+// model, its hypothesis is valid, and a shadow candidate monitors
+// exactly one window.
+func (s *spec) accepts(op specOp) bool {
+	h := op.hyp
+	switch {
+	case !s.valid(op.rid):
+		return false
+	case op.kind == opSetHyp:
+		return validHyp(h)
+	case op.kind == opSetShadow:
+		return validHyp(h) && h.AlivenessCycles+h.ArrivalCycles > 0 &&
+			(h.AlivenessCycles == 0 || h.ArrivalCycles == 0 || h.AlivenessCycles == h.ArrivalCycles)
+	}
+	return true
+}
+
+// Configure applies one configuration op; one it does not accept
+// changes nothing.
+func (s *spec) Configure(op specOp) {
+	if !s.accepts(op) {
+		return
+	}
+	switch op.kind {
+	case opSetHyp:
+		s.SetHypothesis(op.rid, op.hyp)
+	case opActivate, opDeactivate:
+		s.SetActive(op.rid, op.kind == opActivate)
+	case opSetShadow:
+		s.r[op.rid].shadow = &specShadow{hyp: op.hyp, stats: ShadowStats{Hyp: op.hyp}}
+	case opClearShadow:
+		s.r[op.rid].shadow = nil
+	}
+}
+
 // SetHypothesis installs h without touching the counters, except that
 // ARC restarts when arrival monitoring switches on.
 func (s *spec) SetHypothesis(rid runnable.ID, h Hypothesis) {
-	if !s.valid(rid) {
-		return
-	}
 	r := &s.r[rid]
 	if r.hyp.ArrivalCycles == 0 && h.ArrivalCycles > 0 {
 		r.ARC = 0
@@ -150,9 +192,6 @@ func (r *specRunnable) reset() { r.AC, r.ARC, r.CCA, r.CCAR = 0, 0, 0, 0 }
 
 // SetActive sets AS and resets the counters.
 func (s *spec) SetActive(rid runnable.ID, on bool) {
-	if !s.valid(rid) {
-		return
-	}
 	s.r[rid].AS = on
 	s.r[rid].reset()
 }
@@ -221,11 +260,13 @@ func (s *spec) FlowEvent(rid runnable.ID) {
 	if pred == runnable.NoID || s.allowed[[2]runnable.ID{pred, rid}] {
 		return
 	}
-	t.lastFlow = s.cycle
-	if !t.flowSeen {
+	if !t.flowSeen || s.cycle-t.lastFlow > s.cfg.correlationWindow {
+		// The first flow error, or one past the previous one's window,
+		// starts a burst, which may accumulate one aliveness error.
 		t.flowSeen = true
 		t.correlated = false
 	}
+	t.lastFlow = s.cycle
 	s.detect(ProgramFlowError, rid, 0, 0, pred)
 }
 
@@ -310,9 +351,10 @@ func (s *spec) threshold(kind ErrorKind) uint64 {
 // detect runs one error through the collaboration rule and the TSI
 // unit. An aliveness error within the correlation window after a
 // program-flow error of the same task is a symptom of it (Fig. 6): only
-// the first such error is accumulated. An accumulated error is counted,
-// journaled with its freeze-frame and reported, and the task turns
-// faulty when the runnable's vector element reaches its threshold.
+// the first such error of a burst is accumulated. An accumulated error
+// is counted, journaled with its freeze-frame and reported, and the
+// task turns faulty when the runnable's vector element reaches its
+// threshold.
 func (s *spec) detect(kind ErrorKind, rid runnable.ID, observed, expected int, pred runnable.ID) {
 	tid := s.m.TaskOf(rid)
 	app := s.m.AppOfRunnable(rid)
@@ -457,20 +499,6 @@ func (s *spec) ClearAll() {
 	}
 }
 
-// SetShadow installs a candidate hypothesis with a fresh verdict.
-func (s *spec) SetShadow(rid runnable.ID, h Hypothesis) {
-	if s.valid(rid) {
-		s.r[rid].shadow = &specShadow{hyp: h, stats: ShadowStats{Hyp: h}}
-	}
-}
-
-// ClearShadow removes a candidate hypothesis.
-func (s *spec) ClearShadow(rid runnable.ID) {
-	if s.valid(rid) {
-		s.r[rid].shadow = nil
-	}
-}
-
 // Counters reports a runnable's counters.
 func (s *spec) Counters(rid runnable.ID) Counters {
 	r := &s.r[rid]
@@ -543,21 +571,41 @@ var specShadowHyps = []Hypothesis{
 	{AlivenessCycles: 4, MinHeartbeats: 1, ArrivalCycles: 4, MaxArrivals: 3},
 	{AlivenessCycles: 1, MinHeartbeats: 1, ArrivalCycles: 1, MaxArrivals: 1},
 	{AlivenessCycles: 11, MinHeartbeats: 3},
+	// Candidates SetShadow rejects: two windows, no window, an invalid
+	// hypothesis.
+	{AlivenessCycles: 3, MinHeartbeats: 1, ArrivalCycles: 6, MaxArrivals: 4},
+	{},
+	{AlivenessCycles: 2},
 }
+
+// specFuzzHyps are the hypotheses of the fuzzer's opSetHyp:
+// sweepHypTable, a 2-cycle aliveness window and two hypotheses
+// SetHypothesis rejects.
+var specFuzzHyps = append(slices.Clip(sweepHypTable),
+	Hypothesis{AlivenessCycles: 2, MinHeartbeats: 1},
+	Hypothesis{AlivenessCycles: 4},
+	Hypothesis{ArrivalCycles: -1, MaxArrivals: 1},
+)
 
 // specRun replays one trace on a Watchdog and on the specification.
 type specRun struct {
+	t       testing.TB
 	w       *Watchdog
 	s       *spec
 	clock   *sim.ManualClock
 	sink    *collector
 	journal []JournalEntry // every entry the Watchdog journaled, via its journal sink
 	table   []runnable.ID  // the flow table of opFlow: every runnable, one past the last, NoID
+	// batch sends each run of consecutive configuration ops to the
+	// Watchdog as one Apply of b; the specification still applies them
+	// one by one.
+	batch bool
+	b     Batch
 }
 
 func newSpecRun(t testing.TB, m *runnable.Model, sc specConfig, wheelSize uint64) *specRun {
 	t.Helper()
-	r := &specRun{clock: sim.NewManualClock(), sink: &collector{}}
+	r := &specRun{t: t, clock: sim.NewManualClock(), sink: &collector{}}
 	w, err := New(Config{
 		Model: m, Clock: r.clock, Sink: r.sink,
 		EagerArrivalCheck:       sc.eager,
@@ -597,8 +645,15 @@ func (r *specRun) addFlowSequence(t testing.TB, rids ...runnable.ID) {
 	r.s.AddFlowSequence(rids...)
 }
 
-// apply replays one op on both sides. Errors are dropped: an op the
-// Watchdog rejects must leave no trace, which the comparison checks.
+// isConfigOp says whether an op of kind is a Batch op.
+func isConfigOp(kind int) bool {
+	return kind == opSetHyp || kind == opActivate || kind == opDeactivate || kind == opSetShadow || kind == opClearShadow
+}
+
+// apply replays one op on both sides. A configuration op must fail on
+// the Watchdog exactly when the specification does not accept it, and
+// a rejected op must leave no trace, which the comparison checks; other
+// errors are dropped.
 func (r *specRun) apply(op specOp) {
 	w, s := r.w, r.s
 	switch op.kind {
@@ -625,15 +680,24 @@ func (r *specRun) apply(op specOp) {
 		r.clock.Advance(10 * time.Millisecond)
 		w.Cycle()
 		s.Cycle()
-	case opDeactivate:
-		_ = w.Deactivate(op.rid)
-		s.SetActive(op.rid, false)
-	case opActivate:
-		_ = w.Activate(op.rid)
-		s.SetActive(op.rid, true)
-	case opSetHyp:
-		_ = w.SetHypothesis(op.rid, op.hyp)
-		s.SetHypothesis(op.rid, op.hyp)
+	case opDeactivate, opActivate, opSetHyp, opSetShadow, opClearShadow:
+		var err error
+		switch op.kind {
+		case opDeactivate:
+			err = w.Deactivate(op.rid)
+		case opActivate:
+			err = w.Activate(op.rid)
+		case opSetHyp:
+			err = w.SetHypothesis(op.rid, op.hyp)
+		case opSetShadow:
+			err = w.SetShadow(op.rid, op.hyp)
+		case opClearShadow:
+			err = w.ClearShadow(op.rid)
+		}
+		if (err == nil) != s.accepts(op) {
+			r.t.Fatalf("%+v: watchdog error %v, spec accepts %v", op, err, s.accepts(op))
+		}
+		s.Configure(op)
 	case opClearTask:
 		_ = w.ClearTask(op.tid)
 		s.ClearTask(op.tid)
@@ -646,12 +710,41 @@ func (r *specRun) apply(op specOp) {
 	case opClearAll:
 		w.ClearAll()
 		s.ClearAll()
-	case opSetShadow:
-		_ = w.SetShadow(op.rid, op.hyp)
-		s.SetShadow(op.rid, op.hyp)
-	case opClearShadow:
-		_ = w.ClearShadow(op.rid)
-		s.ClearShadow(op.rid)
+	}
+}
+
+// applyBatch replays a run of configuration ops: one Apply on the
+// Watchdog, one op after another on the specification. The batch must
+// fail exactly when the specification does not accept one of its ops,
+// and a rejected batch must leave the Watchdog unchanged.
+func (r *specRun) applyBatch(t testing.TB, ops []specOp, where string) {
+	t.Helper()
+	r.b.Reset()
+	accepted := true
+	for _, op := range ops {
+		switch op.kind {
+		case opDeactivate:
+			r.b.Deactivate(op.rid)
+		case opActivate:
+			r.b.Activate(op.rid)
+		case opSetHyp:
+			r.b.SetHypothesis(op.rid, op.hyp)
+		case opSetShadow:
+			r.b.SetShadow(op.rid, op.hyp)
+		case opClearShadow:
+			r.b.ClearShadow(op.rid)
+		}
+		accepted = accepted && r.s.accepts(op)
+	}
+	if err := r.w.Apply(&r.b); (err == nil) != accepted {
+		t.Fatalf("%s: batch %+v: Apply error %v, spec accepts %v", where, ops, err, accepted)
+	}
+	if !accepted {
+		r.compareState(t, where+": rejected batch")
+		return
+	}
+	for _, op := range ops {
+		r.s.Configure(op)
 	}
 }
 
@@ -659,9 +752,18 @@ func (r *specRun) apply(op specOp) {
 // shadow verdicts after each cycle, then compares every output.
 func (r *specRun) replay(t testing.TB, trace []specOp) {
 	t.Helper()
-	for i, op := range trace {
-		r.apply(op)
-		if op.kind == opCycle {
+	for i := 0; i < len(trace); i++ {
+		if op := trace[i]; r.batch && isConfigOp(op.kind) {
+			end := i + 1
+			for end < len(trace) && isConfigOp(trace[end].kind) {
+				end++
+			}
+			r.applyBatch(t, trace[i:end], fmt.Sprintf("ops %d-%d", i, end-1))
+			i = end - 1
+			continue
+		}
+		r.apply(trace[i])
+		if trace[i].kind == opCycle {
 			r.compareState(t, fmt.Sprintf("op %d", i))
 		}
 	}
@@ -669,11 +771,14 @@ func (r *specRun) replay(t testing.TB, trace []specOp) {
 	r.compareOutputs(t)
 }
 
-// compareState compares the counters and shadow verdicts.
+// compareState compares the hypotheses, counters and shadow verdicts.
 func (r *specRun) compareState(t testing.TB, where string) {
 	t.Helper()
 	for i := range r.s.r {
 		rid := runnable.ID(i)
+		if got, _ := r.w.Hypothesis(rid); got != r.s.r[i].hyp {
+			t.Fatalf("%s: hypothesis of runnable %d: watchdog %+v, spec %+v", where, i, got, r.s.r[i].hyp)
+		}
 		got, _ := r.w.CounterSnapshot(rid)
 		if want := r.s.Counters(rid); got != want {
 			t.Fatalf("%s: counters of runnable %d: watchdog %+v, spec %+v", where, i, got, want)
@@ -882,16 +987,17 @@ var specBatchCounts = []int{-1, 0, 1, 2, 3, 5, 8, MaxBatchBeats + 1}
 // decodeSpecInput decodes a fuzz input for fuzzSpecModel. Byte 0 holds
 // the Config flags: bit 0 eager, bit 1 correlation off, bit 2 one faulty
 // application faults the ECU, bits 3–4 the correlation window minus
-// one. Byte 1 holds the thresholds minus one, two bits each: aliveness,
+// one; bit 5 sends each run of configuration ops to the Watchdog as one
+// batch (specRun.batch). Byte 1 holds the thresholds minus one, two bits each: aliveness,
 // arrival rate, program flow. Then each op is a code byte and an
 // argument byte: the low three bits name a runnable (7 is unknown) or a
 // task (the low two; 3 is unknown), the high five a hypothesis, a batch
 // count or, for opFlow, how many record bytes (1–4) follow.
-func decodeSpecInput(data []byte) (specConfig, []specOp) {
+func decodeSpecInput(data []byte) (sc specConfig, batch bool, ops []specOp) {
 	var hdr [2]byte
 	copy(hdr[:], data)
 	data = data[min(2, len(data)):]
-	sc := specConfig{
+	sc = specConfig{
 		eager:              hdr[0]&1 != 0,
 		disableCorrelation: hdr[0]&2 != 0,
 		ecuFaultyApps:      2 - int(hdr[0]>>2&1),
@@ -902,7 +1008,6 @@ func decodeSpecInput(data []byte) (specConfig, []specOp) {
 			ProgramFlow: 1 + int(hdr[1]>>4&3),
 		},
 	}
-	var ops []specOp
 	for len(data) >= 2 {
 		code, arg := data[0], data[1]
 		data = data[2:]
@@ -910,7 +1015,7 @@ func decodeSpecInput(data []byte) (specConfig, []specOp) {
 		op := specOp{kind: specOpCodes[code%64], rid: runnable.ID(arg & 7), tid: runnable.TaskID(arg & 3)}
 		switch op.kind {
 		case opSetHyp:
-			op.hyp = sweepHypTable[hi%len(sweepHypTable)]
+			op.hyp = specFuzzHyps[hi%len(specFuzzHyps)]
 		case opSetShadow:
 			op.hyp = specShadowHyps[hi%len(specShadowHyps)]
 		case opBeatN:
@@ -924,16 +1029,20 @@ func decodeSpecInput(data []byte) (specConfig, []specOp) {
 		}
 		ops = append(ops, op)
 	}
-	return sc, ops
+	return sc, hdr[0]&32 != 0, ops
 }
 
 // encodeSpecInput is decodeSpecInput's inverse for the default Config
 // (thresholds 3, correlation window 2, two faulty applications fault
-// the ECU) and the op kinds of makeSweepTrace.
-func encodeSpecInput(eager bool, trace []specOp) []byte {
+// the ECU), for ops whose hypothesis, shadow candidate and batch count
+// are in the decoder's tables.
+func encodeSpecInput(eager, batch bool, trace []specOp) []byte {
 	var hdr0 byte = 1 << 3 // correlation window 2
 	if eager {
 		hdr0 |= 1
+	}
+	if batch {
+		hdr0 |= 32
 	}
 	out := []byte{hdr0, 2 | 2<<2 | 2<<4}
 	codeOf := func(kind int) byte {
@@ -946,24 +1055,82 @@ func encodeSpecInput(eager bool, trace []specOp) []byte {
 	}
 	for _, op := range trace {
 		arg := byte(op.rid) | byte(op.tid)
-		if op.kind == opSetHyp {
-			arg |= byte(slices.Index(sweepHypTable, op.hyp)) << 3
+		switch op.kind {
+		case opSetHyp:
+			arg |= byte(slices.Index(specFuzzHyps, op.hyp)) << 3
+		case opSetShadow:
+			arg |= byte(slices.Index(specShadowHyps, op.hyp)) << 3
+		case opBeatN:
+			arg |= byte(slices.Index(specBatchCounts, op.n)) << 3
+		case opFlow:
+			arg |= byte(len(op.recs)-1) << 3
 		}
 		out = append(out, codeOf(op.kind), arg)
+		for _, rec := range op.recs {
+			out = append(out, byte(rec))
+		}
 	}
 	return out
+}
+
+// specReArmTrace is the trace of TestCorrelationReArms on the fuzzer's
+// model: only r6 is supervised, with a 2-cycle aliveness window. A flow
+// error at cycle 0 is followed by a silent window at cycle 2, and,
+// after 50 healthy cycles, a flow error at cycle 52 by a silent window
+// at cycle 54. Each burst accumulates its own correlated aliveness
+// error.
+func specReArmTrace() []specOp {
+	var trace []specOp
+	for rid := runnable.ID(0); rid < 6; rid++ {
+		trace = append(trace, specOp{kind: opDeactivate, rid: rid})
+	}
+	cycle := specOp{kind: opCycle}
+	trace = append(trace,
+		specOp{kind: opSetHyp, rid: 6, hyp: Hypothesis{AlivenessCycles: 2, MinHeartbeats: 1}},
+		specOp{kind: opActivate, rid: 6},
+		specOp{kind: opFlow, recs: []uint32{6, 6}}, // r6 has no successor: 6 after 6 is a flow error
+		cycle, cycle)
+	for c := 2; c < 52; c += 2 {
+		trace = append(trace, specOp{kind: opBeatN, rid: 6, n: 1}, cycle, cycle)
+	}
+	return append(trace, specOp{kind: opFlow, recs: []uint32{6}}, cycle, cycle)
+}
+
+// specRejectedBatchTraces are traces whose batches hold an op the
+// Watchdog must reject: an unknown runnable, an invalid hypothesis and
+// a shadow candidate with two windows. Each rejected batch is followed
+// by cycles and an accepted batch.
+func specRejectedBatchTraces() [][]specOp {
+	prefix := []specOp{{kind: opSetShadow, rid: 2, hyp: specShadowHyps[0]}}
+	for rid := runnable.ID(0); rid < 7; rid++ {
+		prefix = append(prefix, specOp{kind: opBeat, rid: rid}, specOp{kind: opCycle})
+	}
+	suffix := []specOp{{kind: opCycle}, {kind: opBeat, rid: 3}, {kind: opCycle},
+		{kind: opDeactivate, rid: 2}, {kind: opSetHyp, rid: 3, hyp: specFuzzHyps[3]}, {kind: opClearShadow, rid: 2},
+		{kind: opCycle}, {kind: opCycle}, {kind: opCycle}}
+	var traces [][]specOp
+	for _, bad := range [][]specOp{
+		{{kind: opDeactivate, rid: 2}, {kind: opSetHyp, rid: 3, hyp: specFuzzHyps[3]}, {kind: opActivate, rid: 7}},
+		{{kind: opSetHyp, rid: 1, hyp: specFuzzHyps[4]}, {kind: opSetHyp, rid: 2, hyp: specFuzzHyps[8]}, {kind: opDeactivate, rid: 4}},
+		{{kind: opSetShadow, rid: 0, hyp: specShadowHyps[0]}, {kind: opSetShadow, rid: 1, hyp: specShadowHyps[5]}, {kind: opClearShadow, rid: 2}},
+	} {
+		traces = append(traces, slices.Concat(prefix, bad, suffix))
+	}
+	return traces
 }
 
 // FuzzWatchdogAgainstSpec decodes a Config and a trace, replays it on
 // the Watchdog (on an 8-slot wheel and on the default one) and on the
 // specification, and requires bit-identical output. Its seeds are
 // TestSweepEquivalence's traces with the eager check off and on, and
-// random inputs that mix in batches, flow records and shadows.
+// with the configuration ops batched; random inputs that mix in beat
+// batches, flow records and shadows; the trace of
+// TestCorrelationReArms; and batches the Watchdog must reject.
 func FuzzWatchdogAgainstSpec(f *testing.F) {
 	m := fuzzSpecModel(f)
 	for _, eager := range []bool{false, true} {
 		for seed := int64(1); seed <= 6; seed++ {
-			f.Add(encodeSpecInput(eager, makeSweepTrace(seed, 5, 2, 5000)))
+			f.Add(encodeSpecInput(eager, false, makeSweepTrace(seed, 5, 2, 5000)))
 		}
 	}
 	for seed := int64(1); seed <= 4; seed++ {
@@ -971,10 +1138,18 @@ func FuzzWatchdogAgainstSpec(f *testing.F) {
 		rand.New(rand.NewSource(seed)).Read(data)
 		f.Add(data)
 	}
+	for seed := int64(1); seed <= 6; seed++ {
+		f.Add(encodeSpecInput(false, true, makeSweepTrace(seed, 5, 2, 5000)))
+	}
+	f.Add(encodeSpecInput(false, false, specReArmTrace()))
+	for _, trace := range specRejectedBatchTraces() {
+		f.Add(encodeSpecInput(false, true, trace))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sc, trace := decodeSpecInput(data)
+		sc, batch, trace := decodeSpecInput(data)
 		for _, size := range []uint64{8, 0} {
 			r := newSpecRun(t, m, sc, size)
+			r.batch = batch
 			r.setup()
 			r.addFlowSequence(t, 0, 1, 2)
 			r.addFlowSequence(t, 3, 4, 5)

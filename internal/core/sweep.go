@@ -202,95 +202,23 @@ func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool, ws *wordAlive) b
 	return faultAlive || faultArr
 }
 
-// reschedFreshLocked re-derives both deadlines of a runnable after its
-// counters were reset (activation changes, fault treatment): monitored
-// windows restart at the current cycle; everything else freezes at zero.
-// Requires w.mu.
-func (w *Watchdog) reschedFreshLocked(rid runnable.ID) {
-	s := w.sched
-	c := w.cycle.Load()
-	i := int(rid)
-	s.unschedule(i, kindAlive)
-	s.unschedule(i, kindArr)
-	hs := &w.hot[i]
-	hyp := hs.hyp.Load()
-	active := hs.active.Load() != 0
-	if active && hyp.AlivenessCycles > 0 {
-		hs.aliveAnchor = c
-		s.schedule(i, kindAlive, c+uint64(hyp.AlivenessCycles), c)
-	} else {
-		hs.aliveAnchor = frozenFlag
+// reschedLocked re-derives one deadline of a runnable, kind kindAlive
+// or kindArr, for a unit with the given period whose window is elapsed
+// cycles old: after a counter reset (elapsed 0) the window restarts at
+// the current cycle, and after a hypothesis change (the elapsed cycles
+// of the running window, or of the frozen counter) it keeps its age, so
+// a shortened period that is already exceeded expires on the next
+// cycle. A unit that is off (inactive, or period 0) freezes its cycle
+// counter at elapsed. Requires w.mu.
+func (w *Watchdog) reschedLocked(rid runnable.ID, kind, period int, active bool, elapsed uint64) {
+	s, c, i := w.sched, w.cycle.Load(), int(rid)
+	elapsed = min(elapsed, c) // defensive: anchors never precede cycle zero
+	anchor := w.hot[i].anchor(kind)
+	s.unschedule(i, kind)
+	if !active || period <= 0 {
+		*anchor = frozenFlag | elapsed
+		return
 	}
-	if active && hyp.ArrivalCycles > 0 {
-		hs.arrAnchor = c
-		s.schedule(i, kindArr, c+uint64(hyp.ArrivalCycles), c)
-	} else {
-		hs.arrAnchor = frozenFlag
-	}
-}
-
-// reschedPreserveLocked re-derives both deadlines of a runnable after a
-// hypothesis change, preserving the elapsed cycle-counter value (a
-// hypothesis change resets no counter): the in-flight window keeps its
-// age, a shortened period that is already exceeded expires on the next
-// cycle, and disabling a unit freezes the counter where it stands.
-// Requires w.mu.
-func (w *Watchdog) reschedPreserveLocked(rid runnable.ID) {
-	s := w.sched
-	c := w.cycle.Load()
-	i := int(rid)
-	hs := &w.hot[i]
-	hyp := hs.hyp.Load()
-	active := hs.active.Load() != 0
-
-	elapsed := anchorElapsed(hs.aliveAnchor, c)
-	if elapsed > c {
-		elapsed = c // defensive: anchors never precede cycle zero
-	}
-	s.unschedule(i, kindAlive)
-	if active && hyp.AlivenessCycles > 0 {
-		start := c - elapsed
-		due := start + uint64(hyp.AlivenessCycles)
-		if due <= c {
-			due = c + 1
-		}
-		hs.aliveAnchor = start
-		s.schedule(i, kindAlive, due, c)
-	} else {
-		hs.aliveAnchor = frozenFlag | elapsed
-	}
-
-	elapsed = anchorElapsed(hs.arrAnchor, c)
-	if elapsed > c {
-		elapsed = c
-	}
-	s.unschedule(i, kindArr)
-	if active && hyp.ArrivalCycles > 0 {
-		start := c - elapsed
-		due := start + uint64(hyp.ArrivalCycles)
-		if due <= c {
-			due = c + 1
-		}
-		hs.arrAnchor = start
-		s.schedule(i, kindArr, due, c)
-	} else {
-		hs.arrAnchor = frozenFlag | elapsed
-	}
-}
-
-// reschedArrivalRestartLocked restarts the arrival window after an eager
-// arrival detection reset ARC mid-period: CCAR restarts at zero.
-// Requires w.mu.
-func (w *Watchdog) reschedArrivalRestartLocked(rid runnable.ID, hyp *Hypothesis) {
-	s := w.sched
-	c := w.cycle.Load()
-	i := int(rid)
-	s.unschedule(i, kindArr)
-	hs := &w.hot[i]
-	if hyp.ArrivalCycles > 0 {
-		hs.arrAnchor = c
-		s.schedule(i, kindArr, c+uint64(hyp.ArrivalCycles), c)
-	} else {
-		hs.arrAnchor = frozenFlag
-	}
+	*anchor = c - elapsed
+	s.schedule(i, kind, max(c-elapsed+uint64(period), c+1), c)
 }

@@ -108,6 +108,14 @@ func (r *runnableSched) dueLoc(kind int) (uint64, uint8) {
 	}
 }
 
+// anchor returns the counter anchor of kind, kindAlive or kindArr.
+func (r *runnableSched) anchor(kind int) *uint64 {
+	if kind == kindArr {
+		return &r.arrAnchor
+	}
+	return &r.aliveAnchor
+}
+
 // setDueLoc stores the deadline state for kind.
 func (r *runnableSched) setDueLoc(kind int, due uint64, loc uint8) {
 	switch kind {

@@ -102,13 +102,13 @@ func SharedTask() (*SharedTaskResult, error) {
 	// Heartbeat monitoring on the shared runnables: the skipped A_write
 	// starves, and that error is attributed to its owner (app A).
 	hyp := core.Hypothesis{AlivenessCycles: 5, MinHeartbeats: 3, ArrivalCycles: 5, MaxArrivals: 7}
+	var b core.Batch
 	for _, rid := range []runnable.ID{ra1, ra2, rb} {
-		if err := w.SetHypothesis(rid, hyp); err != nil {
-			return nil, fmt.Errorf("experiments: sharedtask: %w", err)
-		}
-		if err := w.Activate(rid); err != nil {
-			return nil, fmt.Errorf("experiments: sharedtask: %w", err)
-		}
+		b.SetHypothesis(rid, hyp)
+		b.Activate(rid)
+	}
+	if err := w.Apply(&b); err != nil {
+		return nil, fmt.Errorf("experiments: sharedtask: %w", err)
 	}
 	os.AddObserver(osek.ObserverFuncs{OnRunnableEnd: func(rid runnable.ID, _ runnable.TaskID) {
 		w.Heartbeat(rid)

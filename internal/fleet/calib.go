@@ -101,6 +101,9 @@ type CalibController struct {
 	cmds      map[uint32][]wire.CmdRec
 	preFaults uint64
 	holdLeft  int
+	// batch holds the watchdog changes of the stage change in progress
+	// (applyLocked).
+	batch core.Batch
 
 	stop     chan struct{}
 	done     chan struct{}
@@ -218,12 +221,11 @@ func (c *CalibController) proposeLocked() {
 		if err != nil || cur == hyp {
 			continue // already adopted (or gone)
 		}
-		if err := w.SetShadow(rid, hyp); err != nil {
-			continue
-		}
+		c.batch.SetShadow(rid, hyp)
 		c.cands = append(c.cands, calibCand{rid: rid, node: node, wireIdx: c.wireOf[rid], hyp: hyp, prior: cur})
 	}
-	if len(c.cands) == 0 {
+	if len(c.cands) == 0 || c.applyLocked() != nil {
+		c.cands = c.cands[:0]
 		return
 	}
 	c.baseline = b
@@ -259,8 +261,9 @@ func (c *CalibController) checkShadowsLocked() {
 		// traffic: it would false-positive. Reject without ever having
 		// raised a fault.
 		for i := range c.cands {
-			_ = w.ClearShadow(c.cands[i].rid)
+			c.batch.ClearShadow(c.cands[i].rid)
 		}
+		_ = c.applyLocked()
 		c.cands = c.cands[:0]
 		c.rejected++
 		c.stage = calib.StageIdle
@@ -273,22 +276,20 @@ func (c *CalibController) checkShadowsLocked() {
 // reporters — and records the pre-canary fault counters the rollback
 // trigger compares against.
 func (c *CalibController) promoteLocked() {
-	w := c.f.Watchdog
 	c.canaryN = c.params.CanaryCount(len(c.f.Specs))
 	c.wantSeq = make(map[uint32]uint64)
 	c.cmds = make(map[uint32][]wire.CmdRec)
 	for i := range c.cands {
 		cand := &c.cands[i]
-		_ = w.ClearShadow(cand.rid)
+		c.batch.ClearShadow(cand.rid)
 		if !c.isCanary(cand.node) {
 			continue
 		}
-		if err := w.SetHypothesis(cand.rid, cand.hyp); err != nil {
-			continue
-		}
+		c.batch.SetHypothesis(cand.rid, cand.hyp)
 		cand.applied = true
 		c.cmds[cand.node] = append(c.cmds[cand.node], cmdRecFor(cand.wireIdx, cand.hyp))
 	}
+	_ = c.applyLocked()
 	c.preFaults = c.faultSumLocked(true)
 	c.sendBatchesLocked()
 	c.holdLeft = c.params.PromoteAfter
@@ -317,18 +318,16 @@ func (c *CalibController) checkCanaryLocked() {
 
 // extendFleetLocked applies the candidates on every remaining node.
 func (c *CalibController) extendFleetLocked() {
-	w := c.f.Watchdog
 	for i := range c.cands {
 		cand := &c.cands[i]
 		if cand.applied {
 			continue
 		}
-		if err := w.SetHypothesis(cand.rid, cand.hyp); err != nil {
-			continue
-		}
+		c.batch.SetHypothesis(cand.rid, cand.hyp)
 		cand.applied = true
 		c.cmds[cand.node] = append(c.cmds[cand.node], cmdRecFor(cand.wireIdx, cand.hyp))
 	}
+	_ = c.applyLocked()
 	c.sendBatchesLocked()
 	c.stage = calib.StageFleet
 }
@@ -350,16 +349,16 @@ func (c *CalibController) checkFleetLocked() {
 // candidate — locally (supervision recovers immediately) and, best
 // effort, on the canary reporters.
 func (c *CalibController) rollbackLocked() {
-	w := c.f.Watchdog
 	restore := make(map[uint32][]wire.CmdRec)
 	for i := range c.cands {
 		cand := &c.cands[i]
 		if !cand.applied {
 			continue
 		}
-		_ = w.SetHypothesis(cand.rid, cand.prior)
+		c.batch.SetHypothesis(cand.rid, cand.prior)
 		restore[cand.node] = append(restore[cand.node], cmdRecFor(cand.wireIdx, cand.prior))
 	}
+	_ = c.applyLocked()
 	for node, recs := range restore {
 		_, _ = c.f.Server.SendCommand(node, recs...)
 	}
@@ -368,6 +367,18 @@ func (c *CalibController) rollbackLocked() {
 	c.cmds = nil
 	c.rollbacks++
 	c.stage = calib.StageRolledBack
+}
+
+// applyLocked applies the stage change built in c.batch as one watchdog
+// batch, so a Cycle sees the round before or after it, and empties the
+// batch. Only proposeLocked's batch can be rejected: once it is
+// accepted, every candidate is a model runnable whose hypothesis passed
+// SetShadow's checks, which include SetHypothesis's, and every prior
+// came from the watchdog, so the later stage changes drop the error.
+func (c *CalibController) applyLocked() error {
+	err := c.f.Watchdog.Apply(&c.batch)
+	c.batch.Reset()
+	return err
 }
 
 // sendBatchesLocked (re-)sends the per-node command batches to every

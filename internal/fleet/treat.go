@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"swwd/internal/core"
-	"swwd/internal/ingest"
 	"swwd/internal/runnable"
 	"swwd/internal/sim"
 	"swwd/internal/treat"
@@ -36,84 +35,68 @@ type TreatmentConfig struct {
 // treatExecutor applies treatment actions to a fleet: watchdog
 // activation toggles plus wire commands back to the affected reporter.
 // It runs on the controller's single policy goroutine, which receives
-// its first event only after Build has filled in the Fleet.
+// its first event only after Build has filled in the Fleet; b is that
+// goroutine's reusable batch.
 type treatExecutor struct {
 	f *Fleet
+	b *core.Batch
 }
 
-// Execute applies one action. Command-send failures (a quarantined node
-// is frequently unreachable — that is *why* it is quarantined) degrade
-// to an error return after the supervision side effects are applied, so
-// the watchdog state never diverges from the engine state.
+// Execute applies one action: its activation changes as one watchdog
+// batch, so a Cycle sees the node's supervision before or after the
+// action, never half of it, then the command to the reporter.
+// Command-send failures (a quarantined node is frequently unreachable —
+// that is *why* it is quarantined) degrade to an error return after the
+// supervision side effects are applied, so the watchdog state never
+// diverges from the engine state.
 func (e treatExecutor) Execute(a treat.Action) error {
 	if int(a.Node) >= len(e.f.Specs) {
 		return fmt.Errorf("treat executor: unknown node %d", a.Node)
 	}
 	spec := &e.f.Specs[a.Node]
+	b := e.b
+	b.Reset()
+	var op wire.CmdOp
 	switch a.Kind {
 	case treat.ActQuarantine:
 		// Stop supervising the node entirely — runnables and link — so
 		// the dead node's counters stop accumulating faults, then tell
 		// the node (best effort; it is probably unreachable right now,
 		// but a wedged-not-dead reporter should learn its state).
-		err := e.setRunnables(spec, false)
-		if derr := e.f.Watchdog.Deactivate(spec.Link); err == nil {
-			err = derr
-		}
-		if _, serr := e.f.Server.SendCommand(a.Node, wire.CmdRec{Op: wire.CmdQuarantine, Runnable: wire.CmdNodeTarget}); err == nil && serr != nil {
-			err = serr
-		}
-		return err
-	case treat.ActNotifyQuarantine:
-		_, err := e.f.Server.SendCommand(a.Node, wire.CmdRec{Op: wire.CmdQuarantine, Runnable: wire.CmdNodeTarget})
-		return err
+		b.Deactivate(spec.Link)
+		fallthrough
 	case treat.ActScaleDown:
-		// Suspend the dependent's runnable supervision — its work is
-		// expected to stall without the dependency — but keep the link
-		// supervised: the dependent itself must stay alive.
-		err := e.setRunnables(spec, false)
-		if _, serr := e.f.Server.SendCommand(a.Node, wire.CmdRec{Op: wire.CmdQuarantine, Runnable: wire.CmdNodeTarget}); err == nil && serr != nil {
-			err = serr
+		// A scale-down suspends the dependent's runnable supervision —
+		// its work is expected to stall without the dependency — but
+		// keeps the link supervised: the dependent itself must stay
+		// alive.
+		for _, rid := range spec.Runnables {
+			b.Deactivate(rid)
 		}
-		return err
+		op = wire.CmdQuarantine
+	case treat.ActNotifyQuarantine:
+		op = wire.CmdQuarantine
 	case treat.ActResume:
 		// Heartbeats are back: supervise the link again (Activate resets
 		// its counters and opens a fresh window, so the quarantine gap
 		// never counts against it) and lift the reporter-side pause.
-		err := e.f.Watchdog.Activate(spec.Link)
-		if _, serr := e.f.Server.SendCommand(a.Node, wire.CmdRec{Op: wire.CmdResume, Runnable: wire.CmdNodeTarget}); err == nil && serr != nil {
-			err = serr
-		}
-		return err
+		b.Activate(spec.Link)
+		op = wire.CmdResume
 	case treat.ActScaleUp:
-		err := e.setRunnables(spec, true)
-		if _, serr := e.f.Server.SendCommand(a.Node, wire.CmdRec{Op: wire.CmdResume, Runnable: wire.CmdNodeTarget}); err == nil && serr != nil {
-			err = serr
+		for _, rid := range spec.Runnables {
+			b.Activate(rid)
 		}
-		return err
+		op = wire.CmdResume
 	case treat.ActRestartRunnables:
-		_, err := e.f.Server.SendCommand(a.Node, wire.CmdRec{Op: wire.CmdRestart, Runnable: wire.CmdNodeTarget})
-		return err
+		op = wire.CmdRestart
+	default:
+		return fmt.Errorf("treat executor: unknown action kind %d", a.Kind)
 	}
-	return fmt.Errorf("treat executor: unknown action kind %d", a.Kind)
-}
-
-// setRunnables toggles supervision of every monitored runnable of one
-// node (the link is handled separately).
-func (e treatExecutor) setRunnables(spec *ingest.NodeSpec, active bool) error {
-	var first error
-	for _, rid := range spec.Runnables {
-		var err error
-		if active {
-			err = e.f.Watchdog.Activate(rid)
-		} else {
-			err = e.f.Watchdog.Deactivate(rid)
-		}
-		if err != nil && first == nil {
-			first = err
-		}
+	err := e.f.Watchdog.Apply(b)
+	if _, serr := e.f.Server.SendCommand(a.Node, wire.CmdRec{Op: op, Runnable: wire.CmdNodeTarget}); err == nil {
+		err = serr
 	}
-	return first
+	return err
 }
 
 // treatSink wraps the fleet's user sink and feeds link aliveness faults
@@ -154,6 +137,6 @@ func newTreatment(f *Fleet, nodes int, cfg *TreatmentConfig, clock sim.Clock) (*
 	if err != nil {
 		return nil, err
 	}
-	return treat.NewController(g, cfg.Policy, treatExecutor{f: f}, clock,
+	return treat.NewController(g, cfg.Policy, treatExecutor{f: f, b: new(core.Batch)}, clock,
 		treat.Options{EventQueue: cfg.EventQueue, ActionSink: cfg.ActionSink}), nil
 }

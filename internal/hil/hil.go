@@ -350,18 +350,18 @@ func (v *Validator) configureWatchdog() error {
 		FlowSequence() []runnable.ID
 		Hypothesis(time.Duration) map[runnable.ID]core.Hypothesis
 	}
+	var b core.Batch
 	for _, a := range []app{v.SafeSpeed, v.SafeLane, v.SteerByWire} {
 		for rid, h := range a.Hypothesis(v.opts.CyclePeriod) {
-			if err := v.Watchdog.SetHypothesis(rid, h); err != nil {
-				return fmt.Errorf("hil: %w", err)
-			}
-			if err := v.Watchdog.Activate(rid); err != nil {
-				return fmt.Errorf("hil: %w", err)
-			}
+			b.SetHypothesis(rid, h)
+			b.Activate(rid)
 		}
 		if err := v.Watchdog.AddFlowSequence(a.FlowSequence()...); err != nil {
 			return fmt.Errorf("hil: %w", err)
 		}
+	}
+	if err := v.Watchdog.Apply(&b); err != nil {
+		return fmt.Errorf("hil: %w", err)
 	}
 	return nil
 }

@@ -110,13 +110,13 @@ func newRemoteECU(v *Validator) (*RemoteECU, error) {
 		return nil, fmt.Errorf("hil: remote: %w", err)
 	}
 	hyp := core.Hypothesis{AlivenessCycles: 5, MinHeartbeats: 3, ArrivalCycles: 5, MaxArrivals: 7}
+	var b core.Batch
 	for _, rid := range []runnable.ID{r.Sense, r.Process} {
-		if err := r.Watchdog.SetHypothesis(rid, hyp); err != nil {
-			return nil, fmt.Errorf("hil: remote: %w", err)
-		}
-		if err := r.Watchdog.Activate(rid); err != nil {
-			return nil, fmt.Errorf("hil: remote: %w", err)
-		}
+		b.SetHypothesis(rid, hyp)
+		b.Activate(rid)
+	}
+	if err := r.Watchdog.Apply(&b); err != nil {
+		return nil, fmt.Errorf("hil: remote: %w", err)
 	}
 	if err := r.Watchdog.AddFlowSequence(r.Sense, r.Process); err != nil {
 		return nil, fmt.Errorf("hil: remote: %w", err)

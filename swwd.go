@@ -62,6 +62,9 @@ type (
 	// Watchdog.Register; its Beat method is the preferred hot-path
 	// aliveness indication (lock-free, no bounds checks).
 	Monitor = core.Monitor
+	// Batch is a list of configuration changes that Watchdog.Apply
+	// checks as a whole and makes as one step.
+	Batch = core.Batch
 	// Config assembles a Watchdog.
 	Config = core.Config
 	// Hypothesis is the per-runnable fault hypothesis.
