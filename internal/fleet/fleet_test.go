@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"swwd/internal/core"
 	"swwd/internal/runnable"
 	"swwd/internal/sim"
 )
@@ -31,6 +32,32 @@ func TestBuildLayout(t *testing.T) {
 	}
 	if st := f.Server.Stats(); st.Nodes != nodes {
 		t.Fatalf("Stats.Nodes = %d, want %d", st.Nodes, nodes)
+	}
+}
+
+// TestBuildConfiguresEveryRunnable builds a fleet whose runnables and
+// links each take more than one set-up batch (core.SetupBatchOps) and
+// checks that every one of them got its hypothesis and was activated.
+func TestBuildConfiguresEveryRunnable(t *testing.T) {
+	const nodes = core.SetupBatchOps/2 + 100
+	f, err := Build(Config{Nodes: nodes, RunnablesPerNode: 1, Clock: sim.NewManualClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range f.Specs {
+		for _, rid := range append(slices.Clone(spec.Runnables), spec.Link) {
+			hyp, err := f.Watchdog.Hypothesis(rid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := f.Watchdog.CounterSnapshot(rid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hyp.AlivenessCycles == 0 || !c.Active {
+				t.Fatalf("node %d runnable %d: hypothesis %+v, active %v", spec.Node, rid, hyp, c.Active)
+			}
+		}
 	}
 }
 
