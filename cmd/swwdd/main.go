@@ -449,7 +449,9 @@ func cycleCheck(svc *swwd.Service) export.CheckFunc {
 
 // shipDeltas ships the server's ingest counter deltas to the WAL every
 // period, so replay can integrate the wire counters over any time
-// window, until the returned stop function is called.
+// window, until the returned stop function is called. Stopping ships
+// the last partial interval, so the replayed totals of a cleanly
+// stopped daemon equal its final counters.
 func shipDeltas(srv *ingest.Server, hist *wal.WAL, period time.Duration) (stop func()) {
 	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -457,45 +459,24 @@ func shipDeltas(srv *ingest.Server, hist *wal.WAL, period time.Duration) (stop f
 		tick := time.NewTicker(period)
 		defer tick.Stop()
 		prev := srv.Stats()
-		for {
-			select {
-			case <-quit:
-				return
-			case <-tick.C:
-			}
+		ship := func() {
 			cur := srv.Stats()
-			if d := statsToDelta(cur.Delta(prev)); !d.IsZero() {
+			if d := cur.Delta(prev).Counters; !d.IsZero() {
 				hist.AppendDelta(d)
 			}
 			prev = cur
 		}
+		for {
+			select {
+			case <-quit:
+				ship()
+				return
+			case <-tick.C:
+				ship()
+			}
+		}
 	}()
 	return func() { close(quit); <-done }
-}
-
-// statsToDelta maps an ingest counter difference onto the WAL's
-// fixed-size delta record.
-func statsToDelta(d ingest.Stats) wal.Delta {
-	return wal.Delta{
-		Frames:           d.Frames,
-		Bytes:            d.Bytes,
-		Accepted:         d.Accepted,
-		DecodeErrors:     d.DecodeErrors,
-		UnknownNode:      d.UnknownNode,
-		SeqGaps:          d.SeqGaps,
-		SeqGapEvents:     d.SeqGapEvents,
-		DuplicateDrops:   d.DuplicateDrops,
-		NodeRestarts:     d.NodeRestarts,
-		StaleEpochDrops:  d.StaleEpochDrops,
-		IntervalMismatch: d.IntervalMismatch,
-		DroppedPackets:   d.DroppedPackets,
-		BuffersExhausted: d.BuffersExhausted,
-		ReadErrors:       d.ReadErrors,
-		CommandsSent:     d.CommandsSent,
-		CommandsAcked:    d.CommandsAcked,
-		CommandsDropped:  d.CommandsDropped,
-		CommandStaleAcks: d.CommandStaleAcks,
-	}
 }
 
 // errBadWindow marks a since/until window the caller got wrong, as

@@ -5,18 +5,21 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"swwd/internal/core"
 	"swwd/internal/export"
 	"swwd/internal/ingest"
+	"swwd/internal/runnable"
+	"swwd/internal/sim"
 	"swwd/internal/wal"
 )
 
@@ -161,36 +164,60 @@ func TestSpecMode(t *testing.T) {
 	}
 }
 
-// TestStatsToDeltaCoversEveryCounter guards the daemon's WAL delta
-// mapping: every counter (uint64) field of ingest.Stats must land in the
-// wal.Delta field of the same name, and every Delta field must be fed.
-// Each counter gets a distinct value, so a field mapped onto the wrong
-// name fails too.
-func TestStatsToDeltaCoversEveryCounter(t *testing.T) {
-	var st ingest.Stats
-	sv := reflect.ValueOf(&st).Elem()
-	counters := map[string]uint64{}
-	for i := 0; i < sv.NumField(); i++ {
-		if f := sv.Field(i); f.Kind() == reflect.Uint64 {
-			v := uint64(i + 1)
-			f.SetUint(v)
-			counters[sv.Type().Field(i).Name] = v
+// TestShipDeltasFinalInterval stops the delta shipper before its first
+// tick and requires the WAL's replayed ingest totals to equal the
+// server's final counters: the last partial interval is shipped on
+// stop, not dropped.
+func TestShipDeltasFinalInterval(t *testing.T) {
+	m := runnable.NewModel()
+	if err := m.Freeze(); err != nil {
+		t.Fatalf("Freeze: %v", err)
+	}
+	w, err := core.New(core.Config{Model: m, Clock: sim.NewManualClock()})
+	if err != nil {
+		t.Fatalf("core.New: %v", err)
+	}
+	srv, err := ingest.New(w)
+	if err != nil {
+		t.Fatalf("ingest.New: %v", err)
+	}
+	defer srv.Close()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	dir := t.TempDir()
+	hist, err := wal.Open(dir)
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	stop := shipDeltas(srv, hist, time.Hour)
+
+	conn, err := net.Dial("udp", addr.String())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer conn.Close()
+	const sent = 5
+	for i := 0; i < sent; i++ {
+		if _, err := conn.Write([]byte("not a frame")); err != nil {
+			t.Fatalf("Write: %v", err)
 		}
 	}
-	d := reflect.ValueOf(statsToDelta(st))
-	for name, want := range counters {
-		f := d.FieldByName(name)
-		if !f.IsValid() {
-			t.Errorf("ingest.Stats.%s has no wal.Delta field of that name", name)
-			continue
-		}
-		if got := f.Uint(); got != want {
-			t.Errorf("wal.Delta.%s = %d, want %d (ingest.Stats.%s)", name, got, want, name)
+	for deadline := time.Now().Add(5 * time.Second); srv.Stats().Frames < sent; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("server read %d of %d datagrams", srv.Stats().Frames, sent)
 		}
 	}
-	for i := 0; i < d.NumField(); i++ {
-		if name := d.Type().Field(i).Name; counters[name] == 0 {
-			t.Errorf("wal.Delta.%s has no ingest.Stats counter of that name", name)
-		}
+	stop()
+	if err := hist.Close(); err != nil {
+		t.Fatalf("wal.Close: %v", err)
+	}
+	h, err := wal.Replay(dir)
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if got, want := h.View().Ingest, srv.Stats().Counters; got != want {
+		t.Fatalf("replayed ingest totals %+v, want the final counters %+v", got, want)
 	}
 }

@@ -57,12 +57,15 @@ func goldenSnapshot() core.Snapshot {
 
 func goldenIngest() ingest.Stats {
 	return ingest.Stats{
-		Frames: 100000, Bytes: 3200000, Accepted: 99000, DecodeErrors: 3,
-		UnknownNode: 2, SeqGaps: 40, SeqGapEvents: 11, DuplicateDrops: 5,
-		NodeRestarts: 1, StaleEpochDrops: 4, IntervalMismatch: 6,
-		DroppedPackets: 7, BuffersExhausted: 1, ReadErrors: 2,
-		CommandsSent: 50, CommandsAcked: 48, CommandsDropped: 2,
-		CommandStaleAcks: 1, Nodes: 4, Listeners: 2,
+		Counters: ingest.Counters{
+			Frames: 100000, Bytes: 3200000, Accepted: 99000, DecodeErrors: 3,
+			UnknownNode: 2, SeqGaps: 40, SeqGapEvents: 11, DuplicateDrops: 5,
+			NodeRestarts: 1, StaleEpochDrops: 4, IntervalMismatch: 6,
+			DroppedPackets: 7, BuffersExhausted: 1, ReadErrors: 2,
+			CommandsSent: 50, CommandsAcked: 48, CommandsDropped: 2,
+			CommandStaleAcks: 1,
+		},
+		Nodes: 4, Listeners: 2,
 	}
 }
 

@@ -5,45 +5,44 @@ import (
 	"testing"
 )
 
-// TestStatsCounterNamesComplete pins the name table to the Stats struct:
-// every uint64 counter field resolves through Counter, every listed name
-// resolves to a distinct field, and the gauge fields stay excluded. A
-// new counter added to Stats without a name breaks the chaos oracle
-// vocabulary silently — this test makes it loud.
+// TestStatsCounterNamesComplete pins Fields and the names to the
+// Counters declaration: Fields()[i] is field i, so every counter is
+// listed once and in the order the WAL delta record stores them, and
+// each field's name is distinct and resolves through Counter to that
+// field alone. The gauges of Stats stay unnamed.
 func TestStatsCounterNamesComplete(t *testing.T) {
+	rt := reflect.TypeFor[Counters]()
+	if rt.NumField() != NumCounters {
+		t.Fatalf("Counters has %d fields, NumCounters is %d", rt.NumField(), NumCounters)
+	}
 	names := CounterNames()
+	if len(names) != NumCounters {
+		t.Fatalf("CounterNames lists %d names, want %d", len(names), NumCounters)
+	}
 	seen := make(map[string]bool, len(names))
-	for _, n := range names {
-		if seen[n] {
-			t.Fatalf("duplicate counter name %q", n)
+	var c Counters
+	for i, f := range c.Fields() {
+		field := rt.Field(i)
+		if f != reflect.ValueOf(&c).Elem().Field(i).Addr().Interface() {
+			t.Fatalf("Fields()[%d] is not field %d (%s)", i, i, field.Name)
 		}
-		seen[n] = true
-	}
+		if field.Type.Kind() != reflect.Uint64 {
+			t.Fatalf("counter %s is a %s, want uint64", field.Name, field.Type)
+		}
+		if names[i] == "" || seen[names[i]] {
+			t.Fatalf("counter %s has an empty or duplicate name %q", field.Name, names[i])
+		}
+		seen[names[i]] = true
 
-	// Each name must resolve, and must track exactly one field: bumping
-	// field i (by reflection) must change counter i and no other.
-	rt := reflect.TypeOf(Stats{})
-	var counterFields []string
-	for i := 0; i < rt.NumField(); i++ {
-		if rt.Field(i).Type.Kind() == reflect.Uint64 {
-			counterFields = append(counterFields, rt.Field(i).Name)
-		}
-	}
-	if len(counterFields) != len(names) {
-		t.Fatalf("Stats has %d uint64 counters but CounterNames lists %d — update counters.go",
-			len(counterFields), len(names))
-	}
-	for i, field := range counterFields {
-		var st Stats
-		reflect.ValueOf(&st).Elem().FieldByName(field).SetUint(42)
+		var one Stats
+		reflect.ValueOf(&one.Counters).Elem().Field(i).SetUint(42)
 		for j, name := range names {
-			v, ok := st.Counter(name)
+			v, ok := one.Counter(name)
 			if !ok {
 				t.Fatalf("Counter(%q) unknown", name)
 			}
 			if (i == j) != (v == 42) {
-				t.Fatalf("field %s / name %q mismatch: Counter(%q)=%d with only %s set",
-					field, names[i], name, v, field)
+				t.Fatalf("Counter(%q) = %d with only %s set", name, v, field.Name)
 			}
 		}
 	}

@@ -177,67 +177,10 @@ type Config struct {
 	FrameHook func(node uint32, restarted bool)
 }
 
-// Stats is a point-in-time copy of the server's ingestion counters.
+// Stats is a point-in-time copy of the server's ingestion counters and
+// gauges.
 type Stats struct {
-	// Frames is the number of datagrams the read loops ingested; Bytes
-	// their cumulative payload size.
-	Frames uint64
-	Bytes  uint64
-	// Accepted counts frames that passed decode, registration and
-	// sequence checks and were replayed into the watchdog.
-	Accepted uint64
-	// DecodeErrors counts malformed frames, including frames naming a
-	// runnable index outside the node's registered table.
-	DecodeErrors uint64
-	// UnknownNode counts well-formed frames from unregistered node IDs.
-	UnknownNode uint64
-	// SeqGaps is the cumulative count of missing sequence numbers
-	// (frames lost in flight, as observed from jumps in Seq).
-	SeqGaps uint64
-	// SeqGapEvents counts accepted frames whose Seq jumped.
-	SeqGapEvents uint64
-	// DuplicateDrops counts frames dropped because their Seq was not
-	// beyond the node's last accepted frame within the same session
-	// epoch (duplicate or re-ordered delivery) — dropped without replay
-	// so no beat counts twice.
-	DuplicateDrops uint64
-	// NodeRestarts counts accepted frames whose session epoch advanced:
-	// the reporter restarted, and the server reset its sequence tracking
-	// for the node.
-	NodeRestarts uint64
-	// StaleEpochDrops counts frames dropped because their session epoch
-	// was older than the node's current one (late datagrams from a
-	// superseded reporter session).
-	StaleEpochDrops uint64
-	// IntervalMismatch counts accepted frames whose declared flush
-	// interval differed from the node's registration-time interval. The
-	// registered interval is authoritative for the link hypothesis; this
-	// counter is the diagnostic for a client flushing on a different
-	// cadence than the server expects.
-	IntervalMismatch uint64
-	// DroppedPackets counts datagrams the kernel discarded because a
-	// listener socket's receive queue was full: the sum over listeners
-	// of the socket's drop counter (SO_MEMINFO), sampled when Stats is
-	// called. Only linux/amd64 and linux/arm64 expose it; elsewhere it
-	// stays 0.
-	DroppedPackets uint64
-	// BuffersExhausted is always 0: the packet free list it counted is
-	// gone. The field stays for the WAL record and /metrics
-	// compatibility.
-	BuffersExhausted uint64
-	// ReadErrors counts transient socket read errors.
-	ReadErrors uint64
-	// CommandsSent counts command frames written to reporters;
-	// CommandsAcked the commands confirmed by a heartbeat ack pair in
-	// the current command epoch; CommandsDropped the commands that could
-	// not be sent (unknown return address, socket error).
-	CommandsSent    uint64
-	CommandsAcked   uint64
-	CommandsDropped uint64
-	// CommandStaleAcks counts heartbeat ack pairs ignored because their
-	// command epoch was not the server's current one (a reporter still
-	// acking a superseded server incarnation).
-	CommandStaleAcks uint64
+	Counters
 	// Nodes is the number of registered nodes.
 	Nodes int
 	// Listeners is the number of active listener sockets: the
@@ -246,35 +189,18 @@ type Stats struct {
 	Listeners int
 }
 
-// Delta returns the field-wise counter difference s - prev: what
-// happened between two Stats() reads. The WAL shipper persists these
-// increments so replay can integrate the counter series back over any
-// time window. The Nodes and Listeners gauges are copied from s, not
-// differenced. Counters are monotonic, so with prev taken earlier every
-// delta field is non-negative.
+// Delta returns s with every counter replaced by its increase since
+// prev: what happened between two Stats() reads. The Nodes and
+// Listeners gauges are copied from s, not differenced. Counters are
+// monotonic, so with prev taken earlier every delta is non-negative.
+// The WAL shipper persists the Counters half, so replay can integrate
+// the counter series back over any time window.
 func (s Stats) Delta(prev Stats) Stats {
-	return Stats{
-		Frames:           s.Frames - prev.Frames,
-		Bytes:            s.Bytes - prev.Bytes,
-		Accepted:         s.Accepted - prev.Accepted,
-		DecodeErrors:     s.DecodeErrors - prev.DecodeErrors,
-		UnknownNode:      s.UnknownNode - prev.UnknownNode,
-		SeqGaps:          s.SeqGaps - prev.SeqGaps,
-		SeqGapEvents:     s.SeqGapEvents - prev.SeqGapEvents,
-		DuplicateDrops:   s.DuplicateDrops - prev.DuplicateDrops,
-		NodeRestarts:     s.NodeRestarts - prev.NodeRestarts,
-		StaleEpochDrops:  s.StaleEpochDrops - prev.StaleEpochDrops,
-		IntervalMismatch: s.IntervalMismatch - prev.IntervalMismatch,
-		DroppedPackets:   s.DroppedPackets - prev.DroppedPackets,
-		BuffersExhausted: s.BuffersExhausted - prev.BuffersExhausted,
-		ReadErrors:       s.ReadErrors - prev.ReadErrors,
-		CommandsSent:     s.CommandsSent - prev.CommandsSent,
-		CommandsAcked:    s.CommandsAcked - prev.CommandsAcked,
-		CommandsDropped:  s.CommandsDropped - prev.CommandsDropped,
-		CommandStaleAcks: s.CommandStaleAcks - prev.CommandStaleAcks,
-		Nodes:            s.Nodes,
-		Listeners:        s.Listeners,
+	pf := prev.Fields()
+	for i, f := range s.Fields() {
+		*f -= *pf[i]
 	}
+	return s
 }
 
 // ListenerStat is the per-listener slice of the ingestion counters,
@@ -759,25 +685,27 @@ func (s *Server) NodeCommandAcked(node uint32) uint64 {
 // Stats returns a copy of the ingestion counters.
 func (s *Server) Stats() Stats {
 	return Stats{
-		Frames:           s.frames.Load(),
-		Bytes:            s.bytes.Load(),
-		Accepted:         s.accepted.Load(),
-		DecodeErrors:     s.decodeErrs.Load(),
-		UnknownNode:      s.unknown.Load(),
-		SeqGaps:          s.seqGaps.Load(),
-		SeqGapEvents:     s.gapEvents.Load(),
-		DuplicateDrops:   s.dupDrops.Load(),
-		NodeRestarts:     s.restarts.Load(),
-		StaleEpochDrops:  s.staleEpochs.Load(),
-		IntervalMismatch: s.intervalMism.Load(),
-		DroppedPackets:   s.kernelDrops(),
-		ReadErrors:       s.readErrs.Load(),
-		CommandsSent:     s.cmdSent.Load(),
-		CommandsAcked:    s.cmdAcked.Load(),
-		CommandsDropped:  s.cmdDropped.Load(),
-		CommandStaleAcks: s.cmdStale.Load(),
-		Nodes:            s.nodes.Load().count,
-		Listeners:        len(s.snapshotListeners()),
+		Counters: Counters{
+			Frames:           s.frames.Load(),
+			Bytes:            s.bytes.Load(),
+			Accepted:         s.accepted.Load(),
+			DecodeErrors:     s.decodeErrs.Load(),
+			UnknownNode:      s.unknown.Load(),
+			SeqGaps:          s.seqGaps.Load(),
+			SeqGapEvents:     s.gapEvents.Load(),
+			DuplicateDrops:   s.dupDrops.Load(),
+			NodeRestarts:     s.restarts.Load(),
+			StaleEpochDrops:  s.staleEpochs.Load(),
+			IntervalMismatch: s.intervalMism.Load(),
+			DroppedPackets:   s.kernelDrops(),
+			ReadErrors:       s.readErrs.Load(),
+			CommandsSent:     s.cmdSent.Load(),
+			CommandsAcked:    s.cmdAcked.Load(),
+			CommandsDropped:  s.cmdDropped.Load(),
+			CommandStaleAcks: s.cmdStale.Load(),
+		},
+		Nodes:     s.nodes.Load().count,
+		Listeners: len(s.snapshotListeners()),
 	}
 }
 

@@ -43,6 +43,7 @@ import (
 	"math"
 
 	"swwd/internal/core"
+	"swwd/internal/ingest"
 )
 
 // Kind classifies one WAL record.
@@ -156,34 +157,12 @@ type Action struct {
 	ExecErr   bool   `json:"exec_err"`
 }
 
-// Delta is one periodic snapshot of ingest counter deltas: every field
-// is the increase since the previous Delta record (ingest.Stats.Delta).
-// Summing a contiguous run of deltas reconstructs the counters over any
-// replayed window.
-type Delta struct {
-	Frames           uint64 `json:"frames"`
-	Bytes            uint64 `json:"bytes"`
-	Accepted         uint64 `json:"accepted"`
-	DecodeErrors     uint64 `json:"decode_errors"`
-	UnknownNode      uint64 `json:"unknown_node"`
-	SeqGaps          uint64 `json:"seq_gaps"`
-	SeqGapEvents     uint64 `json:"seq_gap_events"`
-	DuplicateDrops   uint64 `json:"duplicate_drops"`
-	NodeRestarts     uint64 `json:"node_restarts"`
-	StaleEpochDrops  uint64 `json:"stale_epoch_drops"`
-	IntervalMismatch uint64 `json:"interval_mismatch"`
-	DroppedPackets   uint64 `json:"dropped_packets"`
-	BuffersExhausted uint64 `json:"buffers_exhausted"`
-	ReadErrors       uint64 `json:"read_errors"`
-	CommandsSent     uint64 `json:"commands_sent"`
-	CommandsAcked    uint64 `json:"commands_acked"`
-	CommandsDropped  uint64 `json:"commands_dropped"`
-	CommandStaleAcks uint64 `json:"command_stale_acks"`
-}
-
-// IsZero reports whether no counter moved — zero deltas are not worth a
-// record.
-func (d Delta) IsZero() bool { return d == Delta{} }
+// Delta is one periodic snapshot of ingest counter deltas: every
+// counter is the increase since the previous Delta record
+// (ingest.Stats.Delta). Summing a contiguous run of deltas
+// (Counters.Add) reconstructs the counters over any replayed window.
+// The record stores the counters in ingest.Counters.Fields order.
+type Delta = ingest.Counters
 
 // Record is one WAL entry: the monotonic WAL sequence number, the
 // wall-clock append time, and exactly one kind-selected payload. The
@@ -211,19 +190,27 @@ type Record struct {
 //
 // The length and CRC let recovery detect a torn tail: a partially
 // written frame fails the length bound or the CRC and scanning stops
-// exactly at the last intact record.
-const (
-	frameOverhead = 8 // length + crc
-	recPrefix     = 1 + 8 + 8
+// exactly at the last intact record. Each kind's payload has a fixed
+// size (codec.body is the one statement of every layout), so changing
+// a layout, a new ingest counter included, needs a new record kind: a
+// build whose layout of a kind differs reads the records already
+// written under that kind as corruption.
+const frameOverhead = 8 // length + crc
 
-	detPayloadLen   = 8 + 8 + 8 + 1 + 4*4 + 4 + 4 + 1 + 1 + 4*4 + 8 + 3*8
-	actPayloadLen   = 1 + 4 + 4 + 8 + 1
-	deltaPayloadLen = 18 * 8
-
-	// maxBody bounds the length field during decode; anything larger is
-	// corruption (or a future record kind this build cannot read).
-	maxBody = recPrefix + deltaPayloadLen
-)
+// bodyLens is the body length of each record kind, and maxBody the
+// largest; both are measured by encoding a zero record of each kind
+// into a scratch buffer longer than any body. maxBody bounds the length
+// field during decode: anything larger is corruption (or a future
+// record kind this build cannot read).
+var bodyLens, maxBody = func() (lens [kindMax]int, longest int) {
+	for k := KindDetection; k < kindMax; k++ {
+		c := codec{buf: make([]byte, 1024)}
+		c.body(&Record{Kind: k})
+		lens[k] = c.off
+		longest = max(longest, lens[k])
+	}
+	return lens, longest
+}()
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -235,72 +222,26 @@ var (
 	ErrCorrupt = errors.New("wal: corrupt record")
 )
 
-func payloadLen(k Kind) int {
-	switch k {
-	case KindDetection:
-		return detPayloadLen
-	case KindAction:
-		return actPayloadLen
-	case KindDelta:
-		return deltaPayloadLen
+// bodyLen is the body length of a kind-k record, -1 for an unknown kind.
+func bodyLen(k Kind) int {
+	if k < KindDetection || k >= kindMax {
+		return -1
 	}
-	return -1
+	return bodyLens[k]
 }
 
 // appendRecord encodes r onto dst and returns the extended slice.
 func appendRecord(dst []byte, r *Record) []byte {
-	n := recPrefix + payloadLen(r.Kind)
-	start := len(dst)
-	dst = append(dst, make([]byte, frameOverhead)...)
-	dst = append(dst, byte(r.Kind))
-	dst = appendU64(dst, r.Seq)
-	dst = appendU64(dst, uint64(r.TimeNs))
-	switch r.Kind {
-	case KindDetection:
-		d := &r.Det
-		dst = appendU64(dst, d.JournalSeq)
-		dst = appendU64(dst, uint64(d.SimTimeNs))
-		dst = appendU64(dst, d.Cycle)
-		dst = append(dst, d.Kind)
-		dst = appendU32(dst, uint32(d.Runnable))
-		dst = appendU32(dst, uint32(d.Task))
-		dst = appendU32(dst, uint32(d.App))
-		dst = appendU32(dst, uint32(d.Predecessor))
-		dst = appendU32(dst, uint32(d.Observed))
-		dst = appendU32(dst, uint32(d.Expected))
-		dst = append(dst, b2u8(d.Correlated), b2u8(d.Active))
-		dst = appendU32(dst, uint32(d.AC))
-		dst = appendU32(dst, uint32(d.ARC))
-		dst = appendU32(dst, uint32(d.CCA))
-		dst = appendU32(dst, uint32(d.CCAR))
-		dst = appendU64(dst, d.Beats)
-		dst = appendU64(dst, d.ErrAliveness)
-		dst = appendU64(dst, d.ErrArrivalRate)
-		dst = appendU64(dst, d.ErrProgramFlow)
-	case KindAction:
-		a := &r.Act
-		dst = append(dst, a.Kind)
-		dst = appendU32(dst, a.Node)
-		dst = appendU32(dst, a.Cause)
-		dst = appendU64(dst, uint64(a.SimTimeNs))
-		dst = append(dst, b2u8(a.ExecErr))
-	case KindDelta:
-		d := &r.Delta
-		for _, v := range [...]uint64{
-			d.Frames, d.Bytes, d.Accepted, d.DecodeErrors, d.UnknownNode,
-			d.SeqGaps, d.SeqGapEvents, d.DuplicateDrops, d.NodeRestarts,
-			d.StaleEpochDrops, d.IntervalMismatch, d.DroppedPackets,
-			d.BuffersExhausted, d.ReadErrors, d.CommandsSent,
-			d.CommandsAcked, d.CommandsDropped, d.CommandStaleAcks,
-		} {
-			dst = appendU64(dst, v)
-		}
-	default:
+	n := bodyLen(r.Kind)
+	if n < 0 {
 		panic("wal: appendRecord of unknown kind")
 	}
-	body := dst[start+frameOverhead:]
+	start := len(dst)
+	dst = append(dst, make([]byte, frameOverhead+n)...)
+	c := codec{buf: dst[start+frameOverhead:]}
+	c.body(r)
 	binary.LittleEndian.PutUint32(dst[start:], uint32(n))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(body, castagnoli))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(dst[start+frameOverhead:], castagnoli))
 	return dst
 }
 
@@ -311,7 +252,7 @@ func decodeRecord(data []byte, r *Record) (int, error) {
 		return 0, ErrTorn
 	}
 	n := int(binary.LittleEndian.Uint32(data))
-	if n < recPrefix || n > maxBody {
+	if n < 1 || n > maxBody {
 		return 0, ErrCorrupt
 	}
 	if len(data) < frameOverhead+n {
@@ -321,76 +262,119 @@ func decodeRecord(data []byte, r *Record) (int, error) {
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[4:]) {
 		return 0, ErrCorrupt
 	}
-	k := Kind(body[0])
-	if pl := payloadLen(k); pl < 0 || recPrefix+pl != n {
+	if bodyLen(Kind(body[0])) != n {
 		return 0, ErrCorrupt
 	}
-	*r = Record{
-		Kind:   k,
-		Seq:    binary.LittleEndian.Uint64(body[1:]),
-		TimeNs: int64(binary.LittleEndian.Uint64(body[9:])),
-	}
-	p := body[recPrefix:]
-	switch k {
-	case KindDetection:
-		d := &r.Det
-		d.JournalSeq = getU64(p, 0)
-		d.SimTimeNs = int64(getU64(p, 8))
-		d.Cycle = getU64(p, 16)
-		d.Kind = p[24]
-		d.Runnable = int32(getU32(p, 25))
-		d.Task = int32(getU32(p, 29))
-		d.App = int32(getU32(p, 33))
-		d.Predecessor = int32(getU32(p, 37))
-		d.Observed = int32(getU32(p, 41))
-		d.Expected = int32(getU32(p, 45))
-		d.Correlated = p[49] != 0
-		d.Active = p[50] != 0
-		d.AC = int32(getU32(p, 51))
-		d.ARC = int32(getU32(p, 55))
-		d.CCA = int32(getU32(p, 59))
-		d.CCAR = int32(getU32(p, 63))
-		d.Beats = getU64(p, 67)
-		d.ErrAliveness = getU64(p, 75)
-		d.ErrArrivalRate = getU64(p, 83)
-		d.ErrProgramFlow = getU64(p, 91)
-	case KindAction:
-		a := &r.Act
-		a.Kind = p[0]
-		a.Node = getU32(p, 1)
-		a.Cause = getU32(p, 5)
-		a.SimTimeNs = int64(getU64(p, 9))
-		a.ExecErr = p[17] != 0
-	case KindDelta:
-		d := &r.Delta
-		for i, f := range [...]*uint64{
-			&d.Frames, &d.Bytes, &d.Accepted, &d.DecodeErrors, &d.UnknownNode,
-			&d.SeqGaps, &d.SeqGapEvents, &d.DuplicateDrops, &d.NodeRestarts,
-			&d.StaleEpochDrops, &d.IntervalMismatch, &d.DroppedPackets,
-			&d.BuffersExhausted, &d.ReadErrors, &d.CommandsSent,
-			&d.CommandsAcked, &d.CommandsDropped, &d.CommandStaleAcks,
-		} {
-			*f = getU64(p, i*8)
-		}
-	}
+	*r = Record{}
+	c := codec{buf: body, decode: true}
+	c.body(r)
 	return frameOverhead + n, nil
 }
 
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+// codec moves one record body between a Record and its bytes in either
+// direction, field by field at the cursor off: encoding writes each
+// field into buf, decoding reads it back. Walking the fields once
+// through it (body) is the whole layout, so the encoder and the decoder
+// cannot disagree.
+type codec struct {
+	buf    []byte
+	off    int
+	decode bool
 }
 
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func getU64(b []byte, off int) uint64 { return binary.LittleEndian.Uint64(b[off:]) }
-func getU32(b []byte, off int) uint32 { return binary.LittleEndian.Uint32(b[off:]) }
-
-func b2u8(v bool) byte {
-	if v {
-		return 1
+// body walks r's body: the prefix, then the kind's payload.
+func (c *codec) body(r *Record) {
+	c.u8((*uint8)(&r.Kind))
+	c.u64(&r.Seq)
+	c.i64(&r.TimeNs)
+	switch r.Kind {
+	case KindDetection:
+		d := &r.Det
+		c.u64(&d.JournalSeq)
+		c.i64(&d.SimTimeNs)
+		c.u64(&d.Cycle)
+		c.u8(&d.Kind)
+		c.i32(&d.Runnable)
+		c.i32(&d.Task)
+		c.i32(&d.App)
+		c.i32(&d.Predecessor)
+		c.i32(&d.Observed)
+		c.i32(&d.Expected)
+		c.bool(&d.Correlated)
+		c.bool(&d.Active)
+		c.i32(&d.AC)
+		c.i32(&d.ARC)
+		c.i32(&d.CCA)
+		c.i32(&d.CCAR)
+		c.u64(&d.Beats)
+		c.u64(&d.ErrAliveness)
+		c.u64(&d.ErrArrivalRate)
+		c.u64(&d.ErrProgramFlow)
+	case KindAction:
+		a := &r.Act
+		c.u8(&a.Kind)
+		c.u32(&a.Node)
+		c.u32(&a.Cause)
+		c.i64(&a.SimTimeNs)
+		c.bool(&a.ExecErr)
+	case KindDelta:
+		for _, f := range r.Delta.Fields() {
+			c.u64(f)
+		}
 	}
-	return 0
+}
+
+func (c *codec) u8(v *uint8) {
+	if c.decode {
+		*v = c.buf[c.off]
+	} else {
+		c.buf[c.off] = *v
+	}
+	c.off++
+}
+
+func (c *codec) u32(v *uint32) {
+	if c.decode {
+		*v = binary.LittleEndian.Uint32(c.buf[c.off:])
+	} else {
+		binary.LittleEndian.PutUint32(c.buf[c.off:], *v)
+	}
+	c.off += 4
+}
+
+func (c *codec) u64(v *uint64) {
+	if c.decode {
+		*v = binary.LittleEndian.Uint64(c.buf[c.off:])
+	} else {
+		binary.LittleEndian.PutUint64(c.buf[c.off:], *v)
+	}
+	c.off += 8
+}
+
+func (c *codec) i32(v *int32) {
+	u := uint32(*v)
+	c.u32(&u)
+	if c.decode {
+		*v = int32(u)
+	}
+}
+
+func (c *codec) i64(v *int64) {
+	u := uint64(*v)
+	c.u64(&u)
+	if c.decode {
+		*v = int64(u)
+	}
+}
+
+// bool stores a flag as one byte; any non-zero byte decodes as true.
+func (c *codec) bool(v *bool) {
+	var u uint8
+	if *v {
+		u = 1
+	}
+	c.u8(&u)
+	if c.decode {
+		*v = u != 0
+	}
 }

@@ -159,26 +159,7 @@ func (v *View) apply(r *Record) {
 	case KindAction:
 		v.Actions[r.Act.Kind]++
 	case KindDelta:
-		d := &r.Delta
-		s := &v.Ingest
-		s.Frames += d.Frames
-		s.Bytes += d.Bytes
-		s.Accepted += d.Accepted
-		s.DecodeErrors += d.DecodeErrors
-		s.UnknownNode += d.UnknownNode
-		s.SeqGaps += d.SeqGaps
-		s.SeqGapEvents += d.SeqGapEvents
-		s.DuplicateDrops += d.DuplicateDrops
-		s.NodeRestarts += d.NodeRestarts
-		s.StaleEpochDrops += d.StaleEpochDrops
-		s.IntervalMismatch += d.IntervalMismatch
-		s.DroppedPackets += d.DroppedPackets
-		s.BuffersExhausted += d.BuffersExhausted
-		s.ReadErrors += d.ReadErrors
-		s.CommandsSent += d.CommandsSent
-		s.CommandsAcked += d.CommandsAcked
-		s.CommandsDropped += d.CommandsDropped
-		s.CommandStaleAcks += d.CommandStaleAcks
+		v.Ingest.Add(r.Delta)
 		v.Deltas++
 	}
 }

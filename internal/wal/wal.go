@@ -448,7 +448,7 @@ func (w *WAL) drainAndWrite(rec *Record) {
 	for w.ring.pop(rec) {
 		rec.Seq = w.nextSeq
 		w.nextSeq++
-		recLen := int64(frameOverhead + recPrefix + payloadLen(rec.Kind))
+		recLen := int64(frameOverhead + bodyLen(rec.Kind))
 		if w.curSize+int64(len(buf))+recLen > w.opt.segmentBytes &&
 			w.curSize+int64(len(buf)) > segHeaderSize {
 			flush()
