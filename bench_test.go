@@ -425,13 +425,7 @@ func BenchmarkEagerArrivalAblation(b *testing.B) {
 			if err := v.Run(4 * time.Second); err != nil {
 				b.Fatalf("Run: %v", err)
 			}
-			var first sim.Time
-			for _, f := range v.FMF.FaultLog() {
-				if f.Kind == core.ArrivalRateError {
-					first = f.Time
-					break
-				}
-			}
+			first := v.FirstDetection(core.ArrivalRateError)
 			if first == 0 {
 				b.Fatal("no detection")
 			}

@@ -127,13 +127,7 @@ func run() error {
 			if err := v.Run(at.Duration() + *horizon); err != nil {
 				return err
 			}
-			var first sim.Time
-			for _, r := range v.FMF.FaultLog() {
-				if r.Kind == cd.kind {
-					first = r.Time
-					break
-				}
-			}
+			first := v.FirstDetection(cd.kind)
 			var lat time.Duration
 			if first > 0 {
 				detected++

@@ -125,14 +125,18 @@ func run() error {
 	printState("SteerByWireTask", st, err2)
 	fmt.Printf("ECU state: %v (resets: %d)\n", v.Watchdog.ECUState(), v.OS.ResetCount())
 
-	if faults := v.FMF.FaultLog(); len(faults) > 0 {
+	if faults := v.Watchdog.Journal(); len(faults) > 0 {
 		fmt.Printf("\nfault log (%d entries, showing up to 10):\n", len(faults))
 		for i, f := range faults {
 			if i >= 10 {
 				fmt.Printf("  ... %d more\n", len(faults)-10)
 				break
 			}
-			fmt.Printf("  %v %s\n", f.Time, f.String())
+			r := core.Report{
+				Cycle: f.Cycle, Kind: f.Kind, Runnable: f.Runnable, Task: f.Task,
+				Observed: f.Observed, Expected: f.Expected, Predecessor: f.Predecessor,
+			}
+			fmt.Printf("  %v %s\n", f.Time, r)
 		}
 	}
 	if trs := v.FMF.Treatments(); len(trs) > 0 {

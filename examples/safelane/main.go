@@ -19,6 +19,7 @@ import (
 	"log"
 	"time"
 
+	"swwd"
 	"swwd/validator"
 )
 
@@ -64,11 +65,15 @@ func run() error {
 	fmt.Printf("  t=%v detections=%+v task=%v\n", v.Kernel.Now(), res, st)
 
 	fmt.Println("\nfault log (first 5):")
-	for i, f := range v.FMF.FaultLog() {
+	for i, f := range v.Watchdog.Journal() {
 		if i >= 5 {
 			break
 		}
-		fmt.Printf("  %v %s\n", f.Time, f.String())
+		r := swwd.Report{
+			Cycle: f.Cycle, Kind: f.Kind, Runnable: f.Runnable, Task: f.Task,
+			Observed: f.Observed, Expected: f.Expected, Predecessor: f.Predecessor,
+		}
+		fmt.Printf("  %v %s\n", f.Time, r)
 	}
 
 	if pfc := v.Recorder.Series("PFC Result"); pfc != nil {

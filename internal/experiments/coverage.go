@@ -129,7 +129,7 @@ func Coverage() ([]CoverageRow, error) {
 				return nil, fmt.Errorf("experiments: coverage: %w", err)
 			}
 			row.Runs++
-			first := latencyOf(v.FMF.FaultLog(), vr.kind)
+			first := v.FirstDetection(vr.kind)
 			if first > 0 {
 				row.Detected++
 				lat := first.Sub(at)

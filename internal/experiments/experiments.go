@@ -38,18 +38,6 @@ type TraceResult struct {
 	// TaskFaultyAt is when the TSI unit declared the task faulty (zero
 	// when it never did).
 	TaskFaultyAt sim.Time
-	// Faults is the FMF's fault log.
-	Faults []core.Report
-}
-
-// latencyOf extracts the first detection of kind from the log.
-func latencyOf(log []core.Report, kind core.ErrorKind) sim.Time {
-	for _, r := range log {
-		if r.Kind == kind {
-			return r.Time
-		}
-	}
-	return 0
 }
 
 // taskFaultyAt finds the faulty transition in the recorded TaskState
@@ -81,14 +69,12 @@ func Fig5() (*TraceResult, error) {
 	if err := v.Run(6 * time.Second); err != nil {
 		return nil, fmt.Errorf("experiments: fig5: %w", err)
 	}
-	log := v.FMF.FaultLog()
 	return &TraceResult{
 		Recorder:       v.Recorder,
 		Results:        v.Watchdog.Results(),
 		InjectedAt:     injectAt,
-		FirstDetection: latencyOf(log, core.AlivenessError),
+		FirstDetection: v.FirstDetection(core.AlivenessError),
 		TaskFaultyAt:   taskFaultyAt(v.Recorder),
-		Faults:         log,
 	}, nil
 }
 
@@ -111,14 +97,12 @@ func Fig6() (*TraceResult, error) {
 	if err := v.Run(5 * time.Second); err != nil {
 		return nil, fmt.Errorf("experiments: fig6: %w", err)
 	}
-	log := v.FMF.FaultLog()
 	return &TraceResult{
 		Recorder:       v.Recorder,
 		Results:        v.Watchdog.Results(),
 		InjectedAt:     injectAt,
-		FirstDetection: latencyOf(log, core.ProgramFlowError),
+		FirstDetection: v.FirstDetection(core.ProgramFlowError),
 		TaskFaultyAt:   taskFaultyAt(v.Recorder),
-		Faults:         log,
 	}, nil
 }
 
@@ -135,14 +119,12 @@ func ArrivalRate() (*TraceResult, error) {
 	if err := v.Run(5 * time.Second); err != nil {
 		return nil, fmt.Errorf("experiments: arrival: %w", err)
 	}
-	log := v.FMF.FaultLog()
 	return &TraceResult{
 		Recorder:       v.Recorder,
 		Results:        v.Watchdog.Results(),
 		InjectedAt:     injectAt,
-		FirstDetection: latencyOf(log, core.ArrivalRateError),
+		FirstDetection: v.FirstDetection(core.ArrivalRateError),
 		TaskFaultyAt:   taskFaultyAt(v.Recorder),
-		Faults:         log,
 	}, nil
 }
 
@@ -163,14 +145,12 @@ func PFC() (*TraceResult, error) {
 	if err := v.Run(5 * time.Second); err != nil {
 		return nil, fmt.Errorf("experiments: pfc: %w", err)
 	}
-	log := v.FMF.FaultLog()
 	return &TraceResult{
 		Recorder:       v.Recorder,
 		Results:        v.Watchdog.Results(),
 		InjectedAt:     injectAt,
-		FirstDetection: latencyOf(log, core.ProgramFlowError),
+		FirstDetection: v.FirstDetection(core.ProgramFlowError),
 		TaskFaultyAt:   taskFaultyAt(v.Recorder),
-		Faults:         log,
 	}, nil
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"swwd/internal/core"
 	"swwd/internal/fmf"
+	"swwd/internal/hil"
 	"swwd/internal/osek"
 	"swwd/internal/runnable"
 	"swwd/internal/sim"
@@ -78,7 +79,7 @@ func SharedTask() (*SharedTaskResult, error) {
 	framework, err := fmf.New(fmf.Config{
 		Model: m,
 		Clock: kernel,
-		Exec:  &osExec{os: os},
+		Exec:  hil.OSEKExecutor{OS: os},
 		Defer: func(f func()) { kernel.After(0, f) },
 	})
 	if err != nil {
@@ -155,6 +156,24 @@ func SharedTask() (*SharedTaskResult, error) {
 
 	res := &SharedTaskResult{}
 	framework.Subscribe(func(n fmf.Notification) {
+		if f := n.Report; f != nil {
+			switch f.Kind {
+			case core.ProgramFlowError:
+				res.FlowErrors++
+				if res.FirstRunnable == "" {
+					if r, err := m.Runnable(f.Runnable); err == nil {
+						res.FirstRunnable = r.Name
+					}
+					if r, err := m.Runnable(f.Predecessor); err == nil {
+						res.FirstPredecessor = r.Name
+					}
+				}
+			case core.AlivenessError:
+				if f.App == appA {
+					res.AlivenessOnA++
+				}
+			}
+		}
 		if n.State == nil || n.State.Scope != core.AppScope || n.State.State != core.StateFaulty {
 			return
 		}
@@ -171,24 +190,6 @@ func SharedTask() (*SharedTaskResult, error) {
 		return nil, fmt.Errorf("experiments: sharedtask: %w", err)
 	}
 
-	for _, f := range framework.FaultLog() {
-		switch f.Kind {
-		case core.ProgramFlowError:
-			res.FlowErrors++
-			if res.FirstRunnable == "" {
-				if r, err := m.Runnable(f.Runnable); err == nil {
-					res.FirstRunnable = r.Name
-				}
-				if r, err := m.Runnable(f.Predecessor); err == nil {
-					res.FirstPredecessor = r.Name
-				}
-			}
-		case core.AlivenessError:
-			if f.App == appA {
-				res.AlivenessOnA++
-			}
-		}
-	}
 	for _, tr := range framework.Treatments() {
 		if tr.App == appB && tr.Action == fmf.RestartAppAction {
 			res.PrivateBRestarted = true
@@ -196,12 +197,3 @@ func SharedTask() (*SharedTaskResult, error) {
 	}
 	return res, nil
 }
-
-// osExec adapts the OS admin services for the standalone E7 rig.
-type osExec struct{ os *osek.OS }
-
-var _ fmf.Executor = (*osExec)(nil)
-
-func (e *osExec) RestartTask(tid runnable.TaskID) error   { return e.os.RestartTask(tid) }
-func (e *osExec) TerminateTask(tid runnable.TaskID) error { return e.os.ForceTerminate(tid) }
-func (e *osExec) ResetECU() error                         { e.os.ResetECU(); return nil }

@@ -1,18 +1,23 @@
 // Package fmf implements the Fault Management Framework of the EASIS
 // platform: the "general fault handling service" the Software Watchdog
-// reports to (§3.2, [12]). It gathers detected faults, classifies their
-// severity, informs subscribed applications, and carries out the
+// reports to (§3.2, [12]). It classifies the severity of detected
+// faults, informs subscribed applications, and carries out the
 // coordinated fault treatments of §3.5 with the operating system:
 //
 //   - global ECU state faulty → software reset of the ECU (when the
 //     applications' constraints allow it);
 //   - ECU state OK but an application faulty → restart or terminate the
 //     faulty application's tasks per the application's policy.
+//
+// The treatment choice is the function decide, apart from the lock, the
+// clock and the executor. The watchdog's journal (core.Watchdog.Journal)
+// is the fault record; the framework keeps only the treatments it ran.
 package fmf
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -127,6 +132,7 @@ type Notification struct {
 
 // Config assembles a Framework.
 type Config struct {
+	// Model is the frozen runnable model the framework treats.
 	Model *runnable.Model
 	Clock sim.Clock
 	// Exec carries out treatments; nil disables treatment execution
@@ -148,8 +154,6 @@ type Config struct {
 	// DefaultPolicy applies to applications without an explicit policy.
 	// Zero value means RestartApp.
 	DefaultPolicy AppPolicy
-	// LogCapacity bounds the in-memory fault log. Zero means 1024.
-	LogCapacity int
 	// EscalationThreshold escalates a repeatedly restarted application to
 	// termination: after this many restart treatments of the same app
 	// within EscalationWindow, the restart policy is overridden by
@@ -161,24 +165,16 @@ type Config struct {
 	EscalationWindow time.Duration
 }
 
-// Framework is the Fault Management Framework instance of one ECU.
+// Framework is the Fault Management Framework instance of one ECU. It
+// classifies and forwards the watchdog's detections; the watchdog's own
+// journal is the fault record.
 type Framework struct {
 	mu  sync.Mutex
 	cfg Config
 
-	policies    map[runnable.AppID]AppPolicy
 	subscribers []func(Notification)
-
-	faultLog   []core.Report
-	treatments []Treatment
-
-	countsByKind     map[core.ErrorKind]uint64
-	countsBySeverity map[Severity]uint64
-
-	// restartHistory holds recent restart-treatment instants per app for
-	// the escalation window.
-	restartHistory map[runnable.AppID][]sim.Time
-	escalated      map[runnable.AppID]bool
+	state       decisionState
+	treatments  []Treatment
 }
 
 var _ core.Sink = (*Framework)(nil)
@@ -187,6 +183,9 @@ var _ core.Sink = (*Framework)(nil)
 func New(cfg Config) (*Framework, error) {
 	if cfg.Model == nil {
 		return nil, errors.New("fmf: Config.Model is required")
+	}
+	if !cfg.Model.Frozen() {
+		return nil, errors.New("fmf: model must be frozen")
 	}
 	if cfg.Clock == nil {
 		return nil, errors.New("fmf: Config.Clock is required")
@@ -197,23 +196,13 @@ func New(cfg Config) (*Framework, error) {
 	if cfg.DefaultPolicy == 0 {
 		cfg.DefaultPolicy = RestartApp
 	}
-	if cfg.LogCapacity <= 0 {
-		cfg.LogCapacity = 1024
-	}
 	if cfg.EscalationThreshold < 0 {
 		return nil, errors.New("fmf: negative escalation threshold")
 	}
 	if cfg.EscalationThreshold > 0 && cfg.EscalationWindow <= 0 {
 		cfg.EscalationWindow = time.Second
 	}
-	return &Framework{
-		cfg:              cfg,
-		policies:         make(map[runnable.AppID]AppPolicy),
-		countsByKind:     make(map[core.ErrorKind]uint64),
-		countsBySeverity: make(map[Severity]uint64),
-		restartHistory:   make(map[runnable.AppID][]sim.Time),
-		escalated:        make(map[runnable.AppID]bool),
-	}, nil
+	return &Framework{cfg: cfg, state: newDecisionState(cfg)}, nil
 }
 
 // SetMonitor attaches the watchdog surface after construction. The
@@ -223,12 +212,6 @@ func (f *Framework) SetMonitor(m Monitor) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.cfg.Monitor = m
-}
-
-func (f *Framework) monitor() Monitor {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.cfg.Monitor
 }
 
 // SetPolicy selects the treatment policy for one application.
@@ -241,7 +224,7 @@ func (f *Framework) SetPolicy(app runnable.AppID, p AppPolicy) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.policies[app] = p
+	f.state.apps[app].policy = p
 	return nil
 }
 
@@ -255,6 +238,17 @@ func (f *Framework) Subscribe(fn func(Notification)) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.subscribers = append(f.subscribers, fn)
+}
+
+// notify delivers n to every subscriber, outside the lock. Subscribe
+// only appends, so the slice read under the lock never changes.
+func (f *Framework) notify(n Notification) {
+	f.mu.Lock()
+	subs := f.subscribers
+	f.mu.Unlock()
+	for _, fn := range subs {
+		fn(n)
+	}
 }
 
 // Severity derives a fault's severity from the owning application's
@@ -275,196 +269,154 @@ func (f *Framework) Severity(r core.Report) Severity {
 	}
 }
 
-// Fault implements core.Sink: record, classify and notify.
+// Fault implements core.Sink: classify and notify.
 func (f *Framework) Fault(r core.Report) {
-	f.mu.Lock()
-	sev := f.Severity(r)
-	if len(f.faultLog) < f.cfg.LogCapacity {
-		f.faultLog = append(f.faultLog, r)
-	} else {
-		copy(f.faultLog, f.faultLog[1:])
-		f.faultLog[len(f.faultLog)-1] = r
-	}
-	f.countsByKind[r.Kind]++
-	f.countsBySeverity[sev]++
-	subs := make([]func(Notification), len(f.subscribers))
-	copy(subs, f.subscribers)
-	f.mu.Unlock()
-	for _, fn := range subs {
-		fn(Notification{Severity: sev, Report: &r})
-	}
+	f.notify(Notification{Severity: f.Severity(r), Report: &r})
 }
 
-// StateChanged implements core.Sink: on faulty transitions the §3.5
-// treatment decision runs (deferred past the watchdog lock).
+// StateChanged implements core.Sink: subscribers are told at once, and
+// the §3.5 treatment decision runs deferred past the watchdog lock.
 func (f *Framework) StateChanged(e core.StateEvent) {
-	f.mu.Lock()
-	subs := make([]func(Notification), len(f.subscribers))
-	copy(subs, f.subscribers)
-	f.mu.Unlock()
-	for _, fn := range subs {
-		fn(Notification{Severity: Warning, State: &e})
-	}
-	if f.cfg.Exec == nil || e.State != core.StateFaulty {
-		return
-	}
-	switch e.Scope {
-	case core.ECUScope:
-		if f.cfg.AllowECUReset {
-			f.cfg.Defer(func() { f.resetECU(e.Cause) })
-		}
-	case core.AppScope:
-		app := e.App
-		cause := e.Cause
-		f.cfg.Defer(func() { f.treatApp(app, cause) })
-	case core.TaskScope:
-		// Task-level indications are treated at application level once the
-		// TSI unit lifts them; nothing to execute here.
+	f.notify(Notification{Severity: Warning, State: &e})
+	if f.cfg.Exec != nil {
+		f.cfg.Defer(func() { f.treat(e) })
 	}
 }
 
-// treatApp restarts or terminates a faulty application's tasks.
-func (f *Framework) treatApp(app runnable.AppID, cause core.ErrorKind) {
-	appModel, err := f.cfg.Model.App(app)
-	if err != nil {
+// treat decides on e at the current time and carries the treatment out.
+func (f *Framework) treat(e core.StateEvent) {
+	f.mu.Lock()
+	tr, ok := decide(&f.state, e, f.cfg.Clock.Now())
+	mon := f.cfg.Monitor
+	f.mu.Unlock()
+	if !ok {
 		return
 	}
-	f.mu.Lock()
-	policy, ok := f.policies[app]
-	if !ok {
-		policy = f.cfg.DefaultPolicy
-	}
-	now := f.cfg.Clock.Now()
-	escalatedNow := false
-	if policy == RestartApp && f.cfg.EscalationThreshold > 0 {
-		if f.escalated[app] {
-			policy = TerminateApp
-		} else {
-			// Keep only restarts within the sliding window.
-			hist := f.restartHistory[app]
-			cutoff := now - sim.Time(f.cfg.EscalationWindow)
-			kept := hist[:0]
-			for _, t := range hist {
-				if t >= cutoff {
-					kept = append(kept, t)
+	if tr.Action == ResetECUAction {
+		tr.Err = f.cfg.Exec.ResetECU()
+		if mon != nil {
+			mon.ClearAll()
+		}
+	} else {
+		// decide only treats applications of the model.
+		app, _ := f.cfg.Model.App(tr.App)
+		for _, tid := range app.Tasks {
+			var err error
+			if tr.Action == TerminateAppAction {
+				err = f.cfg.Exec.TerminateTask(tid)
+				if mon != nil {
+					// A deliberately terminated application is no longer
+					// monitored; otherwise its silence reads as aliveness
+					// faults forever.
+					_ = mon.SuspendTaskMonitoring(tid)
+				}
+			} else {
+				err = f.cfg.Exec.RestartTask(tid)
+				if mon != nil {
+					_ = mon.ResumeTaskMonitoring(tid)
 				}
 			}
-			if len(kept) >= f.cfg.EscalationThreshold {
-				// The application keeps relapsing: contain it.
-				policy = TerminateApp
-				escalatedNow = true
-				f.escalated[app] = true
-			} else {
-				kept = append(kept, now)
-			}
-			f.restartHistory[app] = kept
-		}
-	}
-	f.mu.Unlock()
-	tr := Treatment{Time: now, App: app, Cause: cause, Escalated: escalatedNow}
-	mon := f.monitor()
-	switch policy {
-	case TerminateApp:
-		tr.Action = TerminateAppAction
-		for _, tid := range appModel.Tasks {
-			if err := f.cfg.Exec.TerminateTask(tid); err != nil && tr.Err == nil {
+			if err != nil && tr.Err == nil {
 				tr.Err = err
 			}
-			if mon != nil {
-				// A deliberately terminated application is no longer
-				// monitored; otherwise its silence reads as aliveness
-				// faults forever.
-				_ = mon.SuspendTaskMonitoring(tid)
-			}
 		}
-	default:
-		tr.Action = RestartAppAction
-		for _, tid := range appModel.Tasks {
-			if err := f.cfg.Exec.RestartTask(tid); err != nil && tr.Err == nil {
-				tr.Err = err
-			}
-			if mon != nil {
-				_ = mon.ResumeTaskMonitoring(tid)
+		if mon != nil {
+			for _, tid := range app.Tasks {
+				// Clearing returns the TSI state to OK so monitoring
+				// restarts from a clean slate.
+				_ = mon.ClearTask(tid)
 			}
 		}
 	}
-	if mon != nil {
-		for _, tid := range appModel.Tasks {
-			// Clearing returns the TSI state to OK so monitoring restarts
-			// from a clean slate.
-			_ = mon.ClearTask(tid)
-		}
-	}
-	f.recordTreatment(tr)
-}
-
-// resetECU performs the global software reset.
-func (f *Framework) resetECU(cause core.ErrorKind) {
-	tr := Treatment{Time: f.cfg.Clock.Now(), Action: ResetECUAction, App: runnable.NoID, Cause: cause}
-	tr.Err = f.cfg.Exec.ResetECU()
-	if mon := f.monitor(); mon != nil {
-		mon.ClearAll()
-	}
-	f.recordTreatment(tr)
-}
-
-func (f *Framework) recordTreatment(tr Treatment) {
 	f.mu.Lock()
 	f.treatments = append(f.treatments, tr)
-	subs := make([]func(Notification), len(f.subscribers))
-	copy(subs, f.subscribers)
 	f.mu.Unlock()
-	for _, fn := range subs {
-		fn(Notification{Severity: Critical, Treatment: &tr})
-	}
-}
-
-// FaultLog returns a copy of the retained fault reports, oldest first.
-func (f *Framework) FaultLog() []core.Report {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]core.Report, len(f.faultLog))
-	copy(out, f.faultLog)
-	return out
+	f.notify(Notification{Severity: Critical, Treatment: &tr})
 }
 
 // Treatments returns a copy of the executed treatments, oldest first.
 func (f *Framework) Treatments() []Treatment {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]Treatment, len(f.treatments))
-	copy(out, f.treatments)
-	return out
+	return slices.Clone(f.treatments)
 }
 
-// CountByKind reports how many faults of the kind have been recorded.
-func (f *Framework) CountByKind(k core.ErrorKind) uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.countsByKind[k]
+// decisionState is what the §3.5 treatment choice depends on besides
+// the event and the time: the fixed rules, and per application of the
+// model its policy, its restart instants inside the escalation window
+// and whether it has been escalated to termination.
+type decisionState struct {
+	allowECUReset bool
+	threshold     int      // restarts in window that escalate; 0 = never
+	window        sim.Time // the sliding escalation window
+	apps          []appDecision
 }
 
-// Escalated reports whether the application's restart policy has been
-// escalated to termination.
-func (f *Framework) Escalated(app runnable.AppID) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.escalated[app]
+// appDecision is one application's part of decisionState.
+type appDecision struct {
+	policy    AppPolicy
+	restarts  []sim.Time
+	escalated bool
 }
 
-// ClearEscalation re-arms the restart policy for an application, e.g.
-// after maintenance or a software update.
-func (f *Framework) ClearEscalation(app runnable.AppID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.escalated, app)
-	delete(f.restartHistory, app)
+// newDecisionState is the decision state of a framework built from cfg,
+// before any event and any SetPolicy.
+func newDecisionState(cfg Config) decisionState {
+	s := decisionState{
+		allowECUReset: cfg.AllowECUReset,
+		threshold:     cfg.EscalationThreshold,
+		window:        sim.Time(cfg.EscalationWindow),
+		apps:          make([]appDecision, cfg.Model.NumApps()),
+	}
+	for i := range s.apps {
+		s.apps[i].policy = cfg.DefaultPolicy
+	}
+	return s
 }
 
-// CountBySeverity reports how many faults of the severity have been
-// recorded.
-func (f *Framework) CountBySeverity(s Severity) uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.countsBySeverity[s]
+// decide is the §3.5 treatment choice for one state event at now. A
+// faulty ECU is reset when that is allowed; a faulty application is
+// restarted or terminated per its policy, and a restart policy escalates
+// to termination once EscalationThreshold restarts fall within
+// EscalationWindow. Task-level indications and recoveries call for
+// nothing. It returns the treatment to run (Err unset), or false for
+// none. It reads no clock, takes no lock and calls no executor; its only
+// effect is the update of s, so a stream of events folds through it
+// deterministically.
+func decide(s *decisionState, e core.StateEvent, now sim.Time) (Treatment, bool) {
+	if e.State != core.StateFaulty {
+		return Treatment{}, false
+	}
+	switch e.Scope {
+	case core.ECUScope:
+		if s.allowECUReset {
+			return Treatment{Time: now, Action: ResetECUAction, App: runnable.NoID, Cause: e.Cause}, true
+		}
+	case core.AppScope:
+		if e.App < 0 || int(e.App) >= len(s.apps) {
+			return Treatment{}, false
+		}
+		a := &s.apps[e.App]
+		tr := Treatment{Time: now, Action: RestartAppAction, App: e.App, Cause: e.Cause}
+		switch {
+		case a.policy == TerminateApp || a.escalated:
+			tr.Action = TerminateAppAction
+		case s.threshold > 0:
+			kept := a.restarts[:0]
+			for _, t := range a.restarts {
+				if t >= now-s.window {
+					kept = append(kept, t)
+				}
+			}
+			if len(kept) >= s.threshold {
+				// The application keeps relapsing: contain it.
+				tr.Action, tr.Escalated, a.escalated = TerminateAppAction, true, true
+			} else {
+				kept = append(kept, now)
+			}
+			a.restarts = kept
+		}
+		return tr, true
+	}
+	return Treatment{}, false
 }

@@ -2,6 +2,9 @@ package fmf
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -110,6 +113,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Model: m}); err == nil {
 		t.Error("missing clock accepted")
 	}
+	if _, err := New(Config{Model: runnable.NewModel(), Clock: sim.NewManualClock()}); err == nil {
+		t.Error("unfrozen model accepted")
+	}
 	if _, err := New(Config{Model: m, Clock: sim.NewManualClock(), Exec: &fakeExec{}}); err == nil {
 		t.Error("Exec without Defer accepted")
 	}
@@ -122,38 +128,15 @@ func TestFaultRecordingAndCounts(t *testing.T) {
 	f, _, _, app, tasks := newFramework(t, nil)
 	var notified []Notification
 	f.Subscribe(func(n Notification) { notified = append(notified, n) })
-	r := core.Report{Kind: core.AlivenessError, Runnable: 0, Task: tasks[0], App: app}
-	f.Fault(r)
+	f.Fault(core.Report{Kind: core.AlivenessError, Runnable: 0, Task: tasks[0], App: app})
 	f.Fault(core.Report{Kind: core.ProgramFlowError, Runnable: 1, Task: tasks[1], App: app})
-	if got := f.CountByKind(core.AlivenessError); got != 1 {
-		t.Errorf("CountByKind(aliveness) = %d", got)
+	if len(notified) != 2 || notified[0].Report == nil || notified[0].Report.Kind != core.AlivenessError {
+		t.Fatalf("notifications = %+v", notified)
 	}
-	if got := f.CountByKind(core.ProgramFlowError); got != 1 {
-		t.Errorf("CountByKind(flow) = %d", got)
-	}
-	if got := f.CountBySeverity(Critical); got != 2 {
-		t.Errorf("CountBySeverity(critical) = %d (safety-critical app)", got)
-	}
-	log := f.FaultLog()
-	if len(log) != 2 || log[0].Kind != core.AlivenessError {
-		t.Errorf("FaultLog = %+v", log)
-	}
-	if len(notified) != 2 || notified[0].Report == nil || notified[0].Severity != Critical {
-		t.Errorf("notifications = %+v", notified)
-	}
-}
-
-func TestFaultLogBounded(t *testing.T) {
-	f, _, _, app, tasks := newFramework(t, func(c *Config) { c.LogCapacity = 3 })
-	for i := 0; i < 10; i++ {
-		f.Fault(core.Report{Kind: core.AlivenessError, Cycle: uint64(i), Task: tasks[0], App: app})
-	}
-	log := f.FaultLog()
-	if len(log) != 3 {
-		t.Fatalf("log length = %d, want 3", len(log))
-	}
-	if log[0].Cycle != 7 || log[2].Cycle != 9 {
-		t.Fatalf("log did not retain newest entries: %+v", log)
+	for _, n := range notified {
+		if n.Severity != Critical {
+			t.Errorf("severity = %v, want critical (safety-critical app)", n.Severity)
+		}
 	}
 }
 
@@ -347,17 +330,16 @@ func TestEscalationAfterRepeatedRestarts(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		f.StateChanged(ev)
 	}
-	if f.Escalated(app) {
-		t.Fatal("escalated before threshold")
+	for i, tr := range f.Treatments() {
+		if tr.Action != RestartAppAction || tr.Escalated {
+			t.Fatalf("treatment %d before threshold = %+v", i, tr)
+		}
 	}
 	if len(exec.restarted) != 6 { // 2 tasks x 3 restarts
 		t.Fatalf("restarted = %d", len(exec.restarted))
 	}
 	// ...the fourth relapse escalates to termination.
 	f.StateChanged(ev)
-	if !f.Escalated(app) {
-		t.Fatal("not escalated at threshold")
-	}
 	if len(exec.terminated) != 2 {
 		t.Fatalf("terminated = %d, want both tasks", len(exec.terminated))
 	}
@@ -371,14 +353,9 @@ func TestEscalationAfterRepeatedRestarts(t *testing.T) {
 	if len(exec.terminated) != 4 {
 		t.Fatalf("terminated = %d after relapse", len(exec.terminated))
 	}
-	// ClearEscalation re-arms restarts.
-	f.ClearEscalation(app)
-	if f.Escalated(app) {
-		t.Fatal("still escalated after ClearEscalation")
-	}
-	f.StateChanged(ev)
-	if len(exec.restarted) != 8 {
-		t.Fatalf("restarted = %d after re-arm", len(exec.restarted))
+	trs = f.Treatments()
+	if last := trs[len(trs)-1]; last.Action != TerminateAppAction || last.Escalated {
+		t.Fatalf("treatment after escalation = %+v, want a plain termination", last)
 	}
 }
 
@@ -399,8 +376,10 @@ func TestEscalationWindowSlides(t *testing.T) {
 	f.StateChanged(ev)
 	clk.Advance(200 * time.Millisecond)
 	f.StateChanged(ev)
-	if f.Escalated(app) {
-		t.Fatal("sparse restarts escalated despite sliding window")
+	for i, tr := range f.Treatments() {
+		if tr.Escalated {
+			t.Fatalf("sparse restarts escalated despite sliding window: treatment %d = %+v", i, tr)
+		}
 	}
 	if len(exec.terminated) != 0 {
 		t.Fatalf("terminated = %d", len(exec.terminated))
@@ -412,4 +391,140 @@ func TestEscalationValidation(t *testing.T) {
 	if _, err := New(Config{Model: m, Clock: sim.NewManualClock(), EscalationThreshold: -1}); err == nil {
 		t.Fatal("negative escalation threshold accepted")
 	}
+}
+
+// callLog is an Executor that records every call in order.
+type callLog struct {
+	calls []string
+	fail  error
+}
+
+func (c *callLog) RestartTask(tid runnable.TaskID) error {
+	c.calls = append(c.calls, fmt.Sprint("restart ", tid))
+	return c.fail
+}
+
+func (c *callLog) TerminateTask(tid runnable.TaskID) error {
+	c.calls = append(c.calls, fmt.Sprint("terminate ", tid))
+	return c.fail
+}
+
+func (c *callLog) ResetECU() error {
+	c.calls = append(c.calls, "reset")
+	return c.fail
+}
+
+// FuzzFrameworkDecide drives a Framework with a random StateEvent stream
+// and requires its treatments, and the executor calls that carry them
+// out, to be the fold of decide over the same stream. Each event is
+// three bytes: scope, state and cause; application (one value below and
+// one above the model's range are unknown); milliseconds the clock
+// advances first. policies holds two bits per application (1 restart,
+// 2 terminate, else the default), the default policy in bit 6 and an
+// executor that fails every call in bit 7.
+func FuzzFrameworkDecide(f *testing.F) {
+	// TestEscalationAfterRepeatedRestarts: five flow faults of app 0 at
+	// one instant, threshold 3 in 1 s.
+	f.Add(false, uint8(3), uint16(1000), uint8(0), []byte{16, 1, 0, 16, 1, 0, 16, 1, 0, 16, 1, 0, 16, 1, 0})
+	// TestEscalationWindowSlides: three faults 200 ms apart, threshold 2
+	// in 100 ms.
+	f.Add(false, uint8(2), uint16(100), uint8(0), []byte{4, 1, 0, 4, 1, 200, 4, 1, 200})
+	// Every scope and state, an unknown app, an ECU reset, a failing
+	// executor.
+	f.Add(true, uint8(1), uint16(0), uint8(0b1110_0110), []byte{0, 2, 1, 3, 3, 5, 5, 0, 9, 4, 4, 0, 1, 2, 3, 16, 2, 50})
+	f.Fuzz(func(t *testing.T, allowReset bool, threshold uint8, windowMs uint16, policies uint8, stream []byte) {
+		m := runnable.NewModel()
+		var tasks []runnable.TaskID
+		for i, nTasks := range []int{2, 1, 1} {
+			app, _ := m.AddApp(fmt.Sprint("A", i), runnable.SafetyRelevant)
+			for j := 0; j < nTasks; j++ {
+				tid, _ := m.AddTask(app, fmt.Sprint("T", i, j), 1)
+				if _, err := m.AddRunnable(tid, fmt.Sprint("R", i, j), time.Millisecond, runnable.QM); err != nil {
+					t.Fatalf("AddRunnable: %v", err)
+				}
+				tasks = append(tasks, tid)
+			}
+		}
+		if err := m.Freeze(); err != nil {
+			t.Fatalf("Freeze: %v", err)
+		}
+		clk := sim.NewManualClock()
+		exec := &callLog{}
+		if policies&0x80 != 0 {
+			exec.fail = errors.New("executor failed")
+		}
+		cfg := Config{
+			Model: m, Clock: clk, Exec: exec, Monitor: &fakeMonitor{}, Defer: syncDefer,
+			AllowECUReset:       allowReset,
+			EscalationThreshold: int(threshold % 5),
+			EscalationWindow:    time.Duration(windowMs) * time.Millisecond,
+		}
+		if policies&0x40 != 0 {
+			cfg.DefaultPolicy = TerminateApp
+		}
+		fw, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		// The fold starts from the state New builds, with the policies
+		// the framework is given.
+		state := newDecisionState(fw.cfg)
+		for app := 0; app < m.NumApps(); app++ {
+			if p := AppPolicy(policies >> (2 * app) & 3); p == RestartApp || p == TerminateApp {
+				if err := fw.SetPolicy(runnable.AppID(app), p); err != nil {
+					t.Fatalf("SetPolicy: %v", err)
+				}
+				state.apps[app].policy = p
+			}
+		}
+		var want []Treatment
+		var wantCalls []string
+		for ; len(stream) >= 3; stream = stream[3:] {
+			b := stream[0]
+			e := core.StateEvent{
+				Scope: core.Scope(1 + b%3),
+				State: core.HealthState(1 + b/3%2),
+				Cause: core.ErrorKind(1 + b/6%3),
+				App:   runnable.AppID(int(stream[1])%(m.NumApps()+2) - 1),
+				Task:  tasks[int(stream[1])%len(tasks)],
+			}
+			clk.Advance(time.Duration(stream[2]) * time.Millisecond)
+			fw.StateChanged(e)
+			tr, ok := decide(&state, e, clk.Now())
+			if !ok {
+				continue
+			}
+			switch {
+			case e.State != core.StateFaulty || e.Scope == core.TaskScope:
+				t.Fatalf("treatment %+v for %+v", tr, e)
+			case tr.Action == ResetECUAction && !allowReset:
+				t.Fatalf("ECU reset without AllowECUReset: %+v", e)
+			case tr.Escalated && (tr.Action != TerminateAppAction || cfg.EscalationThreshold == 0):
+				t.Fatalf("escalation %+v with threshold %d", tr, cfg.EscalationThreshold)
+			}
+			if tr.Action == ResetECUAction {
+				wantCalls = append(wantCalls, "reset")
+			} else {
+				app, err := m.App(tr.App)
+				if err != nil {
+					t.Fatalf("treatment of unknown app: %+v", tr)
+				}
+				for _, tid := range app.Tasks {
+					if tr.Action == TerminateAppAction {
+						wantCalls = append(wantCalls, fmt.Sprint("terminate ", tid))
+					} else {
+						wantCalls = append(wantCalls, fmt.Sprint("restart ", tid))
+					}
+				}
+			}
+			tr.Err = exec.fail
+			want = append(want, tr)
+		}
+		if got := fw.Treatments(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("treatments:\n got %+v\nwant %+v", got, want)
+		}
+		if !slices.Equal(exec.calls, wantCalls) {
+			t.Fatalf("executor calls:\n got %v\nwant %v", exec.calls, wantCalls)
+		}
+	})
 }

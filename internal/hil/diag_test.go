@@ -22,8 +22,8 @@ func TestDiagnosticsHealthyNoInterference(t *testing.T) {
 		t.Fatal("diagnostic task never ran")
 	}
 	// No PCP configuration faults reported.
-	if count := v.FMF.CountByKind(core.ProgramFlowError); count != 0 {
-		t.Fatalf("flow errors: %d", count)
+	if at := v.FirstDetection(core.ProgramFlowError); at != 0 {
+		t.Fatalf("flow error at %v", at)
 	}
 }
 
@@ -45,9 +45,9 @@ func TestResourceBlockingCausesAliveness(t *testing.T) {
 		t.Fatalf("resource blocking produced no aliveness errors: %+v", res)
 	}
 	// The faults must be attributed to SafeSpeed's runnables (the blocked
-	// object), with evidence in the fault log.
+	// object), with evidence in the watchdog's journal.
 	sawSafeSpeed := false
-	for _, f := range v.FMF.FaultLog() {
+	for _, f := range v.Watchdog.Journal() {
 		if f.Kind == core.AlivenessError && f.Task == v.SafeSpeed.Task {
 			sawSafeSpeed = true
 			if f.Time < 5*sim.Second {

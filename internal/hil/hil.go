@@ -129,29 +129,36 @@ type Validator struct {
 	speedLimit float64
 	traced     []runnable.ID
 	started    bool
+	// firstDetection is the time of the first report of each error
+	// kind, taken from the FMF's notification stream.
+	firstDetection map[core.ErrorKind]sim.Time
 }
 
-// osekExecutor adapts the OS admin services to the FMF Executor interface.
-type osekExecutor struct{ os *osek.OS }
+// OSEKExecutor adapts the OS admin services to the FMF Executor
+// interface.
+type OSEKExecutor struct{ OS *osek.OS }
 
-var _ fmf.Executor = (*osekExecutor)(nil)
+var _ fmf.Executor = OSEKExecutor{}
 
-func (e *osekExecutor) RestartTask(tid runnable.TaskID) error { return e.os.RestartTask(tid) }
+// RestartTask restarts the task.
+func (e OSEKExecutor) RestartTask(tid runnable.TaskID) error { return e.OS.RestartTask(tid) }
 
-func (e *osekExecutor) TerminateTask(tid runnable.TaskID) error {
-	// Terminating an application's task also stops its dispatch alarms;
-	// otherwise the next expiry would simply re-activate it.
-	for _, aid := range e.os.AlarmsActivating(tid) {
-		if armed, err := e.os.AlarmArmed(aid); err == nil && armed {
-			if err := e.os.CancelAlarm(aid); err != nil {
+// TerminateTask stops the task's dispatch alarms, otherwise the next
+// expiry would simply re-activate it, and then terminates it.
+func (e OSEKExecutor) TerminateTask(tid runnable.TaskID) error {
+	for _, aid := range e.OS.AlarmsActivating(tid) {
+		if armed, err := e.OS.AlarmArmed(aid); err == nil && armed {
+			if err := e.OS.CancelAlarm(aid); err != nil {
 				return err
 			}
 		}
 	}
-	return e.os.ForceTerminate(tid)
+	return e.OS.ForceTerminate(tid)
 }
-func (e *osekExecutor) ResetECU() error {
-	e.os.ResetECU()
+
+// ResetECU performs the software reset.
+func (e OSEKExecutor) ResetECU() error {
+	e.OS.ResetECU()
 	return nil
 }
 
@@ -170,9 +177,10 @@ func New(opts Options) (*Validator, error) {
 		opts.SpeedLimitKph = 80
 	}
 	v := &Validator{
-		Kernel: sim.NewKernel(),
-		Model:  runnable.NewModel(),
-		opts:   opts,
+		Kernel:         sim.NewKernel(),
+		Model:          runnable.NewModel(),
+		opts:           opts,
+		firstDetection: make(map[core.ErrorKind]sim.Time),
 	}
 	v.speedLimit = vehicle.KphToMs(opts.SpeedLimitKph)
 
@@ -266,12 +274,19 @@ func New(opts Options) (*Validator, error) {
 		AllowECUReset: opts.AllowECUReset,
 	}
 	if opts.EnableTreatment {
-		fmfCfg.Exec = &osekExecutor{os: v.OS}
+		fmfCfg.Exec = OSEKExecutor{OS: v.OS}
 		fmfCfg.Defer = func(f func()) { v.Kernel.After(0, f) }
 	}
 	if v.FMF, err = fmf.New(fmfCfg); err != nil {
 		return nil, fmt.Errorf("hil: %w", err)
 	}
+	v.FMF.Subscribe(func(n fmf.Notification) {
+		if r := n.Report; r != nil {
+			if _, seen := v.firstDetection[r.Kind]; !seen {
+				v.firstDetection[r.Kind] = r.Time
+			}
+		}
+	})
 
 	if v.Watchdog, err = core.New(core.Config{
 		Model:              v.Model,
@@ -282,6 +297,8 @@ func New(opts Options) (*Validator, error) {
 		EagerArrivalCheck:  opts.EagerArrivalCheck,
 		DisableCorrelation: opts.DisableCorrelation,
 		ECUFaultyAppCount:  opts.ECUFaultyAppCount,
+		// The journal is the fault record the tools print from.
+		JournalSize: 1024,
 	}); err != nil {
 		return nil, fmt.Errorf("hil: %w", err)
 	}
@@ -484,6 +501,12 @@ func (v *Validator) SetSpeedLimit(ms float64) {
 		return
 	}
 	v.speedLimit = ms
+}
+
+// FirstDetection reports when the watchdog first reported an error of
+// the kind, or zero if it has not.
+func (v *Validator) FirstDetection(kind core.ErrorKind) sim.Time {
+	return v.firstDetection[kind]
 }
 
 // SpeedLimit reports the commanded maximum in m/s.

@@ -29,7 +29,7 @@ func TestHealthyRunNoDetections(t *testing.T) {
 	}
 	res := v.Watchdog.Results()
 	if res != (core.Results{}) {
-		t.Fatalf("healthy run produced detections: %+v (faults %v)", res, v.FMF.FaultLog())
+		t.Fatalf("healthy run produced detections: %+v (faults %v)", res, v.Watchdog.Journal())
 	}
 	// The speed limiter must actually be limiting: driver wants 150, the
 	// command is 80.
@@ -134,6 +134,28 @@ func TestFig6CollaborationPFCRootCause(t *testing.T) {
 		if p.Time == flipAt && p.Value < 3 {
 			t.Fatalf("task flipped at %v with PFC Result %v < 3", flipAt, p.Value)
 		}
+	}
+}
+
+// TestFirstDetectionOnLongRun: the first program-flow error of a long
+// run is the one right after injection, however many follow it (the
+// invalid branch raises one per 10 ms SafeSpeed period).
+func TestFirstDetectionOnLongRun(t *testing.T) {
+	v := newValidator(t, Options{})
+	const injectAt = 2 * sim.Second
+	v.Injector.ApplyAt(injectAt, &inject.FlagFault{
+		Label: "invalid-branch",
+		Set:   func() { v.SafeSpeed.FaultBranch = 1 },
+	})
+	if err := v.Run(22 * time.Second); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if n := v.Watchdog.Results().ProgramFlow; n < 1024 {
+		t.Fatalf("ProgramFlow = %d, want a run past 1,024 detections", n)
+	}
+	first := v.FirstDetection(core.ProgramFlowError)
+	if lat := first.Sub(injectAt); first == 0 || lat < 0 || lat > 10*time.Millisecond {
+		t.Fatalf("first program-flow error at %v, want within 10ms of the injection at %v", first, injectAt)
 	}
 }
 

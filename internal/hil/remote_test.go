@@ -50,9 +50,9 @@ func TestRemoteFaultReportsCrossTheBus(t *testing.T) {
 	if res.ProgramFlow == 0 {
 		t.Fatalf("remote watchdog missed the fault: %+v", res)
 	}
-	// ...the local FMF logged it...
-	if len(v.Remote.FMF.FaultLog()) == 0 {
-		t.Fatal("remote FMF log empty")
+	// ...journaled it...
+	if len(v.Remote.Watchdog.Journal()) == 0 {
+		t.Fatal("remote journal empty")
 	}
 	// ...and the reports crossed the CAN bus to the central node.
 	if v.Remote.Reported() == 0 {
