@@ -23,9 +23,11 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Just the lock-free hot-path benchmarks (README §Performance).
+# The lock-free hot-path benchmarks and the 25k-runnable cycle sweep, the
+# two users of core's per-runnable hotState layout (README §Performance).
 bench-hotpath:
 	$(GO) test -run xxx -bench 'Heartbeat|MonitorBeat|ConcurrentCycle|WatchdogCycle' -benchmem -count=3 .
+	$(GO) test -run xxx -bench 'CycleSweep/n=25000' -benchmem -count=3 ./internal/core
 
 # Machine-readable benchmark suites under ./bench/ (gitignored): the
 # cycle-sweep + hot-path suite, the telemetry suite, the wire/ingest

@@ -83,7 +83,8 @@ func TestApplyRejectsWholeBatch(t *testing.T) {
 		hyp   Hypothesis
 		c     Counters
 		errv  [3]uint64
-		sched runnableSched
+		alive aliveSched
+		cold  coldSched
 	}
 	state := func() ([]row, []ShadowReport, Results) {
 		var rows []row
@@ -92,7 +93,7 @@ func TestApplyRejectsWholeBatch(t *testing.T) {
 			r.hyp, _ = f.w.Hypothesis(rid)
 			r.c, _ = f.w.CounterSnapshot(rid)
 			r.errv[0], r.errv[1], r.errv[2], _ = f.w.RunnableErrors(rid)
-			r.sched = f.w.hot[rid].runnableSched
+			r.alive, r.cold = f.w.hot[rid].aliveSched, f.w.cold[rid]
 			rows = append(rows, r)
 		}
 		return rows, f.w.Shadows(), f.w.Results()

@@ -233,8 +233,11 @@ type Watchdog struct {
 	preds  []predReg
 	cycle  atomic.Uint64
 
-	// sched is the due-cycle timer wheel driving the Cycle sweep.
+	// sched is the due-cycle timer wheel driving the Cycle sweep, and
+	// cold the arrival and shadow part of each runnable's sweep state,
+	// indexed like hot (see wheel.go). Both guarded by mu.
 	sched *scheduler
+	cold  []coldSched
 
 	// mu is the single cold-path mutex. It guards the sweep state (the
 	// wheel, every runnable's window bookkeeping and the shadows), the
@@ -342,6 +345,7 @@ func New(cfg Config) (*Watchdog, error) {
 		clock:    cfg.Clock,
 		sink:     cfg.Sink,
 		hot:      make([]hotState, n),
+		cold:     make([]coldSched, n),
 		taskOf:   make([]runnable.TaskID, n),
 		preds:    make([]predReg, cfg.Model.NumTasks()),
 		errv:     make([][3]uint64, n),
@@ -369,7 +373,7 @@ func New(cfg Config) (*Watchdog, error) {
 		w.taskOf[i] = cfg.Model.TaskOf(runnable.ID(i))
 		w.hot[i].tid = int32(w.taskOf[i])
 	}
-	w.sched = newScheduler(w.hot, cfg.wheelSize)
+	w.sched = newScheduler(w.hot, w.cold, cfg.wheelSize)
 	w.flow.Store(newFlowTable(n))
 	for i := range w.preds {
 		w.preds[i].last.Store(int64(runnable.NoID))
@@ -403,17 +407,17 @@ func (w *Watchdog) SetHypothesis(rid runnable.ID, h Hypothesis) error {
 
 // setHypothesisLocked is SetHypothesis on a checked op. Requires w.mu.
 func (w *Watchdog) setHypothesisLocked(rid runnable.ID, h Hypothesis) {
-	hs := &w.hot[rid]
+	hs, cs := &w.hot[rid], &w.cold[rid]
 	if old := hs.hyp.Load(); old.ArrivalCycles == 0 && h.ArrivalCycles > 0 {
 		// Arrival monitoring switches on: ARC has been accumulating since
 		// the unit was last off (every beat counts in both) and must not
 		// count against the first monitored window. Drain it; AC is
 		// preserved, so aliveness supervision sees no gap.
-		hs.arrBase = hs.beats.Load()
+		cs.arrBase = hs.beats.Load()
 	}
 	hs.hyp.Store(w.internLocked(h))
 	if lim := eagerLimit(w.cfg.EagerArrivalCheck, &h); lim > 0 {
-		hs.eagerAt.Store(hs.arrBase + lim)
+		hs.eagerAt.Store(cs.arrBase + lim)
 	} else {
 		hs.eagerAt.Store(eagerDisabled)
 	}
@@ -422,7 +426,7 @@ func (w *Watchdog) setHypothesisLocked(rid runnable.ID, h Hypothesis) {
 	// counter.
 	c, active := w.cycle.Load(), hs.active.Load() != 0
 	w.reschedLocked(rid, kindAlive, h.AlivenessCycles, active, anchorElapsed(hs.aliveAnchor, c))
-	w.reschedLocked(rid, kindArr, h.ArrivalCycles, active, anchorElapsed(hs.arrAnchor, c))
+	w.reschedLocked(rid, kindArr, h.ArrivalCycles, active, anchorElapsed(cs.arrAnchor, c))
 }
 
 // maxInternedHyps bounds the intern table. A calibrated fleet may cycle
@@ -481,7 +485,7 @@ func (w *Watchdog) setActiveLocked(rid runnable.ID, on bool) {
 	} else {
 		hs.active.Store(0)
 	}
-	hs.resetCounters(w.cfg.EagerArrivalCheck)
+	hs.resetCounters(&w.cold[rid], w.cfg.EagerArrivalCheck)
 	hyp := hs.hyp.Load()
 	w.reschedLocked(rid, kindAlive, hyp.AlivenessCycles, on, 0)
 	w.reschedLocked(rid, kindArr, hyp.ArrivalCycles, on, 0)
@@ -727,13 +731,13 @@ func (w *Watchdog) flowRecord(ft *flowTable, table []runnable.ID, i uint32) (run
 func (w *Watchdog) eagerArrival(rid runnable.ID, hs *hotState, v uint64) {
 	w.lock()
 	defer w.mu.Unlock()
-	hyp := hs.hyp.Load()
+	hyp, cs := hs.hyp.Load(), &w.cold[rid]
 	lim := eagerLimit(w.cfg.EagerArrivalCheck, hyp)
-	if lim == 0 || v <= hs.arrBase+lim {
+	if lim == 0 || v <= cs.arrBase+lim {
 		return // disarmed, or another heartbeat or a sweep closed the window
 	}
-	arc := v - hs.arrBase
-	hs.openArrival(hs.beats.Load(), lim)
+	arc := v - cs.arrBase
+	hs.openArrival(cs, hs.beats.Load(), lim)
 	// The mid-period ARC reset restarts the arrival window: CCAR
 	// restarts at zero.
 	w.reschedLocked(rid, kindArr, hyp.ArrivalCycles, true, 0)
@@ -1010,7 +1014,7 @@ func (w *Watchdog) CounterSnapshot(rid runnable.ID) (Counters, error) {
 // the lifetime beat count AC and ARC were read off. rid must be valid;
 // callers hold w.mu.
 func (w *Watchdog) countersLocked(rid runnable.ID) (Counters, uint64) {
-	hs := &w.hot[rid]
+	hs, cs := &w.hot[rid], &w.cold[rid]
 	b := hs.beats.Load()
 	// The sweep does not increment CCA/CCAR every cycle; they are
 	// derived from the window anchors.
@@ -1018,9 +1022,9 @@ func (w *Watchdog) countersLocked(rid runnable.ID) (Counters, uint64) {
 	return Counters{
 		Active: hs.active.Load() != 0,
 		AC:     int(b - hs.aliveBase),
-		ARC:    int(b - hs.arrBase),
+		ARC:    int(b - cs.arrBase),
 		CCA:    int(uint32(anchorElapsed(hs.aliveAnchor, now))),
-		CCAR:   int(uint32(anchorElapsed(hs.arrAnchor, now))),
+		CCAR:   int(uint32(anchorElapsed(cs.arrAnchor, now))),
 	}, b
 }
 

@@ -14,14 +14,14 @@ import (
 // atomic operations, never a global lock. The layout follows three rules:
 //
 //   - Per-runnable counters (AC, ARC) and the Activation Status live in a
-//     cache-line-padded hotState so heartbeats from different runnables
+//     one-cache-line hotState so heartbeats from different runnables
 //     never write the same cache line (no false sharing). AC and ARC are
 //     both read off one free-running beat counter, so recording a
 //     heartbeat in both is a single atomic add, and closing a window is
 //     one atomic load and a plain store of the window's baseline. The
-//     same padded line also carries the runnable's sweep state (window
-//     baselines and anchors, wheel deadlines), which the beat path never
-//     reads.
+//     rest of the line carries the runnable's aliveness window state,
+//     which the beat path never reads; the arrival and shadow window
+//     state lives in a parallel cold record (coldSched, wheel.go).
 //   - The program-flow look-up table is an immutable snapshot swapped with
 //     an atomic pointer (copy-on-write on the rare AddFlowPair), so the
 //     per-beat flow check is two loads, a bit test and a scan of the
@@ -42,8 +42,7 @@ import (
 // the TSI unit and the journal. It is taken once per Cycle and when
 // something is wrong or being reconfigured, never per healthy beat.
 
-// cacheLineSize is the assumed coherence granularity. Padding to two lines
-// also defeats the adjacent-line prefetcher on common x86 parts.
+// cacheLineSize is the assumed coherence granularity.
 const cacheLineSize = 64
 
 // eagerDisabled parks the eager arrival trip point out of reach so the
@@ -53,18 +52,18 @@ const eagerDisabled = math.MaxUint64
 
 // hotState is the heartbeat-monitoring state of one runnable (§3.3):
 // the beat counter and Activation Status the beat path updates with
-// atomics, and the runnable's sweep state (runnableSched, see wheel.go)
-// that only lock holders touch.
+// atomics, and the aliveness part of the runnable's sweep state
+// (aliveSched, see wheel.go) that only lock holders touch.
 //
 // Ownership discipline:
 //
 //   - beats counts every heartbeat recorded while the runnable was
 //     active, for its whole life; it is never reset. AC is beats minus
 //     the aliveness window's baseline (aliveBase) and ARC is beats
-//     minus the arrival window's (arrBase). A window close loads beats
-//     and moves its baseline there, a counter reset moves both, so a
-//     racing beat lands in either the closing or the fresh window, and
-//     lifetime beats are beats itself.
+//     minus the arrival window's (coldSched.arrBase). A window close
+//     loads beats and moves its baseline there, a counter reset moves
+//     both, so a racing beat lands in either the closing or the fresh
+//     window, and lifetime beats are beats itself.
 //   - active gates the counter; it is written by Activate/Deactivate and
 //     the treatment paths (cold).
 //   - eagerAt is the beat count past which a beat trips the eager arrival
@@ -78,26 +77,27 @@ const eagerDisabled = math.MaxUint64
 //   - tid is the hosting task, precomputed at construction and immutable
 //     thereafter; keeping it on the runnable's own cache line saves the
 //     compat wrapper a second slice load.
-//   - the embedded runnableSched — the window baselines and anchors and
-//     the wheel deadlines — holds plain fields guarded by w.mu. Every
-//     writer (the sweep, activation changes, fault treatment, eager
-//     arrival detection) already holds that lock, and every reader
-//     takes it.
+//   - the embedded aliveSched — the aliveness window's baseline, anchor
+//     and deadline, and the wheel locations of all three deadlines —
+//     holds plain fields guarded by w.mu. Every writer (the sweep,
+//     activation changes, fault treatment, eager arrival detection)
+//     already holds that lock, and every reader takes it.
 //
-// The beat path reads only the first 32 bytes. Every field an aliveness
-// close reads or writes lies in the first 64 (TestHotLayout), so a due
-// window costs one cache line, one atomic load and plain stores. The
-// fields use 96 of the 128 bytes; the padding is spare room for the
-// per-node footprint budget (ROADMAP 13c).
+// hotState is exactly one cache line (TestHotLayout). The beat path
+// reads its first 32 bytes, and every field an aliveness close reads or
+// writes lies in the line, so a due aliveness window costs the sweep one
+// line, one atomic load and plain stores. An arrival close, a shadow
+// window, SetHypothesis and a counter reset also touch the runnable's
+// 32-byte coldSched. Keeping that state off the line halves the bytes
+// an aligned due sweep walks, which sits between a missed beat and its
+// detection (DESIGN §8).
 type hotState struct {
 	beats   atomic.Uint64
 	active  atomic.Uint32
 	tid     int32 // runnable.TaskID; the per-task registers bound it far below 2^31
 	eagerAt atomic.Uint64
 	hyp     atomic.Pointer[Hypothesis]
-	runnableSched
-
-	_ [2*cacheLineSize - 96]byte
+	aliveSched
 }
 
 // closeAlive closes the aliveness window at beat count b and returns
@@ -108,19 +108,20 @@ func (h *hotState) closeAlive(b uint64) uint64 {
 	return ac
 }
 
-// closeArrival closes the arrival window at beat count b and returns
-// its ARC; lim is the eager limit (eagerLimit). Requires w.mu.
-func (h *hotState) closeArrival(b, lim uint64) uint64 {
-	arc := b - h.arrBase
-	h.openArrival(b, lim)
+// closeArrival closes the arrival window of h, whose cold record is cs,
+// at beat count b and returns its ARC; lim is the eager limit
+// (eagerLimit). Requires w.mu.
+func (h *hotState) closeArrival(cs *coldSched, b, lim uint64) uint64 {
+	arc := b - cs.arrBase
+	h.openArrival(cs, b, lim)
 	return arc
 }
 
 // openArrival opens an arrival window at beat count b and, when the
 // eager check is armed (lim > 0), moves the beat path's trip point with
 // it. Requires w.mu.
-func (h *hotState) openArrival(b, lim uint64) {
-	h.arrBase = b
+func (h *hotState) openArrival(cs *coldSched, b, lim uint64) {
+	cs.arrBase = b
 	if lim > 0 {
 		h.eagerAt.Store(b + lim)
 	}
@@ -132,10 +133,10 @@ func (h *hotState) openArrival(b, lim uint64) {
 // beat count; eager is Config.EagerArrivalCheck. A beat racing the
 // reset lands on either side of it, exactly as the monitoring semantics
 // already allow. Requires w.mu.
-func (h *hotState) resetCounters(eager bool) {
+func (h *hotState) resetCounters(cs *coldSched, eager bool) {
 	b := h.beats.Load()
 	h.aliveBase = b
-	h.openArrival(b, eagerLimit(eager, h.hyp.Load()))
+	h.openArrival(cs, b, eagerLimit(eager, h.hyp.Load()))
 }
 
 // eagerLimit returns MaxArrivals when the eager arrival check is armed

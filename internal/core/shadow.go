@@ -182,7 +182,7 @@ func (w *Watchdog) sweepShadows(c uint64) {
 	s := w.sched
 	for _, rid := range s.dueShadow {
 		hs := &w.hot[rid]
-		hs.shadowDue, hs.shadowLoc = 0, locNone // drained: consumed
+		w.cold[rid].shadowDue, hs.shadowLoc = 0, locNone // drained: consumed
 		st := w.shadows[runnable.ID(rid)]
 		if st == nil {
 			continue // defensive: due bit without state

@@ -157,12 +157,13 @@ func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool, ws *wordAlive) b
 	s := w.sched
 	hs := &w.hot[rid]
 	// The drained deadlines are consumed: mark them unscheduled before
-	// rescheduling from a clean slate.
+	// rescheduling from a clean slate. Only an arrival close touches the
+	// runnable's cold record.
 	if alive {
 		hs.aliveDue, hs.aliveLoc = 0, locNone
 	}
 	if arr {
-		hs.arrDue, hs.arrLoc = 0, locNone
+		w.cold[rid].arrDue, hs.arrLoc = 0, locNone
 	}
 	if hs.active.Load() == 0 {
 		return false // defensive: deactivation unschedules under w.mu
@@ -185,8 +186,9 @@ func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool, ws *wordAlive) b
 		}
 	}
 	if arr {
-		arc = hs.closeArrival(b, eagerLimit(w.cfg.EagerArrivalCheck, hyp))
-		hs.arrAnchor = c
+		cs := &w.cold[rid]
+		arc = hs.closeArrival(cs, b, eagerLimit(w.cfg.EagerArrivalCheck, hyp))
+		cs.arrAnchor = c
 		s.schedule(rid, kindArr, c+uint64(hyp.ArrivalCycles), c)
 	}
 	// Both windows are closed before either is reported, so a journal
@@ -213,7 +215,10 @@ func (w *Watchdog) closeDue(c uint64, rid int, alive, arr bool, ws *wordAlive) b
 func (w *Watchdog) reschedLocked(rid runnable.ID, kind, period int, active bool, elapsed uint64) {
 	s, c, i := w.sched, w.cycle.Load(), int(rid)
 	elapsed = min(elapsed, c) // defensive: anchors never precede cycle zero
-	anchor := w.hot[i].anchor(kind)
+	anchor := &w.hot[i].aliveAnchor
+	if kind == kindArr {
+		anchor = &w.cold[i].arrAnchor
+	}
 	s.unschedule(i, kind)
 	if !active || period <= 0 {
 		*anchor = frozenFlag | elapsed

@@ -2,7 +2,7 @@ package core
 
 // This file implements the due-cycle timer wheel behind the Cycle sweep.
 //
-// The seed design swept every runnable's padded 128-byte hotState line on
+// The seed design swept every runnable's padded 128-byte counter line on
 // every monitoring cycle — O(N) per cycle even when no window expired,
 // measured 2.6× slower than the seed's packed-array walk (README
 // §Performance history). The wheel replaces that with deadline-based
@@ -43,7 +43,7 @@ const (
 	kindShadow = 2
 )
 
-// runnableSched locations.
+// Deadline locations (aliveSched.aliveLoc, arrLoc, shadowLoc).
 const (
 	locNone = iota
 	locBucket
@@ -65,13 +65,11 @@ func anchorElapsed(a, c uint64) uint64 {
 	return c - a
 }
 
-// runnableSched is the per-runnable sweep state, embedded in hotState
-// so each runnable's bookkeeping shares its padded counter lines instead
-// of a second array. Every field is a plain field guarded by w.mu:
-// the sweep, activation changes, fault treatment and the eager arrival
-// detection write it holding that lock, and CounterSnapshot, the
-// telemetry Snapshot and the journal's freeze-frames take the lock to
-// read it.
+// aliveSched and coldSched are the per-runnable sweep state. Every
+// field is a plain field guarded by w.mu: the sweep, activation changes,
+// fault treatment and the eager arrival detection write it holding that
+// lock, and CounterSnapshot, the telemetry Snapshot and the journal's
+// freeze-frames take the lock to read it.
 //
 //   - aliveBase/arrBase are the beat counts at which the running
 //     aliveness and arrival windows opened: AC and ARC are the beats
@@ -81,50 +79,53 @@ func anchorElapsed(a, c uint64) uint64 {
 //     counter value (see anchorElapsed).
 //   - the *Due/*Loc pairs index the runnable's deadlines in the wheel.
 //
-// The fields an aliveness close touches come first, so with hotState's
-// leading beat-path words they fill one cache line.
-type runnableSched struct {
+// aliveSched is embedded in hotState: with the beat-path words it
+// fills the runnable's one cache line, so an aliveness close, the
+// sweep's common case, touches that line alone. The location bytes of
+// all three deadlines ride in the line's tail, where alignment would
+// otherwise leave padding. coldSched holds the rest in a parallel
+// slice (Watchdog.cold), indexed like hot.
+type aliveSched struct {
 	aliveBase   uint64
 	aliveAnchor uint64
 	aliveDue    uint64 // absolute cycle the aliveness window expires; 0 = unscheduled
 	aliveLoc    uint8
 	arrLoc      uint8
 	shadowLoc   uint8
-	arrBase     uint64
-	arrAnchor   uint64
-	arrDue      uint64
-	shadowDue   uint64
 }
 
-// dueLoc returns the deadline state for kind.
-func (r *runnableSched) dueLoc(kind int) (uint64, uint8) {
+// coldSched is the arrival and shadow window state of one runnable; see
+// aliveSched.
+type coldSched struct {
+	arrBase   uint64
+	arrAnchor uint64
+	arrDue    uint64
+	shadowDue uint64
+}
+
+// dueLoc returns runnable rid's deadline state for kind.
+func (s *scheduler) dueLoc(rid, kind int) (uint64, uint8) {
+	h := &s.hot[rid]
 	switch kind {
 	case kindArr:
-		return r.arrDue, r.arrLoc
+		return s.cold[rid].arrDue, h.arrLoc
 	case kindShadow:
-		return r.shadowDue, r.shadowLoc
+		return s.cold[rid].shadowDue, h.shadowLoc
 	default:
-		return r.aliveDue, r.aliveLoc
+		return h.aliveDue, h.aliveLoc
 	}
 }
 
-// anchor returns the counter anchor of kind, kindAlive or kindArr.
-func (r *runnableSched) anchor(kind int) *uint64 {
-	if kind == kindArr {
-		return &r.arrAnchor
-	}
-	return &r.aliveAnchor
-}
-
-// setDueLoc stores the deadline state for kind.
-func (r *runnableSched) setDueLoc(kind int, due uint64, loc uint8) {
+// setDueLoc stores runnable rid's deadline state for kind.
+func (s *scheduler) setDueLoc(rid, kind int, due uint64, loc uint8) {
+	h := &s.hot[rid]
 	switch kind {
 	case kindArr:
-		r.arrDue, r.arrLoc = due, loc
+		s.cold[rid].arrDue, h.arrLoc = due, loc
 	case kindShadow:
-		r.shadowDue, r.shadowLoc = due, loc
+		s.cold[rid].shadowDue, h.shadowLoc = due, loc
 	default:
-		r.aliveDue, r.aliveLoc = due, loc
+		h.aliveDue, h.aliveLoc = due, loc
 	}
 }
 
@@ -175,8 +176,8 @@ func (b *wheelBucket) peek(kind int) *bitset {
 }
 
 // scheduler is the due-cycle index driving the wheel-based sweep.
-// Guarded by w.mu, like every runnable's sweep state (hotState's
-// embedded runnableSched).
+// Guarded by w.mu, like every runnable's sweep state (aliveSched and
+// coldSched).
 type scheduler struct {
 	size uint64 // bucket count, power of two
 	mask uint64
@@ -185,8 +186,9 @@ type scheduler struct {
 	overAlive  *bitset // deadlines ≥ size cycles away
 	overArr    *bitset
 	overShadow *bitset
-	hot        []hotState // the watchdog's runnables, for their sweep state
-	n          int        // number of runnables
+	hot        []hotState  // the watchdog's runnables, for their sweep state
+	cold       []coldSched // their arrival and shadow sweep state
+	n          int         // number of runnables
 	// none stands in for a slot that holds no bitset of a kind, so
 	// the sweep walks two bitsets without nil checks. It stays empty.
 	none *bitset
@@ -200,9 +202,10 @@ type scheduler struct {
 	migr      []uint32
 }
 
-// newScheduler builds the wheel over hot's runnables and freezes their
-// counters at zero. size must be a power of two.
-func newScheduler(hot []hotState, size uint64) *scheduler {
+// newScheduler builds the wheel over the runnables of hot and cold
+// (equal lengths) and freezes their counters at zero. size must be a
+// power of two.
+func newScheduler(hot []hotState, cold []coldSched, size uint64) *scheduler {
 	if size == 0 {
 		size = defaultWheelSize
 	}
@@ -215,13 +218,14 @@ func newScheduler(hot []hotState, size uint64) *scheduler {
 		overArr:    newBitset(n),
 		overShadow: newBitset(n),
 		hot:        hot,
+		cold:       cold,
 		n:          n,
 		none:       newBitset(n),
 	}
 	for i := range hot {
 		// Everything starts inactive: counters frozen at zero.
 		hot[i].aliveAnchor = frozenFlag
-		hot[i].arrAnchor = frozenFlag
+		cold[i].arrAnchor = frozenFlag
 	}
 	return s
 }
@@ -249,7 +253,7 @@ func (s *scheduler) schedule(rid, kind int, due, now uint64) {
 		s.overflow(kind).set(rid)
 		loc = locOverflow
 	}
-	s.hot[rid].setDueLoc(kind, due, loc)
+	s.setDueLoc(rid, kind, due, loc)
 }
 
 // wordAlive gathers, for the sweep of one bitset word, the runnables
@@ -282,8 +286,7 @@ func (s *scheduler) flushAlive(ws *wordAlive, wi int) {
 
 // unschedule removes a deadline if one is indexed. Callers hold w.mu.
 func (s *scheduler) unschedule(rid, kind int) {
-	r := &s.hot[rid]
-	due, loc := r.dueLoc(kind)
+	due, loc := s.dueLoc(rid, kind)
 	switch loc {
 	case locBucket:
 		if bs := s.buckets[due&s.mask].peek(kind); bs != nil {
@@ -292,7 +295,7 @@ func (s *scheduler) unschedule(rid, kind int) {
 	case locOverflow:
 		s.overflow(kind).clear(rid)
 	}
-	r.setDueLoc(kind, 0, locNone)
+	s.setDueLoc(rid, kind, 0, locNone)
 }
 
 // migrate moves overflow deadlines that have come within the wheel
@@ -307,14 +310,13 @@ func (s *scheduler) migrate(now uint64) {
 		}
 		s.migr = ov.appendMembers(s.migr[:0])
 		for _, rid := range s.migr {
-			r := &s.hot[rid]
-			due, _ := r.dueLoc(kind)
+			due, _ := s.dueLoc(int(rid), kind)
 			if due-now >= s.size {
 				continue
 			}
 			ov.clear(int(rid))
 			s.buckets[due&s.mask].get(kind, s).set(int(rid))
-			r.setDueLoc(kind, due, locBucket)
+			s.setDueLoc(int(rid), kind, due, locBucket)
 		}
 	}
 }
@@ -349,9 +351,8 @@ func (s *scheduler) resetAll() {
 	scratch = s.overShadow.drainInto(scratch[:0])
 	s.migr = scratch[:0]
 	for i := range s.hot {
-		r := &s.hot[i].runnableSched
-		r.aliveDue, r.aliveLoc = 0, locNone
-		r.arrDue, r.arrLoc = 0, locNone
-		r.shadowDue, r.shadowLoc = 0, locNone
+		for kind := kindAlive; kind <= kindShadow; kind++ {
+			s.setDueLoc(i, kind, 0, locNone)
+		}
 	}
 }
